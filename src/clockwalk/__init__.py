@@ -1,9 +1,10 @@
 """Numerical laboratory for a relativistic binary-clock particle model.
 
 The package implements, end to end, a point particle carrying a binary
-clock signal that toggles at its Compton frequency: proper-time kinematics
-on piecewise-inertial worldlines, the resulting spacetime parity patterns
-and their Lorentz-equivalence filter, a parity-tracking four-state lattice
+clock signal that toggles at its Compton frequency: one proper-time kernel
+over the straight legs of piecewise-inertial paths, one parity rule, the
+resulting spacetime parity patterns (evaluated on position arrays) and
+their Lorentz-equivalence filter, a parity-tracking four-state lattice
 walk, its spectral (transfer-matrix) representation, and the stroboscopic
 continuum limits in which the parity-filtered walk reproduces the free
 Schrodinger propagator while the unfiltered walk reproduces the diffusion

@@ -2,8 +2,16 @@
 
 A clock ticks through half-periods of proper time; its parity is +1 on
 even half-periods and -1 on odd ones.  Patterns over a fixed-time slice,
-the Galilean contrast pattern, the two-path Lorentz-equivalence filter,
-and an idealized double-slit arrangement are all built from that rule.
+the two-path Lorentz-equivalence filter, and an idealized double-slit
+arrangement are all built from that rule, evaluated on arrays of screen
+positions.
+
+The two patterns draw their cone differently, and each keeps the
+convention its committed data were made with: the plane pattern's cone is
+open (|x| < t), because a clock riding the light cone has no proper time
+to show; a slit screen's cone is closed (|dx| <= t2 per leg), because a
+lightlike second leg adds zero proper time to a path that still reaches
+the screen.
 """
 
 from __future__ import annotations
@@ -11,33 +19,35 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .kinematics import UnitsConfig
+import numpy as np
+
+from .kinematics import UnitsConfig, proper_time
 
 __all__ = [
-    "PatternSample",
+    "Pattern",
     "SlitGeometry",
     "parity_of_proper_time",
-    "rest_clock",
-    "boosted_clock",
     "plane_pattern",
-    "galilean_pattern",
     "lorentz_filter",
     "double_slit_phi",
-    "double_slit_intensity",
 ]
 
 
 @dataclass(frozen=True)
-class PatternSample:
-    """One pattern sample: position, signal value, and cone-validity flag.
+class Pattern:
+    """Pattern samples as equal-length arrays: position, signal value, cone flag.
 
-    value is a parity (+1/-1) or a filter value (+1/0/-1); it is forced to
-    0 whenever in_cone is false (the signal vanishes outside the cone).
+    value is a parity (+1/-1) or a filter value (+1/0/-1); it is 0 wherever
+    in_cone is false (the signal vanishes outside the cone).  len() is the
+    number of samples.
     """
 
-    x: float
-    value: int
-    in_cone: bool
+    x: np.ndarray
+    value: np.ndarray
+    in_cone: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.x)
 
 
 @dataclass(frozen=True)
@@ -45,14 +55,12 @@ class SlitGeometry:
     """Source-slits-screen arrangement, symmetric about x = 0.
 
     Slits sit at x = +/- half_separation, one coordinate-time leg t1 from
-    the source at the origin and t2 from the screen.  screen_grid lists
-    the screen positions to evaluate.
+    the source at the origin and t2 from the screen.
     """
 
     half_separation: float
     source_to_slit_time: float
     slit_to_screen_time: float
-    screen_grid: tuple[float, ...]
 
     def __post_init__(self) -> None:
         a, t1, t2 = self.half_separation, self.source_to_slit_time, self.slit_to_screen_time
@@ -65,123 +73,63 @@ class SlitGeometry:
             raise ValueError(f"slit_to_screen_time must be positive, got {t2}")
 
 
-def parity_of_proper_time(tau: float, units: UnitsConfig) -> int:
-    """Clock parity after proper time tau: (-1)**floor(tau / (T/2)).
+def parity_of_proper_time(tau, units: UnitsConfig) -> np.ndarray:
+    """Clock parity after proper time tau: (-1)**floor(tau / (T/2)), elementwise.
 
     Half-open convention: parity is constant on [k*T/2, (k+1)*T/2), so it
     is right-continuous in tau and deterministic exactly on the toggle
     instants, where sign(sin) would vanish.
     """
-    if not (tau >= 0.0):
-        raise ValueError(f"proper time must be >= 0, got {tau}")
-    return -1 if math.floor(tau / units.half_period) % 2 else 1
+    tau = np.asarray(tau, dtype=float)
+    if not np.all(tau >= 0.0):
+        raise ValueError("proper time must be >= 0")
+    return np.where(np.floor(tau / units.half_period) % 2, -1, 1)
 
 
-def rest_clock(t: float, units: UnitsConfig) -> int:
-    """Parity of a clock at rest after coordinate time t."""
-    return parity_of_proper_time(t, units)
-
-
-def boosted_clock(t: float, v: float, units: UnitsConfig) -> int:
-    """Parity of a clock moving at velocity v, read at coordinate time t.
-
-    The boost only enters through time dilation: tau = t*sqrt(1 - v^2).
-    """
-    if not (abs(v) < 1.0):
-        raise ValueError(f"|v| < 1 required, got {v}")
-    if not (t >= 0.0):
-        raise ValueError(f"t must be >= 0, got {t}")
-    return parity_of_proper_time(t * math.sqrt(1.0 - v * v), units)
-
-
-def plane_pattern(t: float, x_grid, units: UnitsConfig) -> list[PatternSample]:
+def plane_pattern(t: float, x, units: UnitsConfig) -> Pattern:
     """Fixed-t parity slice: clocks launched from the origin toward every x.
 
-    Inside the cone (|x| < t) the parity is that of the straight-line
+    Inside the open cone (|x| < t) the parity is that of the straight-line
     proper time sqrt(t^2 - x^2); level sets are hyperbolae.  On and outside
     the cone the signal is reported as 0 with in_cone false.
     """
     if not (t > 0.0):
         raise ValueError(f"t must be positive, got {t}")
-    out = []
-    for x in x_grid:
-        x = float(x)
-        if abs(x) < t:
-            tau = math.sqrt(t * t - x * x)
-            out.append(PatternSample(x, parity_of_proper_time(tau, units), True))
-        else:
-            out.append(PatternSample(x, 0, False))
-    return out
+    x = np.asarray(x, dtype=float)
+    in_cone = np.abs(x) < t
+    value = np.zeros(x.shape, dtype=int)
+    value[in_cone] = parity_of_proper_time(proper_time(t, x[in_cone, None]), units)
+    return Pattern(x, value, in_cone)
 
 
-def galilean_pattern(t: float, x_grid, units: UnitsConfig) -> list[PatternSample]:
-    """Contrast pattern with time dilation ignored: a single parity at fixed t.
-
-    Every x shows rest_clock(t); there is no x dependence at all, which is
-    what makes the relativistic pattern's structure significant.
-    """
-    if not (t > 0.0):
-        raise ValueError(f"t must be positive, got {t}")
-    value = rest_clock(t, units)
-    return [PatternSample(float(x), value, True) for x in x_grid]
-
-
-def lorentz_filter(pa: int, pb: int) -> int:
-    """Two-path equivalence filter: the average of two parities.
+def lorentz_filter(pa, pb) -> np.ndarray:
+    """Two-path equivalence filter: the average of two parities, elementwise.
 
     +1 or -1 when the parities agree (the paths are boost images of one
     clock history), 0 when they disagree.
     """
-    if pa not in (-1, 1) or pb not in (-1, 1):
+    if not (np.isin(pa, (-1, 1)).all() and np.isin(pb, (-1, 1)).all()):
         raise ValueError(f"parities must be +1 or -1, got ({pa}, {pb})")
-    return (pa + pb) // 2
+    return (np.asarray(pa) + np.asarray(pb)) // 2
 
 
-def _slit_leg_parities(geom: SlitGeometry, units: UnitsConfig, x: float):
-    """Parities via each slit for screen position x, or None if unreachable.
-
-    Each path is two straight legs with a single hinge at the slit; the
-    clock accumulates the summed proper time of both legs.
-    """
-    a = geom.half_separation
-    t1 = geom.source_to_slit_time
-    t2 = geom.slit_to_screen_time
-    tau_source = math.sqrt(t1 * t1 - a * a)
-    parities = []
-    for x_slit in (-a, a):
-        dx = x - x_slit
-        if abs(dx) > t2:
-            return None
-        tau_leg = math.sqrt(t2 * t2 - dx * dx)
-        parities.append(parity_of_proper_time(tau_source + tau_leg, units))
-    return parities
-
-
-def double_slit_phi(geom: SlitGeometry, units: UnitsConfig) -> list[PatternSample]:
+def double_slit_phi(geom: SlitGeometry, x, units: UnitsConfig) -> Pattern:
     """Filter value phi(x) on the screen for the two single-hinge paths.
 
-    phi = +/-1 where the two path parities agree, 0 where they disagree,
-    and 0 with in_cone false where the screen point is reachable from
-    fewer than two slits.
+    Each path runs from the source to one slit and on to the screen point,
+    two straight legs hinged at the slit.  phi = +/-1 where the two path
+    parities agree, 0 where they disagree, and 0 with in_cone false where
+    the screen point is reachable from fewer than two slits.
     """
-    out = []
-    for x in geom.screen_grid:
-        x = float(x)
-        parities = _slit_leg_parities(geom, units, x)
-        if parities is None:
-            out.append(PatternSample(x, 0, False))
-        else:
-            out.append(PatternSample(x, lorentz_filter(parities[0], parities[1]), True))
-    return out
-
-
-def double_slit_intensity(geom: SlitGeometry, units: UnitsConfig) -> list[PatternSample]:
-    """phi^2 per screen position: 1 minus the indicator of parity disagreement.
-
-    Binary by construction; equals double_slit_phi(x)**2 exactly, sample
-    by sample.
-    """
-    return [
-        PatternSample(s.x, s.value * s.value, s.in_cone)
-        for s in double_slit_phi(geom, units)
-    ]
+    a = geom.half_separation
+    t1, t2 = geom.source_to_slit_time, geom.slit_to_screen_time
+    x = np.asarray(x, dtype=float)
+    in_cone = (np.abs(x + a) <= t2) & (np.abs(x - a) <= t2)
+    reached = x[in_cone]
+    parities = []
+    for x_slit in (-a, a):
+        legs_dx = np.stack(np.broadcast_arrays(x_slit, reached - x_slit), axis=-1)
+        parities.append(parity_of_proper_time(proper_time((t1, t2), legs_dx), units))
+    value = np.zeros(x.shape, dtype=int)
+    value[in_cone] = lorentz_filter(*parities)
+    return Pattern(x, value, in_cone)

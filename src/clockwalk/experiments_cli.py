@@ -21,14 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .clock_signal import (
-    PatternSample,
-    SlitGeometry,
-    double_slit_intensity,
-    double_slit_phi,
-    plane_pattern,
-)
-from .kinematics import UnitsConfig
+from .clock_signal import Pattern, SlitGeometry, double_slit_phi, plane_pattern
+from .kinematics import UnitsConfig, proper_time
 from .lattice_walk import (
     SQRT2,
     DecomposedField,
@@ -416,45 +410,39 @@ class ScenarioResult:
     checks: dict[str, bool]
 
 
-def _samples_rows(samples: list[PatternSample], t: float) -> list[tuple]:
-    return [(s.x, t, s.value, s.in_cone) for s in samples]
-
-
-def _pattern_crossing_check(t: float, units: UnitsConfig, xs: np.ndarray, samples: list[PatternSample]) -> tuple[bool, dict]:
+def _pattern_crossing_check(t: float, units: UnitsConfig, pattern: Pattern) -> tuple[bool, dict]:
     """Two-way bracketing of analytic against sampled parity crossings.
 
     Analytic crossings sit where the straight-line proper time hits a
-    half-period boundary: x = sqrt(t^2 - (k T/2)^2).  Every analytic
-    crossing inside the sampled window must have a sampled sign change
-    within one grid cell and vice versa.
+    half-period boundary, sqrt(t^2 - x^2) = k T/2, that is at
+    x = sqrt(t^2 - (k T/2)^2): the same hyperbola with x and tau swapped.
+    Every analytic crossing inside the sampled window must have a sampled
+    sign change within one grid cell and vice versa.
     """
+    xs, vals, ok = pattern.x, pattern.value, pattern.in_cone
     h = float(xs[1] - xs[0])
-    half = units.half_period
-    predicted = []
-    k = 1
-    while k * half <= t:
-        xk = math.sqrt(max(t * t - (k * half) ** 2, 0.0))
-        if xk < t:
-            predicted.extend([xk] if xk == 0.0 else [xk, -xk])
-        k += 1
+    taus = units.half_period * np.arange(1.0, t / units.half_period + 1.0)
+    xk = proper_time(t, taus[taus <= t, None])
+    xk = xk[xk < t]
     lo, hi = float(xs[0]) + h, float(xs[-1]) - h
-    predicted = sorted(x for x in predicted if lo <= x <= hi)
+    predicted = np.sort(np.concatenate([xk, -xk[xk > 0.0]]))
+    predicted = predicted[(lo <= predicted) & (predicted <= hi)]
 
-    vals = [s.value for s in samples]
-    mids = [
-        0.5 * (samples[i].x + samples[i + 1].x)
-        for i in range(len(samples) - 1)
-        if samples[i].in_cone and samples[i + 1].in_cone and vals[i] * vals[i + 1] < 0
-    ]
-    ok_pred = all(any(abs(xm - xp) <= h for xm in mids) for xp in predicted)
-    ok_samp = all(any(abs(xm - xp) <= h for xp in predicted) for xm in mids)
+    flips = ok[:-1] & ok[1:] & (vals[:-1] * vals[1:] < 0)
+    mids = (0.5 * (xs[:-1] + xs[1:]))[flips]
+    near = np.abs(mids[:, None] - predicted[None, :]) <= h
     info = {
-        "n_predicted_crossings": len(predicted),
-        "n_sampled_crossings": len(mids),
-        "predicted_crossings": predicted,
-        "sampled_crossings": mids,
+        "n_predicted_crossings": int(predicted.size),
+        "n_sampled_crossings": int(mids.size),
+        "predicted_crossings": predicted.tolist(),
+        "sampled_crossings": mids.tolist(),
     }
-    return ok_pred and ok_samp, info
+    return bool(near.any(axis=0).all() and near.any(axis=1).all()), info
+
+
+def _pattern_rows(pattern: Pattern, t: float) -> list[tuple]:
+    n = len(pattern)
+    return list(zip(pattern.x.tolist(), [t] * n, pattern.value.tolist(), pattern.in_cone.tolist()))
 
 
 def run_clock_pattern(cfg: dict, seed: int) -> ScenarioResult:
@@ -466,22 +454,21 @@ def run_clock_pattern(cfg: dict, seed: int) -> ScenarioResult:
     if cfg["raster_t_min"] <= 0:
         raise ConfigError("raster_t_min must be positive")
 
-    slice_samples = plane_pattern(cfg["t"], xs, units)
-    slice_rows = _samples_rows(slice_samples, cfg["t"])
+    slice_pattern = plane_pattern(cfg["t"], xs, units)
+    slice_rows = _pattern_rows(slice_pattern, cfg["t"])
     raster_rows = []
-    cone_ok = True
-    for tv in ts:
-        row_samples = plane_pattern(float(tv), xs, units)
-        raster_rows.extend(_samples_rows(row_samples, float(tv)))
-        cone_ok = cone_ok and all(s.value == 0 for s in row_samples if not s.in_cone)
-    cone_ok = cone_ok and all(s.value == 0 for s in slice_samples if not s.in_cone)
+    cone_ok = not slice_pattern.value[~slice_pattern.in_cone].any()
+    for tv in ts.tolist():
+        row_pattern = plane_pattern(tv, xs, units)
+        raster_rows.extend(_pattern_rows(row_pattern, tv))
+        cone_ok = cone_ok and not row_pattern.value[~row_pattern.in_cone].any()
 
-    bracketed, info = _pattern_crossing_check(cfg["t"], units, xs, slice_samples)
+    bracketed, info = _pattern_crossing_check(cfg["t"], units, slice_pattern)
     header = ["x", "t", "parity", "in_cone"]
     return ScenarioResult(
         tables={"slice": (header, slice_rows), "raster": (header, raster_rows)},
         metrics={"t": cfg["t"], **info},
-        checks={"out_of_cone_zero": cone_ok, "crossings_bracketed": bracketed},
+        checks={"out_of_cone_zero": bool(cone_ok), "crossings_bracketed": bracketed},
     )
 
 
@@ -496,8 +483,7 @@ def run_propagator_compare(cfg: dict, seed: int) -> ScenarioResult:
     w = cfg["x_window"]
     xs = _grid(-w, w, cfg["x_step"])
 
-    samples = plane_pattern(cfg["t"], xs, units)
-    pattern = np.array([s.value for s in samples], dtype=float)
+    pattern = plane_pattern(cfg["t"], xs, units).value.astype(float)
     re_k = np.real(feynman_free(xs, cfg["t"], units))
     rep = compare(
         SampledSignal(xs, pattern, label="clock_pattern"),
@@ -531,39 +517,28 @@ def run_propagator_compare(cfg: dict, seed: int) -> ScenarioResult:
 
 def run_double_slit(cfg: dict, seed: int) -> ScenarioResult:
     units = UnitsConfig(cfg["compton_period"])
+    if not (cfg["half_separation"] > 0):
+        raise ConfigError(f"node spacing pi t/(m a) needs half_separation > 0, got {cfg['half_separation']}")
     xs = _grid(cfg["x_min"], cfg["x_max"], cfg["x_step"])
     geom = SlitGeometry(
         half_separation=cfg["half_separation"],
         source_to_slit_time=cfg["source_to_slit_time"],
         slit_to_screen_time=cfg["slit_to_screen_time"],
-        screen_grid=tuple(float(x) for x in xs),
     )
-    phis = double_slit_phi(geom, units)
-    intens = double_slit_intensity(geom, units)
+    phi = double_slit_phi(geom, xs, units)
+    phi_sq = phi.value * phi.value
     # Classical control: average the squared signals instead of squaring
     # the averaged signal; each squared parity is 1, so the control is 1
     # on the doubly-reachable mask and produces no gaps.
-    control = [1 if s.in_cone else 0 for s in phis]
+    control = phi.in_cone.astype(int)
     _, fey = two_source_superposition(xs, cfg["slit_to_screen_time"], cfg["half_separation"], units)
 
-    binary_ok = all(
-        i.value in (0, 1) and i.value == p.value * p.value
-        for p, i in zip(phis, intens)
-    )
-    control_ok = all(c == 1 for c, s in zip(control, phis) if s.in_cone)
+    binary_ok = bool(np.all((phi_sq == 0) | (phi_sq == 1)))
+    control_ok = bool(np.all(control[phi.in_cone] == 1))
 
-    gaps = []
-    start = None
-    for s in phis:
-        in_gap = s.in_cone and s.value == 0
-        if in_gap and start is None:
-            start = s.x
-        if not in_gap and start is not None:
-            gaps.append((start, prev_x))
-            start = None
-        prev_x = s.x
-    if start is not None:
-        gaps.append((start, prev_x))
+    # Gaps are the maximal runs of in-cone zeros: +1/-1 edges of the mask.
+    edges = np.diff(np.concatenate(([0], (phi.in_cone & (phi.value == 0)).astype(int), [0])))
+    gaps = list(zip(xs[edges[:-1] == 1].tolist(), xs[edges[1:] == -1].tolist()))
 
     nodes = local_minima(xs, fey)
     expected_spacing = math.pi * cfg["slit_to_screen_time"] / (units.mass * cfg["half_separation"])
@@ -574,10 +549,9 @@ def run_double_slit(cfg: dict, seed: int) -> ScenarioResult:
         node_dev = math.inf
     node_ok = node_dev <= cfg["node_tolerance"]
 
-    rows = [
-        (s.x, s.value, i.value, c, float(f), s.in_cone)
-        for s, i, c, f in zip(phis, intens, control, fey)
-    ]
+    rows = list(
+        zip(xs.tolist(), phi.value.tolist(), phi_sq.tolist(), control.tolist(), fey.tolist(), phi.in_cone.tolist())
+    )
     return ScenarioResult(
         tables={
             "slit": (
@@ -616,9 +590,9 @@ def run_lattice_evolve(cfg: dict, seed: int) -> ScenarioResult:
     if n <= 2 * n_steps:
         raise ConfigError(f"site_count {n} cannot hold {n_steps} steps without wraparound")
     params = LatticeParams(delta=delta, epsilon=delta * delta / (2.0 * D), site_count=n, alpha=cfg["alpha"])
-    site = cfg["initial_site"] if cfg["initial_site"] >= 0 else n // 2
-    if site >= n:
-        raise ConfigError(f"initial_site {site} outside the {n}-site chain")
+    site = n // 2 if cfg["initial_site"] == -1 else cfg["initial_site"]
+    if not 0 <= site < n:
+        raise ConfigError(f"initial_site {site} outside the {n}-site chain (-1 means the centre)")
     if cfg["mc_paths"] > 0 and cfg["init"] != "unit_state":
         raise ConfigError("the Monte Carlo overlay requires init=unit_state")
 
@@ -934,16 +908,22 @@ def _json_safe(v):
     return str(v)
 
 
-def run_scenario(scenario: str, cfg: dict, out_dir: str, fmt: str, seed: int, threads: int):
+def run_scenario(scenario: str, cfg: dict, out_dir: str, fmt: str, seed: int):
     """Compute a scenario and write its artifacts; returns (exit_code, report).
 
-    Validation happens before any filesystem work; data files are a pure
-    function of (config, seed) regardless of thread count, while the
-    report carries the wall-clock duration and therefore is not expected
-    to be byte-stable.
+    Validation happens before any filesystem work: a ValueError from the
+    runner, which includes those the library dataclasses raise for values
+    only they check, becomes a ConfigError.  Data files are a pure function
+    of (config, seed), while the report carries the wall-clock duration and
+    therefore is not expected to be byte-stable.
     """
     start = time.perf_counter()
-    result = RUNNERS[scenario](cfg, seed)
+    try:
+        result = RUNNERS[scenario](cfg, seed)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
     out = Path(out_dir)
     ext = "csv" if fmt == "csv" else "json"
@@ -964,7 +944,6 @@ def run_scenario(scenario: str, cfg: dict, out_dir: str, fmt: str, seed: int, th
             "scenario": scenario,
             "config": _json_safe(cfg),
             "seed": seed,
-            "threads": threads,
             "format": fmt,
             "duration_seconds": time.perf_counter() - start,
             "checks": result.checks,
@@ -1014,21 +993,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output directory (default runs/<scenario>)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1, help="recorded in the manifest; results never depend on it")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.threads < 1:
-            raise ConfigError(f"threads must be >= 1, got {args.threads}")
         if args.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {args.seed}")
         file_entries = _read_config_file(args.config) if args.config else {}
         cfg = resolve_config(args.scenario, file_entries, args.set)
         out_dir = args.out if args.out else str(Path("runs") / args.scenario)
-        code, _ = run_scenario(args.scenario, cfg, out_dir, args.format, args.seed, args.threads)
+        code, _ = run_scenario(args.scenario, cfg, out_dir, args.format, args.seed)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

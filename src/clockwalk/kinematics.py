@@ -1,4 +1,4 @@
-"""Relativistic substrate: units, events, hinged worldlines, proper time.
+"""Relativistic substrate: units and proper time along straight legs.
 
 Everything downstream consumes these primitives. Natural units throughout:
 c = 1, action scale = 1, so lengths and times share one unit and the
@@ -10,22 +10,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-__all__ = [
-    "UnitsConfig",
-    "Event",
-    "Segment",
-    "HingedWorldline",
-    "segment_proper_time",
-    "worldline_proper_time",
-    "endpoint",
-    "reachable",
-    "VELOCITY_GUARD",
-]
+import numpy as np
 
-# CLI-facing guard: sqrt(1 - v*v) loses all precision as |v| -> 1, so
-# configuration layers reject |v| >= 1 - VELOCITY_GUARD.  The library
-# itself only requires |v| < 1 strictly.
-VELOCITY_GUARD = 1e-12
+__all__ = ["UnitsConfig", "proper_time"]
 
 
 @dataclass(frozen=True)
@@ -59,83 +46,22 @@ class UnitsConfig:
         return 0.5 * self.compton_period
 
 
-@dataclass(frozen=True)
-class Event:
-    """A point (x, t) in 1+1 dimensional spacetime."""
+def proper_time(dt, dx) -> np.ndarray:
+    """Proper time along piecewise-straight paths: sum of sqrt(dt^2 - dx^2) over legs.
 
-    x: float
-    t: float
+    dt and dx hold each leg's coordinate duration and displacement, with
+    the legs of one path on the last axis; the two broadcast against each
+    other and the result drops the leg axis.  Velocity changes only at the
+    hinges between legs, so the sum is the whole proper time: at most the
+    coordinate time, with equality exactly for a path at rest.
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.t)):
-            raise ValueError(f"event coordinates must be finite, got ({self.x}, {self.t})")
-
-
-@dataclass(frozen=True)
-class Segment:
-    """One inertial leg of a hinged worldline: constant velocity for a duration."""
-
-    velocity: float
-    duration: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.velocity) and abs(self.velocity) < 1.0):
-            raise ValueError(f"segment velocity must satisfy |v| < 1, got {self.velocity}")
-        if not (math.isfinite(self.duration) and self.duration > 0.0):
-            raise ValueError(f"segment duration must be positive, got {self.duration}")
-
-
-@dataclass(frozen=True)
-class HingedWorldline:
-    """Piecewise-inertial path: an origin event plus ordered inertial segments.
-
-    Velocity changes happen instantaneously at the hinge events between
-    segments; there is no acceleration inside a segment.
+    Every leg must take a positive finite time and end in the closed
+    forward light cone of its start (|dx| <= dt); a lightlike leg adds no
+    proper time.  Raises ValueError otherwise, or for a path with no legs.
     """
-
-    origin: Event
-    segments: tuple[Segment, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.segments) == 0:
-            raise ValueError("worldline needs at least one segment")
-
-    @property
-    def coordinate_time(self) -> float:
-        return sum(seg.duration for seg in self.segments)
-
-
-def segment_proper_time(seg: Segment) -> float:
-    """Proper time elapsed along one inertial segment, duration*sqrt(1 - v^2).
-
-    Always <= duration, with equality exactly at v = 0 (time dilation).
-    """
-    v = seg.velocity
-    return seg.duration * math.sqrt(1.0 - v * v)
-
-
-def worldline_proper_time(w: HingedWorldline) -> float:
-    """Total proper time along a hinged worldline (additive over segments)."""
-    return sum(segment_proper_time(seg) for seg in w.segments)
-
-
-def endpoint(w: HingedWorldline) -> Event:
-    """Terminal event of the worldline."""
-    x = w.origin.x
-    t = w.origin.t
-    for seg in w.segments:
-        x += seg.velocity * seg.duration
-        t += seg.duration
-    return Event(x, t)
-
-
-def reachable(frm: Event, to: Event) -> bool:
-    """Whether `to` lies in the closed forward light cone of `frm`.
-
-    The cone boundary |dx| = dt counts as reachable; this keeps validity
-    masks closed sets and avoids empty-set edge cases at the cone.
-    """
-    dt = to.t - frm.t
-    if dt <= 0.0:
-        return False
-    return abs(to.x - frm.x) <= dt
+    dt, dx = np.broadcast_arrays(np.asarray(dt, dtype=float), np.asarray(dx, dtype=float))
+    if dt.ndim == 0 or dt.shape[-1] == 0:
+        raise ValueError("a path needs at least one leg")
+    if not np.all(np.isfinite(dt) & (dt > 0.0) & (np.abs(dx) <= dt)):
+        raise ValueError("every leg needs a finite dt > 0 and |dx| <= dt")
+    return np.sqrt(dt * dt - dx * dx).sum(axis=-1)

