@@ -13,6 +13,8 @@ import argparse
 import hashlib
 import json
 import math
+import os
+import shutil
 import sys
 import time
 from dataclasses import dataclass
@@ -405,9 +407,22 @@ def diffusion_levels(deltas, D: float, t: float, pad: int = 64) -> dict:
 
 @dataclass
 class ScenarioResult:
-    tables: dict[str, tuple[list[str], list[tuple]]]
+    tables: dict[str, tuple[list[str], np.ndarray]]
     metrics: dict
     checks: dict[str, bool]
+
+
+def _table(**columns) -> tuple[list[str], np.ndarray]:
+    """A table as (header, rows): the keywords in order, and a 1-D structured
+    array with one field per column, so len(rows) is the row count.  A
+    scalar column repeats down the table.
+    """
+    arrays = [np.asarray(c) for c in columns.values()]
+    shape = np.broadcast_shapes(*(a.shape for a in arrays))
+    rows = np.empty(shape, dtype=[(name, a.dtype) for name, a in zip(columns, arrays)])
+    for name, a in zip(columns, arrays):
+        rows[name] = a
+    return list(columns), rows
 
 
 def _pattern_crossing_check(t: float, units: UnitsConfig, pattern: Pattern) -> tuple[bool, dict]:
@@ -440,11 +455,6 @@ def _pattern_crossing_check(t: float, units: UnitsConfig, pattern: Pattern) -> t
     return bool(near.any(axis=0).all() and near.any(axis=1).all()), info
 
 
-def _pattern_rows(pattern: Pattern, t: float) -> list[tuple]:
-    n = len(pattern)
-    return list(zip(pattern.x.tolist(), [t] * n, pattern.value.tolist(), pattern.in_cone.tolist()))
-
-
 def run_clock_pattern(cfg: dict, seed: int) -> ScenarioResult:
     units = UnitsConfig(cfg["compton_period"])
     if not (cfg["t"] > 0):
@@ -455,18 +465,20 @@ def run_clock_pattern(cfg: dict, seed: int) -> ScenarioResult:
         raise ConfigError("raster_t_min must be positive")
 
     slice_pattern = plane_pattern(cfg["t"], xs, units)
-    slice_rows = _pattern_rows(slice_pattern, cfg["t"])
-    raster_rows = []
-    cone_ok = not slice_pattern.value[~slice_pattern.in_cone].any()
-    for tv in ts.tolist():
-        row_pattern = plane_pattern(tv, xs, units)
-        raster_rows.extend(_pattern_rows(row_pattern, tv))
-        cone_ok = cone_ok and not row_pattern.value[~row_pattern.in_cone].any()
+    raster = [plane_pattern(tv, xs, units) for tv in ts.tolist()]
+    cone_ok = not any(pat.value[~pat.in_cone].any() for pat in [slice_pattern, *raster])
 
     bracketed, info = _pattern_crossing_check(cfg["t"], units, slice_pattern)
-    header = ["x", "t", "parity", "in_cone"]
     return ScenarioResult(
-        tables={"slice": (header, slice_rows), "raster": (header, raster_rows)},
+        tables={
+            "slice": _table(x=xs, t=cfg["t"], parity=slice_pattern.value, in_cone=slice_pattern.in_cone),
+            "raster": _table(
+                x=np.tile(xs, ts.size),
+                t=np.repeat(ts, xs.size),
+                parity=np.concatenate([pat.value for pat in raster]),
+                in_cone=np.concatenate([pat.in_cone for pat in raster]),
+            ),
+        },
         metrics={"t": cfg["t"], **info},
         checks={"out_of_cone_zero": bool(cone_ok), "crossings_bracketed": bracketed},
     )
@@ -492,9 +504,8 @@ def run_propagator_compare(cfg: dict, seed: int) -> ScenarioResult:
     )
 
     spacing_ok = rep.insufficient_crossings or rep.crossing_spacing_error <= cfg["max_spacing_rel"]
-    rows = list(zip(xs.tolist(), pattern.tolist(), re_k.tolist(), np.sign(re_k).tolist()))
     return ScenarioResult(
-        tables={"compare": (["x", "clock_parity", "re_feynman", "sign_re_feynman"], rows)},
+        tables={"compare": _table(x=xs, clock_parity=pattern, re_feynman=re_k, sign_re_feynman=np.sign(re_k))},
         metrics={
             "t": cfg["t"],
             "x_window": w,
@@ -549,14 +560,15 @@ def run_double_slit(cfg: dict, seed: int) -> ScenarioResult:
         node_dev = math.inf
     node_ok = node_dev <= cfg["node_tolerance"]
 
-    rows = list(
-        zip(xs.tolist(), phi.value.tolist(), phi_sq.tolist(), control.tolist(), fey.tolist(), phi.in_cone.tolist())
-    )
     return ScenarioResult(
         tables={
-            "slit": (
-                ["x", "phi", "phi_sq", "classical_control", "feynman_intensity", "in_cone"],
-                rows,
+            "slit": _table(
+                x=xs,
+                phi=phi.value,
+                phi_sq=phi_sq,
+                classical_control=control,
+                feynman_intensity=fey,
+                in_cone=phi.in_cone,
             )
         },
         metrics={
@@ -606,8 +618,7 @@ def run_lattice_evolve(cfg: dict, seed: int) -> ScenarioResult:
         state = point_source_z(params, site)
 
     snap_steps = sorted(set(range(0, n_steps + 1, every)) | {n_steps})
-    p_rows: list[tuple] = []
-    z_rows: list[tuple] = []
+    snapshots = []
     masses = []
     variances = []
 
@@ -620,10 +631,7 @@ def run_lattice_evolve(cfg: dict, seed: int) -> ScenarioResult:
             dec, four = current, compose(current)
         else:
             four, dec = current, decompose(current)
-        xs = np.arange(n) * delta
-        for m in range(n):
-            p_rows.append((s_target, m, xs[m], four.p[0, m], four.p[1, m], four.p[2, m], four.p[3, m]))
-            z_rows.append((s_target, m, xs[m], dec.z[0, m], dec.z[1, m], dec.phi[0, m], dec.phi[1, m]))
+        snapshots.append(np.concatenate([four.p, dec.z, dec.phi]))
         masses.append(four.total_mass())
         u = dec.z[0] + dec.z[1]
         if u.sum() > 0:
@@ -659,9 +667,14 @@ def run_lattice_evolve(cfg: dict, seed: int) -> ScenarioResult:
         metrics["variance_slope_rel_dev"] = rel
         checks["variance_slope"] = rel <= 0.02
 
+    # One row per (snapshot, site), snapshots in step order.
+    sites = np.arange(n)
+    xs = sites * delta
+    key = {"step": np.repeat(snap_steps, n), "m": np.tile(sites, len(snap_steps)), "x": np.tile(xs, len(snap_steps))}
+    p1, p2, p3, p4, z1, z2, phi1, phi2 = np.concatenate(snapshots, axis=1)
     tables = {
-        "snapshots_p": (["step", "m", "x", "p1", "p2", "p3", "p4"], p_rows),
-        "snapshots_zphi": (["step", "m", "x", "z1", "z2", "phi1", "phi2"], z_rows),
+        "snapshots_p": _table(**key, p1=p1, p2=p2, p3=p3, p4=p4),
+        "snapshots_zphi": _table(**key, z1=z1, z2=z2, phi1=phi1, phi2=phi2),
     }
 
     if cfg["mc_paths"] > 0:
@@ -683,36 +696,17 @@ def run_lattice_evolve(cfg: dict, seed: int) -> ScenarioResult:
         metrics["mc_paths"] = est.n_paths
         metrics["mc_max_z_dev_4se"] = float(z_dev.max())
         metrics["mc_max_phi_dev_4se"] = float(phi_dev.max())
-        xs = np.arange(n) * delta
-        mc_rows = [
-            (
-                m,
-                xs[m],
-                est.z_hat[0, m],
-                est.z_hat[1, m],
-                est.phi_hat[0, m],
-                est.phi_hat[1, m],
-                est.z_stderr[0, m],
-                est.z_stderr[1, m],
-                est.phi_stderr[0, m],
-                est.phi_stderr[1, m],
-            )
-            for m in range(n)
-        ]
-        tables["mc_overlay"] = (
-            [
-                "m",
-                "x",
-                "z1_hat",
-                "z2_hat",
-                "phi1_hat",
-                "phi2_hat",
-                "z1_stderr",
-                "z2_stderr",
-                "phi1_stderr",
-                "phi2_stderr",
-            ],
-            mc_rows,
+        tables["mc_overlay"] = _table(
+            m=sites,
+            x=xs,
+            z1_hat=est.z_hat[0],
+            z2_hat=est.z_hat[1],
+            phi1_hat=est.phi_hat[0],
+            phi2_hat=est.phi_hat[1],
+            z1_stderr=est.z_stderr[0],
+            z2_stderr=est.z_stderr[1],
+            phi1_stderr=est.phi_stderr[0],
+            phi2_stderr=est.phi_stderr[1],
         )
 
     return ScenarioResult(tables=tables, metrics=metrics, checks=checks)
@@ -734,20 +728,6 @@ def run_continuum_check(cfg: dict, seed: int) -> ScenarioResult:
 
     levels = study["levels"]
     raw = [lv["kernel_raw_rel"] for lv in levels]
-    level_rows = [
-        (
-            lv["delta"],
-            lv["s"],
-            lv["rotation_angle_error"],
-            lv["matrix_error"],
-            lv["kernel_raw_rel"],
-            lv["kernel_even_rel"],
-            lv["odd_fraction"],
-            lv["p0_residual"],
-        )
-        for lv in levels
-    ]
-    diff_rows = list(zip(diff["deltas"], diff["steps"], diff["l1_rel"]))
 
     thr = cfg["order_threshold"]
     checks = {
@@ -769,20 +749,9 @@ def run_continuum_check(cfg: dict, seed: int) -> ScenarioResult:
     }
     return ScenarioResult(
         tables={
-            "levels": (
-                [
-                    "delta",
-                    "s",
-                    "rotation_angle_error",
-                    "matrix_error",
-                    "kernel_raw_rel",
-                    "kernel_even_rel",
-                    "odd_fraction",
-                    "p0_residual",
-                ],
-                level_rows,
-            ),
-            "diffusion": (["delta", "s", "l1_rel"], diff_rows),
+            # One row per level; the columns are the keys of schrodinger_level's dict.
+            "levels": _table(**{key: [lv[key] for lv in levels] for key in levels[0]}),
+            "diffusion": _table(delta=diff["deltas"], s=diff["steps"], l1_rel=diff["l1_rel"]),
         },
         metrics=metrics,
         checks=checks,
@@ -796,29 +765,28 @@ def run_spectral_check(cfg: dict, seed: int) -> ScenarioResult:
     n = cfg["site_count"]
     if n < 2 or n % 2:
         raise ConfigError(f"site_count must be even and >= 2, got {n}")
-    params = LatticeParams(delta=delta, epsilon=delta * delta, site_count=n, alpha=alpha)
-    ps = momentum_grid(params)
-
-    rows = []
-    unit_max = 0.0
-    lam_dev = 0.0
-    det_dev = 0.0
-    target_mod = alpha / SQRT2
-    target_det = 0.5 * alpha * alpha
-    eye = np.eye(2)
-    for pv in ps:
-        tm = transfer_matrix(float(pv), delta, alpha)
-        resid = float(np.max(np.abs(tm.matrix.conj().T @ tm.matrix - target_det * eye)))
-        lam_p, lam_m = eigenvalues(tm)
-        det = complex(np.linalg.det(tm.matrix))
-        unit_max = max(unit_max, resid)
-        lam_dev = max(lam_dev, abs(abs(lam_p) - target_mod), abs(abs(lam_m) - target_mod))
-        det_dev = max(det_dev, abs(det - target_det))
-        rows.append((float(pv), resid, abs(lam_p), abs(lam_m), det.real, det.imag))
-
     exp_deltas = cfg["expansion_deltas"]
     if len(exp_deltas) < 2:
         raise ConfigError("expansion fit needs at least two deltas")
+    params = LatticeParams(delta=delta, epsilon=delta * delta, site_count=n, alpha=alpha)
+    ps = momentum_grid(params)
+
+    # Per momentum: unitarity residual, |lambda+|, |lambda-|, Re det, Im det.
+    spectrum = np.empty((5, ps.size))
+    target_mod = alpha / SQRT2
+    target_det = 0.5 * alpha * alpha
+    eye = np.eye(2)
+    for i, pv in enumerate(ps.tolist()):
+        tm = transfer_matrix(pv, delta, alpha)
+        lam_p, lam_m = eigenvalues(tm)
+        det = complex(np.linalg.det(tm.matrix))
+        resid = np.max(np.abs(tm.matrix.conj().T @ tm.matrix - target_det * eye))
+        spectrum[:, i] = resid, abs(lam_p), abs(lam_m), det.real, det.imag
+    resid, lam_plus, lam_minus, re_det, im_det = spectrum
+    unit_max = float(resid.max())
+    lam_dev = float(np.abs(spectrum[1:3] - target_mod).max())
+    det_dev = float(np.hypot(re_det - target_det, im_det).max())
+
     exp_errors = []
     for d in exp_deltas:
         tm = transfer_matrix(cfg["expansion_p"], d, alpha)
@@ -837,11 +805,15 @@ def run_spectral_check(cfg: dict, seed: int) -> ScenarioResult:
         checks["unitarity"] = unit_max <= cfg["unitarity_tol"]
     return ScenarioResult(
         tables={
-            "spectrum": (
-                ["p", "unitarity_residual", "abs_lambda_plus", "abs_lambda_minus", "re_det", "im_det"],
-                rows,
+            "spectrum": _table(
+                p=ps,
+                unitarity_residual=resid,
+                abs_lambda_plus=lam_plus,
+                abs_lambda_minus=lam_minus,
+                re_det=re_det,
+                im_det=im_det,
             ),
-            "expansion": (["delta", "residual"], list(zip(exp_deltas, exp_errors))),
+            "expansion": _table(delta=exp_deltas, residual=exp_errors),
         },
         metrics={
             "unitarity_max_residual": unit_max,
@@ -867,26 +839,52 @@ RUNNERS = {
 # output
 
 
-def _format_cell(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return "1" if v else "0"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
+# Rows per write: bounds the text of one table held in memory at a time.
+CHUNK_ROWS = 8192
+
+def _column_text(col: np.ndarray, fmt: str) -> list[str]:
+    """The cells of one column as text, chosen once by dtype kind.
+
+    Bools are 1/0 in CSV and true/false in JSON; numbers are their repr,
+    which round-trips a float.  JSON has no literal for a non-finite float,
+    so there it is its repr in quotes.
+    """
+    if col.dtype.kind == "b":
+        true, false = ("1", "0") if fmt == "csv" else ("true", "false")
+        return [true if v else false for v in col.tolist()]
+    text = list(map(repr, col.tolist()))
+    if fmt == "json" and not np.isfinite(col).all():
+        text = [f'"{s}"' if s in ("nan", "inf", "-inf") else s for s in text]
+    return text
 
 
-def _table_bytes(header: list[str], rows: list[tuple], fmt: str) -> bytes:
+def _write_table(path: Path, header: list[str], rows: np.ndarray, fmt: str) -> str:
+    """Write one table in chunks of CHUNK_ROWS rows; returns the SHA-256 of its bytes.
+
+    CSV is a header line and one line per row.  JSON is the object
+    {"header": [...], "rows": [[...], ...]} with sorted keys and no spaces.
+    """
     if fmt == "csv":
-        lines = [",".join(header)]
-        lines.extend(",".join(_format_cell(v) for v in row) for row in rows)
-        return ("\n".join(lines) + "\n").encode("utf-8")
-    payload = {
-        "header": header,
-        "rows": [[_json_safe(v) for v in row] for row in rows],
-    }
-    return (json.dumps(payload, sort_keys=True, indent=None, separators=(",", ":")) + "\n").encode("utf-8")
+        start, open_row, close_row, between, end = ",".join(header) + "\n", "", "\n", "", ""
+    else:
+        start = '{"header":' + json.dumps(header, separators=(",", ":")) + ',"rows":['
+        open_row, close_row, between, end = "[", "]", ",", "]}\n"
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+
+        def put(text: str) -> None:
+            blob = text.encode("utf-8")
+            digest.update(blob)
+            fh.write(blob)
+
+        put(start)
+        for lo in range(0, len(rows), CHUNK_ROWS):
+            chunk = rows[lo : lo + CHUNK_ROWS]
+            cells = zip(*(_column_text(chunk[name], fmt) for name in header))
+            lines = (close_row + between + open_row).join(map(",".join, cells))
+            put((between if lo else "") + open_row + lines + close_row)
+        put(end)
+    return digest.hexdigest()
 
 
 def _json_safe(v):
@@ -908,16 +906,46 @@ def _json_safe(v):
     return str(v)
 
 
+def _manifest_digest(files: dict[str, str]) -> str:
+    """SHA-256 over the sorted "name:sha256" lines of a run's data files."""
+    lines = "\n".join(f"{name}:{digest}" for name, digest in sorted(files.items()))
+    return hashlib.sha256(lines.encode("utf-8")).hexdigest()
+
+
+def _read_manifest(out: Path) -> dict:
+    return json.loads((out / "report.json").read_text(encoding="utf-8"))["manifest"]
+
+
+def _check_replaceable(out: Path) -> None:
+    """Refuse an existing directory that is neither empty nor a previous run.
+
+    A previous run is a report.json with a manifest plus only files that
+    manifest lists; anything else may be data that a run must not delete.
+    """
+    names = {entry.name for entry in out.iterdir()} if out.is_dir() else set()
+    try:
+        previous_run = not names or names <= {"report.json", *_read_manifest(out)["files"]}
+    except (OSError, ValueError, KeyError, TypeError):
+        previous_run = False
+    if not previous_run:
+        raise ConfigError(f"{out} is neither empty nor a previous run; not replacing it")
+
+
 def run_scenario(scenario: str, cfg: dict, out_dir: str, fmt: str, seed: int):
-    """Compute a scenario and write its artifacts; returns (exit_code, report).
+    """Compute a scenario and write its run directory; returns (exit_code, report).
 
     Validation happens before any filesystem work: a ValueError from the
     runner, which includes those the library dataclasses raise for values
-    only they check, becomes a ConfigError.  Data files are a pure function
-    of (config, seed), while the report carries the wall-clock duration and
+    only they check, becomes a ConfigError, as does an out_dir that may not
+    be replaced.  The run is written into a temporary sibling of out_dir
+    and renamed into place when complete, so out_dir holds a whole run or
+    none; an OSError propagates.  Data files are a pure function of
+    (config, seed), while the report carries the wall-clock duration and
     therefore is not expected to be byte-stable.
     """
     start = time.perf_counter()
+    out = Path(os.path.abspath(out_dir))
+    _check_replaceable(out)
     try:
         result = RUNNERS[scenario](cfg, seed)
     except ConfigError:
@@ -925,20 +953,16 @@ def run_scenario(scenario: str, cfg: dict, out_dir: str, fmt: str, seed: int):
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    out = Path(out_dir)
     ext = "csv" if fmt == "csv" else "json"
+    out.parent.mkdir(parents=True, exist_ok=True)
+    tmp = out.with_name(f".{out.name}.{os.urandom(4).hex()}.tmp")
+    old = tmp.with_name(tmp.name + ".old")
+    tmp.mkdir()
     try:
-        out.mkdir(parents=True, exist_ok=True)
-        digests = {}
+        files = {}
         for name in sorted(result.tables):
             header, rows = result.tables[name]
-            blob = _table_bytes(header, rows, fmt)
-            path = out / f"{name}.{ext}"
-            path.write_bytes(blob)
-            digests[path.name] = hashlib.sha256(blob).hexdigest()
-        manifest_digest = hashlib.sha256(
-            "\n".join(f"{k}:{v}" for k, v in sorted(digests.items())).encode("utf-8")
-        ).hexdigest()
+            files[f"{name}.{ext}"] = _write_table(tmp / f"{name}.{ext}", header, rows, fmt)
         manifest = {
             "tool_version": __version__,
             "scenario": scenario,
@@ -947,16 +971,22 @@ def run_scenario(scenario: str, cfg: dict, out_dir: str, fmt: str, seed: int):
             "format": fmt,
             "duration_seconds": time.perf_counter() - start,
             "checks": result.checks,
-            "files": digests,
-            "digest": manifest_digest,
+            "files": files,
+            "digest": _manifest_digest(files),
         }
         report = {**_json_safe(result.metrics), "checks": result.checks, "manifest": manifest}
-        (out / "report.json").write_text(
-            json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
-    except OSError as exc:
-        print(f"I/O failure: {exc}", file=sys.stderr)
-        return EXIT_IO, None
+        (tmp / "report.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+        if out.is_dir():
+            os.rename(out, old)
+        try:
+            os.rename(tmp, out)  # a file at out fails here (ENOTDIR): an I/O failure
+        except OSError:
+            if old.exists():
+                os.rename(old, out)
+            raise
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+    shutil.rmtree(old, ignore_errors=True)
 
     if not all(result.checks.values()):
         failed = [k for k, ok in result.checks.items() if not ok]
@@ -966,18 +996,20 @@ def run_scenario(scenario: str, cfg: dict, out_dir: str, fmt: str, seed: int):
 
 
 def verify_manifest(out_dir: str) -> bool:
-    """Re-hash the emitted data files against the manifest in report.json."""
+    """Re-hash a run directory against the manifest in its report.json.
+
+    False when a data file differs from its digest, a listed file is
+    missing, or the directory holds a file the manifest does not list.
+    """
     out = Path(out_dir)
-    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
-    files = report["manifest"]["files"]
+    manifest = _read_manifest(out)
+    files = manifest["files"]
+    if {entry.name for entry in out.iterdir()} != {"report.json", *files}:
+        return False
     for name, digest in files.items():
-        blob = (out / name).read_bytes()
-        if hashlib.sha256(blob).hexdigest() != digest:
+        if hashlib.sha256((out / name).read_bytes()).hexdigest() != digest:
             return False
-    recomputed = hashlib.sha256(
-        "\n".join(f"{k}:{v}" for k, v in sorted(files.items())).encode("utf-8")
-    ).hexdigest()
-    return recomputed == report["manifest"]["digest"]
+    return _manifest_digest(files) == manifest["digest"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1008,6 +1040,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except OSError as exc:
+        print(f"I/O failure: {exc}", file=sys.stderr)
+        return EXIT_IO
     return code
 
 

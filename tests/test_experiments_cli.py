@@ -1,12 +1,16 @@
+import hashlib
 import json
+import math
 import os
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from clockwalk import experiments_cli
 from clockwalk.experiments_cli import (
     EXIT_CHECK,
     EXIT_CONFIG,
@@ -186,6 +190,7 @@ class TestConfigErrors:
             ("double-slit", "half_separation=0"),  # node spacing divides by it
             ("lattice-evolve", "alpha=-1"),  # LatticeParams
             ("lattice-evolve", "initial_site=-5"),  # only -1 means the centre
+            ("spectral-check", "expansion_deltas=0.1"),  # a fit needs two deltas
         ],
     )
     def test_library_rejections_are_config_errors(self, tmp_path, capsys, scenario, entry):
@@ -211,6 +216,85 @@ class TestIoFailure:
         blocker = tmp_path / "blocker"
         blocker.write_text("occupied")
         assert run("spectral-check", blocker, "--set", "site_count=64") == EXIT_IO
+
+    @pytest.mark.parametrize("failing", ["second table", "final rename"])
+    def test_failure_mid_write_keeps_previous_run(self, tmp_path, monkeypatch, failing):
+        out = tmp_path / "d"
+        assert run("spectral-check", out, "--set", "site_count=64") == EXIT_OK
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+        if failing == "second table":
+            write_table = experiments_cli._write_table
+            calls = []
+
+            def fail_after_first_table(*args):
+                calls.append(args)
+                if len(calls) > 1:
+                    raise OSError("disk full")
+                return write_table(*args)
+
+            monkeypatch.setattr(experiments_cli, "_write_table", fail_after_first_table)
+        else:
+            # The previous run has been moved aside when the new one fails to land.
+            rename = os.rename
+
+            def fail_landing(src, dst):
+                if str(src).endswith(".tmp"):
+                    raise OSError("device busy")
+                rename(src, dst)
+
+            monkeypatch.setattr(experiments_cli.os, "rename", fail_landing)
+        assert run("spectral-check", out, "--set", "site_count=128") == EXIT_IO
+        assert [p.name for p in tmp_path.iterdir()] == ["d"]  # no partial or temporary directory
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert verify_manifest(out)
+
+
+class TestOutputDirectory:
+    def test_rerun_leaves_no_stale_table(self, tmp_path):
+        out = tmp_path / "d"
+        assert run("lattice-evolve", out, "--set", "mc_paths=2000") == EXIT_OK
+        assert (out / "mc_overlay.csv").exists()
+        assert run("lattice-evolve", out) == EXIT_OK
+        assert not (out / "mc_overlay.csv").exists()
+        assert "mc_paths" not in report(out)
+        assert verify_manifest(out)
+        assert [p.name for p in tmp_path.iterdir()] == ["d"]
+
+    def test_empty_directory_is_replaced(self, tmp_path):
+        out = tmp_path / "d"
+        out.mkdir()
+        assert run("spectral-check", out, "--set", "site_count=64") == EXIT_OK
+        assert verify_manifest(out)
+
+    @pytest.mark.parametrize("stray", ["notes.txt", "report.json"])
+    def test_other_directory_is_refused(self, tmp_path, capsys, stray):
+        # Neither empty nor a previous run: a stray file, or a report.json
+        # without a manifest.
+        out = tmp_path / "d"
+        out.mkdir()
+        (out / stray).write_text("{}")
+        assert run("spectral-check", out, "--set", "site_count=64") == EXIT_CONFIG
+        assert "configuration error" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == [stray]
+        assert [p.name for p in tmp_path.iterdir()] == ["d"]
+
+
+class TestVerifyManifest:
+    @pytest.fixture
+    def out(self, tmp_path):
+        out = tmp_path / "d"
+        assert run("spectral-check", out, "--set", "site_count=64") == EXIT_OK
+        assert verify_manifest(out)
+        return out
+
+    def test_missing_listed_file(self, out):
+        (out / "expansion.csv").unlink()
+        assert verify_manifest(out) is False
+
+    def test_unlisted_data_file(self, out):
+        (out / "mc_overlay.csv").write_text("m,x\n")
+        assert verify_manifest(out) is False
 
 
 class TestConfigResolution:
@@ -313,9 +397,98 @@ class TestDeterminism:
                 ["--set", "n_steps=16", "--set", "mc_paths=2000", "--seed", "11"],
                 "856f1959212527153ba7ead9baa7343c2bb20f96721a97c13af2d8f81192361c",
             ),
+            (
+                "lattice-evolve",
+                ["--set", "n_steps=16", "--set", "mc_paths=2000", "--seed", "11", "--format", "json"],
+                "cbb190d47a6f64b6b559662a52a6a40ad90544e585301631b816f0cbe8318f1b",
+            ),
         ],
     )
     def test_manifest_digest_pinned(self, tmp_path, scenario, args, digest):
         out = tmp_path / "a"
         assert run(scenario, out, *args) == EXIT_OK
         assert report(out)["manifest"]["digest"] == digest
+
+
+# The per-cell writer the columnar one replaced, kept as its oracle.
+def _format_cell(v) -> str:
+    if isinstance(v, (bool, np.bool_)):
+        return "1" if v else "0"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
+    return str(v)
+
+
+def _json_cell(v):
+    if isinstance(v, (bool, np.bool_)):
+        return bool(v)
+    if isinstance(v, (int, np.integer)):
+        return int(v)
+    if isinstance(v, (float, np.floating)):
+        f = float(v)
+        return f if math.isfinite(f) else repr(f)
+    return str(v)
+
+
+def oracle_table_bytes(header, rows, fmt):
+    if fmt == "csv":
+        lines = [",".join(header)]
+        lines.extend(",".join(_format_cell(v) for v in row) for row in rows)
+        return ("\n".join(lines) + "\n").encode("utf-8")
+    payload = {"header": header, "rows": [[_json_cell(v) for v in row] for row in rows]}
+    return (json.dumps(payload, sort_keys=True, indent=None, separators=(",", ":")) + "\n").encode("utf-8")
+
+
+EDGE_COLUMNS = {
+    "flag": np.array([True, False, False, True, True, False, True]),
+    "small": np.array([-128, 127, 0, -1, 1, 5, -7], dtype=np.int8),
+    "big": np.array([-(2**63), 2**63 - 1, 0, 1, -1, 10**15, 3], dtype=np.int64),
+    "x": np.array([-0.0, 5e-324, math.nan, math.inf, -math.inf, 0.1, 1e16]),
+}
+
+
+class TestWriter:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("n_rows", [7, 0])
+    @pytest.mark.parametrize("chunk_rows", [1, 3, experiments_cli.CHUNK_ROWS])
+    def test_matches_per_cell_oracle(self, tmp_path, monkeypatch, fmt, n_rows, chunk_rows):
+        monkeypatch.setattr(experiments_cli, "CHUNK_ROWS", chunk_rows)
+        header, rows = experiments_cli._table(**{k: col[:n_rows] for k, col in EDGE_COLUMNS.items()})
+        assert len(rows) == n_rows
+        path = tmp_path / f"t.{fmt}"
+        digest = experiments_cli._write_table(path, header, rows, fmt)
+        expected = oracle_table_bytes(header, [tuple(row) for row in rows], fmt)
+        assert path.read_bytes() == expected
+        assert digest == hashlib.sha256(expected).hexdigest()
+
+    @pytest.mark.parametrize(
+        "scenario,args",
+        [
+            ("clock-pattern", ["--set", "raster_t_step=5.0"]),
+            ("propagator-compare", []),
+            ("double-slit", []),
+            ("lattice-evolve", ["--set", "n_steps=8", "--set", "mc_paths=500"]),
+            ("continuum-check", FAST_CONTINUUM),
+            ("spectral-check", ["--set", "site_count=64"]),
+        ],
+    )
+    def test_tables_unpack_as_header_and_rows(self, tmp_path, monkeypatch, scenario, args):
+        # The benchmark's trace hook counts sum(len(header) * len(rows))
+        # over result.tables, so len(rows) must be the row count.
+        results = []
+        runner = experiments_cli.RUNNERS[scenario]
+
+        def keep_result(cfg, seed):
+            results.append(runner(cfg, seed))
+            return results[-1]
+
+        monkeypatch.setitem(experiments_cli.RUNNERS, scenario, keep_result)
+        out = tmp_path / "a"
+        assert run(scenario, out, *args) == EXIT_OK
+        assert sorted(f"{name}.csv" for name in results[0].tables) == sorted(report(out)["manifest"]["files"])
+        for name, (header, rows) in results[0].tables.items():
+            lines = (out / f"{name}.csv").read_text().splitlines()
+            assert lines[0].split(",") == header
+            assert len(rows) == len(lines) - 1 > 0
