@@ -13,14 +13,7 @@ Green's function.
 
 __version__ = "0.1.0"
 
-from . import (  # noqa: F401
-    clock_signal,
-    experiments_cli,
-    kinematics,
-    lattice_walk,
-    reference_solutions,
-    spectral_limit,
-)
+import importlib
 
 __all__ = [
     "__version__",
@@ -31,3 +24,11 @@ __all__ = [
     "reference_solutions",
     "spectral_limit",
 ]
+
+
+def __getattr__(name: str):
+    # Submodules load on first use, so that `python -m clockwalk.experiments_cli`
+    # does not find its own module imported before it runs.
+    if name in __all__[1:]:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -54,12 +54,14 @@ from .spectral_limit import (
     PSI_DENSITY_CALIBRATION,
     assemble_psi,
     continuum_propagator,
+    eigenphase,
     eigenvalue_leading_order,
-    eigenvalues,
+    eigenvalue_plus,
+    evolve_spectral,
     fresnel_kernel,
     momentum_grid,
-    stroboscopic_power,
-    transfer_matrix,
+    transfer_matrices,
+    transfer_power,
 )
 
 __all__ = [
@@ -296,13 +298,13 @@ def _level_params(delta: float, D: float, s: int, pad: int, alpha: float) -> Lat
 def schrodinger_level(delta: float, D: float, t: float, p_window: float, x_window: float, pad: int = 64) -> dict:
     """One level of the norm-preserving continuum study.
 
-    Evolves the phi point source s steps with the position-space map,
+    Evolves the phi point source s steps with the spectral engine,
     assembles psi+, and measures: the rotation-angle error (exact
     eigenvalue phase to the s-th power against the continuum rotation
     phase, rms over the momentum grid inside the window), the full-matrix
     error (T^s against the rotation matrix, same window, reported), the
     kernel errors (sampled psi+ density against the Fresnel kernel: raw,
-    even part, odd fraction), and the p = 0 identity residual.
+    even part, odd fraction), and the p = 0 eight-step identity residual.
 
     The raw kernel error carries an O(delta) odd-in-x component from the
     eigenvector (branch) admixture of the transfer matrix, which is odd in
@@ -314,26 +316,19 @@ def schrodinger_level(delta: float, D: float, t: float, p_window: float, x_windo
     n = params.site_count
     m0 = n // 2
 
-    # rotation-angle (eigenphase) error over the in-window momentum grid
+    # rotation-angle (eigenphase) error over the in-window momentum grid;
+    # the eigenvalue modulus is 1 at alpha = sqrt(2)
     p = momentum_grid(params)
-    sel = np.abs(p) <= p_window
-    pw = p[sel]
-    u = pw * delta
-    lam = 0.5 * SQRT2 * (np.cos(u) + 1j * np.sqrt(1.0 + np.sin(u) ** 2))
-    rot_err = float(np.sqrt(np.mean(np.abs(lam**s - np.exp(1j * pw * pw * D * t)) ** 2)))
+    pw = p[np.abs(p) <= p_window]
+    lam_s = np.exp(1j * s * eigenphase(pw * delta))
+    rot_err = float(np.sqrt(np.mean(np.abs(lam_s - np.exp(1j * pw * pw * D * t)) ** 2)))
 
     # full-matrix error against the rotation, reported alongside
-    frob = []
-    for pv in pw:
-        ts = stroboscopic_power(transfer_matrix(float(pv), delta, SQRT2), s)
-        frob.append(np.linalg.norm(ts - continuum_propagator(float(pv), D, t)))
+    frob = np.linalg.norm(transfer_power(pw, delta, SQRT2, s) - continuum_propagator(pw, D, t), axis=(-2, -1))
     matrix_err = float(np.sqrt(np.mean(np.square(frob))))
 
-    # position-space evolution of the phi point source
-    field = point_source_phi(params, m0)
-    phi = field.phi
-    for _ in range(s):
-        phi = phi_step(phi, params)
+    # evolution of the phi point source
+    phi = evolve_spectral(point_source_phi(params, m0).phi, params, "phi", s)
     psi_plus, _ = assemble_psi(phi[0], phi[1])
 
     # sample the populated sublattice and convert to a density
@@ -349,7 +344,7 @@ def schrodinger_level(delta: float, D: float, t: float, p_window: float, x_windo
     even = float(np.linalg.norm(est_even - ker)) / ker_norm
     odd_fraction = float(np.linalg.norm(est_odd)) / ker_norm
 
-    p0 = stroboscopic_power(transfer_matrix(0.0, delta, SQRT2), 8)
+    p0 = np.linalg.matrix_power(transfer_matrices(0.0, delta, SQRT2), 8)
     p0_residual = float(np.max(np.abs(p0 - np.eye(2))))
 
     return {
@@ -389,9 +384,7 @@ def diffusion_levels(deltas, D: float, t: float, pad: int = 64) -> dict:
     for delta, s in zip(deltas, steps):
         params = _level_params(delta, D, s, pad, 1.0)
         m0 = params.site_count // 2
-        z = point_source_z(params, m0).z
-        for _ in range(s):
-            z = z_step(z, params)
+        z = evolve_spectral(point_source_z(params, m0).z, params, "z", s)
         kmax = s // 2
         kk = np.arange(-kmax, kmax + 1)
         x = 2.0 * kk * delta
@@ -399,6 +392,21 @@ def diffusion_levels(deltas, D: float, t: float, pad: int = 64) -> dict:
         g = diffusion_green(x, t, D)
         errors.append(float(np.sum(np.abs(dens - g)) * 2.0 * delta))
     return {"deltas": list(deltas), "steps": steps, "l1_rel": errors}
+
+
+def engine_step_loop_deviation(delta: float, D: float, s: int, pad: int, block: str) -> float:
+    """max |spectral engine - step loop| / max |step loop| for one level's point source.
+
+    The per-step maps phi_step (alpha = sqrt(2)) and z_step are the oracle
+    that the spectral engine of the level studies is checked against.
+    """
+    alpha, source, step = (SQRT2, point_source_phi, phi_step) if block == "phi" else (1.0, point_source_z, z_step)
+    params = _level_params(delta, D, s, pad, alpha)
+    start = getattr(source(params, params.site_count // 2), block)
+    loop = start
+    for _ in range(s):
+        loop = step(loop, params)
+    return float(np.max(np.abs(evolve_spectral(start, params, block, s) - loop)) / np.max(np.abs(loop)))
 
 
 # ---------------------------------------------------------------------------
@@ -718,13 +726,18 @@ def run_continuum_check(cfg: dict, seed: int) -> ScenarioResult:
         raise ConfigError("diffusion, t, and diffusion_t must be positive")
     if len(cfg["deltas"]) < 3 or len(cfg["diffusion_deltas"]) < 3:
         raise ConfigError("order fits need at least three levels")
-    validate_level_sequence(cfg["deltas"], D, t)
-    validate_level_sequence(cfg["diffusion_deltas"], D, cfg["diffusion_t"])
+    phi_steps = validate_level_sequence(cfg["deltas"], D, t)
+    z_steps = validate_level_sequence(cfg["diffusion_deltas"], D, cfg["diffusion_t"])
     if cfg["pad"] < 2:
         raise ConfigError("pad must be >= 2")
 
     study = schrodinger_levels(cfg["deltas"], D, t, cfg["p_window"], cfg["x_window"], cfg["pad"])
     diff = diffusion_levels(cfg["diffusion_deltas"], D, cfg["diffusion_t"], cfg["pad"])
+    # The step loop reruns the coarsest level of each study as the oracle.
+    engine_dev = max(
+        engine_step_loop_deviation(cfg["deltas"][0], D, phi_steps[0], cfg["pad"], "phi"),
+        engine_step_loop_deviation(cfg["diffusion_deltas"][0], D, z_steps[0], cfg["pad"], "z"),
+    )
 
     levels = study["levels"]
     raw = [lv["kernel_raw_rel"] for lv in levels]
@@ -737,6 +750,7 @@ def run_continuum_check(cfg: dict, seed: int) -> ScenarioResult:
         "diffusion_l1": diff["l1_rel"][0] <= cfg["l1_threshold"],
         "diffusion_monotone": all(a > b for a, b in zip(diff["l1_rel"], diff["l1_rel"][1:])),
         "p0_identity": all(lv["p0_residual"] <= 1e-14 for lv in levels),
+        "engine_matches_step_loop": engine_dev <= 1e-12,
     }
     metrics = {
         "rotation_order": study["rotation_order"],
@@ -746,6 +760,7 @@ def run_continuum_check(cfg: dict, seed: int) -> ScenarioResult:
         "diffusion_l1_rel": diff["l1_rel"],
         "order_threshold": thr,
         "l1_threshold": cfg["l1_threshold"],
+        "engine_step_loop_rel_dev": engine_dev,
     }
     return ScenarioResult(
         tables={
@@ -771,26 +786,23 @@ def run_spectral_check(cfg: dict, seed: int) -> ScenarioResult:
     params = LatticeParams(delta=delta, epsilon=delta * delta, site_count=n, alpha=alpha)
     ps = momentum_grid(params)
 
-    # Per momentum: unitarity residual, |lambda+|, |lambda-|, Re det, Im det.
-    spectrum = np.empty((5, ps.size))
+    # Per momentum: unitarity residual, |lambda+/-|, Re det, Im det.
     target_mod = alpha / SQRT2
     target_det = 0.5 * alpha * alpha
-    eye = np.eye(2)
-    for i, pv in enumerate(ps.tolist()):
-        tm = transfer_matrix(pv, delta, alpha)
-        lam_p, lam_m = eigenvalues(tm)
-        det = complex(np.linalg.det(tm.matrix))
-        resid = np.max(np.abs(tm.matrix.conj().T @ tm.matrix - target_det * eye))
-        spectrum[:, i] = resid, abs(lam_p), abs(lam_m), det.real, det.imag
-    resid, lam_plus, lam_minus, re_det, im_det = spectrum
+    m = transfer_matrices(ps, delta, alpha)
+    resid = np.abs(np.conj(np.swapaxes(m, -2, -1)) @ m - target_det * np.eye(2)).max(axis=(-2, -1))
+    det = np.linalg.det(m)
+    re_det, im_det = det.real, det.imag
+    # The eigenvalues are conjugate, so one modulus serves both columns.
+    lam = eigenvalue_plus(ps * delta, alpha)
+    lam_mod = np.hypot(lam.real, lam.imag)
     unit_max = float(resid.max())
-    lam_dev = float(np.abs(spectrum[1:3] - target_mod).max())
+    lam_dev = float(np.abs(lam_mod - target_mod).max())
     det_dev = float(np.hypot(re_det - target_det, im_det).max())
 
     exp_errors = []
     for d in exp_deltas:
-        tm = transfer_matrix(cfg["expansion_p"], d, alpha)
-        lam_p, _ = eigenvalues(tm)
+        lam_p = complex(eigenvalue_plus(cfg["expansion_p"] * d, alpha))
         exp_errors.append(abs(lam_p - eigenvalue_leading_order(cfg["expansion_p"], d, alpha)))
     exp_order = fit_convergence_order(exp_deltas, exp_errors)
 
@@ -808,8 +820,8 @@ def run_spectral_check(cfg: dict, seed: int) -> ScenarioResult:
             "spectrum": _table(
                 p=ps,
                 unitarity_residual=resid,
-                abs_lambda_plus=lam_plus,
-                abs_lambda_minus=lam_minus,
+                abs_lambda_plus=lam_mod,
+                abs_lambda_minus=lam_mod,
                 re_det=re_det,
                 im_det=im_det,
             ),

@@ -1,9 +1,10 @@
 """Spectral representation of the parity block and its continuum limits.
 
-Discrete Fourier transform of the phi pair, the one-step transfer matrix
-and its exact eigenvalues, stroboscopic matrix powers, the continuum
-rotation propagator, assembly of the two spin components, and the
-position-space Fresnel kernels they converge to.
+Real Fourier transform of a z or phi pair, the one-step transfer matrix
+and its exact eigenvalues, closed-form and stroboscopic matrix powers, the
+spectral evolution engine of the z and phi blocks, the continuum rotation
+propagator, assembly of the two spin components, and the position-space
+Fresnel kernels they converge to.
 """
 
 from __future__ import annotations
@@ -16,19 +17,22 @@ import numpy as np
 from .lattice_walk import SQRT2, LatticeParams
 
 __all__ = [
-    "SpectralField",
     "TransferMatrix",
     "PSI_DENSITY_CALIBRATION",
     "momentum_grid",
     "to_spectral",
     "from_spectral",
-    "spectral_step",
-    "spectral_l2_norm",
+    "transfer_matrices",
     "transfer_matrix",
+    "eigenvalue_plus",
     "eigenvalues",
     "eigenvalue_leading_order",
     "stroboscopic_power",
     "continuum_propagator",
+    "eigenphase",
+    "phi_power",
+    "transfer_power",
+    "evolve_spectral",
     "assemble_psi",
     "fresnel_kernel",
 ]
@@ -39,15 +43,6 @@ __all__ = [
 # lattice sum of psi+ equals 1/sqrt(2) for the unit point source while the
 # kernel integrates to 1, so density = psi+ * sqrt(2) / (2*delta).
 PSI_DENSITY_CALIBRATION = SQRT2
-
-
-@dataclass
-class SpectralField:
-    """Complex phi pair per momentum-grid point, ordered like momentum_grid."""
-
-    p: np.ndarray
-    values: np.ndarray
-    step_index: int = 0
 
 
 @dataclass(frozen=True)
@@ -73,67 +68,77 @@ def momentum_grid(params: LatticeParams) -> np.ndarray:
     return 2.0 * math.pi * j / (n * params.delta)
 
 
-def to_spectral(phi: np.ndarray, params: LatticeParams, step_index: int = 0) -> SpectralField:
-    """Generating function of the phi pair: phi_k(p_j) = sum_m phi_k(m) e^{-i p_j m delta}.
+def to_spectral(field: np.ndarray, params: LatticeParams) -> np.ndarray:
+    """Real transform of a real (2, N) field: values[k, j] = sum_m field[k, m] e^{-i u_j m}.
 
-    Computed with the FFT and reordered to match momentum_grid; the
-    inverse (from_spectral) round-trips to rounding.
+    u_j = 2 pi j / N = p_j delta for j = 0 .. N // 2, shape (2, N // 2 + 1).
+    The field is real, so the momenta -p_j carry the complex conjugates and
+    the half spectrum loses nothing; from_spectral inverts it to rounding.
     """
-    phi = np.asarray(phi)
-    if phi.shape != (2, params.site_count):
-        raise ValueError(f"phi must have shape (2, {params.site_count}), got {phi.shape}")
-    values = np.fft.fftshift(np.fft.fft(phi, axis=1), axes=1)
-    return SpectralField(momentum_grid(params), values, step_index)
+    field = np.asarray(field, dtype=float)
+    n = params.site_count
+    if field.shape != (2, n):
+        raise ValueError(f"field must have shape (2, {n}), got {field.shape}")
+    # One row at a time: a transform along axis 1 of both rows allocates a
+    # work buffer for several rows at once.
+    values = np.empty((2, n // 2 + 1), dtype=complex)
+    for k in range(2):
+        values[k] = np.fft.rfft(field[k])
+    return values
 
 
-def from_spectral(sf: SpectralField, params: LatticeParams) -> np.ndarray:
-    """Inverse transform back to the per-site complex phi pair."""
-    return np.fft.ifft(np.fft.ifftshift(sf.values, axes=1), axis=1)
+def from_spectral(values: np.ndarray, params: LatticeParams) -> np.ndarray:
+    """Inverse of to_spectral: the real (2, N) field, one row at a time."""
+    field = np.empty((2, params.site_count))
+    for k in range(2):
+        field[k] = np.fft.irfft(values[k], params.site_count)
+    return field
 
 
-def spectral_step(values: np.ndarray, p: np.ndarray, delta: float, alpha: float) -> np.ndarray:
-    """Apply the transfer matrix at every momentum at once.
+def transfer_matrices(p, delta: float, alpha: float) -> np.ndarray:
+    """One-step matrices (alpha/2) [[e^{-iu}, -e^{iu}], [e^{-iu}, e^{iu}]], u = p delta.
 
-    Identical to transforming, stepping per momentum, and transforming
-    back; kept vectorized because evolution loops live on this.
+    Elementwise over p; the result has shape p.shape + (2, 2).  Advancing
+    the spectral pair with this matrix matches one position-space phi step
+    exactly.
     """
     a = 0.5 * alpha
-    shift_r = np.exp(-1j * p * delta)
-    shift_l = np.exp(1j * p * delta)
-    f1 = shift_r * values[0]
-    f2 = shift_l * values[1]
-    return np.stack([a * (f1 - f2), a * (f1 + f2)])
-
-
-def spectral_l2_norm(values: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(np.abs(values) ** 2)))
+    u = np.asarray(p, dtype=float) * delta
+    er = np.exp(-1j * u)
+    el = np.exp(1j * u)
+    m = np.empty(u.shape + (2, 2), dtype=complex)
+    m[..., 0, 0] = a * er
+    m[..., 0, 1] = -a * el
+    m[..., 1, 0] = a * er
+    m[..., 1, 1] = a * el
+    return m
 
 
 def transfer_matrix(p: float, delta: float, alpha: float) -> TransferMatrix:
-    """One-step matrix (alpha/2) [[e^{-i p delta}, -e^{i p delta}], [e^{-i p delta}, e^{i p delta}]].
+    """The one-step matrix at a single momentum (transfer_matrices)."""
+    return TransferMatrix(transfer_matrices(p, delta, alpha), float(p), float(delta), float(alpha))
 
-    Advancing the spectral pair with this matrix matches one position-space
-    phi step exactly.
+
+def eigenvalue_plus(u, alpha: float) -> np.ndarray:
+    """Exact eigenvalue lambda+ = (alpha/2) (cos u + i sqrt(1 + sin^2 u)) at u = p delta.
+
+    Elementwise over u; lambda- is its complex conjugate.  Both have
+    modulus alpha/sqrt(2) for every momentum: the parity block rotates
+    (alpha = sqrt(2)) or uniformly decays (alpha = 1), it never disperses
+    in modulus.
     """
+    u = np.asarray(u, dtype=float)
     a = 0.5 * alpha
-    er = np.exp(-1j * p * delta)
-    el = np.exp(1j * p * delta)
-    m = np.array([[a * er, -a * el], [a * er, a * el]])
-    return TransferMatrix(m, float(p), float(delta), float(alpha))
+    lam = np.empty(u.shape, dtype=complex)
+    lam.real = a * np.cos(u)
+    lam.imag = a * np.sqrt(1.0 + np.sin(u) ** 2)
+    return lam
 
 
 def eigenvalues(tm: TransferMatrix) -> tuple[complex, complex]:
-    """Exact closed-form eigenvalues (alpha/2) (cos u +/- i sqrt(1 + sin^2 u)), u = p delta.
-
-    Both have modulus alpha/sqrt(2) for every momentum: the parity block
-    rotates (alpha = sqrt(2)) or uniformly decays (alpha = 1), it never
-    disperses in modulus.
-    """
-    u = tm.p * tm.delta
-    re = math.cos(u)
-    im = math.sqrt(1.0 + math.sin(u) ** 2)
-    a = 0.5 * tm.alpha
-    return complex(a * re, a * im), complex(a * re, -a * im)
+    """The eigenvalues (lambda+, lambda-) of one transfer matrix (eigenvalue_plus)."""
+    lam = complex(eigenvalue_plus(tm.p * tm.delta, tm.alpha))
+    return lam, lam.conjugate()
 
 
 def eigenvalue_leading_order(p: float, delta: float, alpha: float) -> complex:
@@ -167,13 +172,100 @@ def stroboscopic_power(tm: TransferMatrix, s: int) -> np.ndarray:
     return result
 
 
-def continuum_propagator(p: float, D: float, t: float) -> np.ndarray:
-    """Continuum-limit propagator of the phi pair: rotation by p^2 D t."""
+def continuum_propagator(p, D: float, t: float) -> np.ndarray:
+    """Continuum-limit propagator of the phi pair: rotation by p^2 D t.
+
+    Elementwise over p; the result has shape p.shape + (2, 2).
+    """
     if not (t >= 0.0):
         raise ValueError(f"t must be >= 0, got {t}")
-    th = p * p * D * t
-    c, s = math.cos(th), math.sin(th)
-    return np.array([[c, -s], [s, c]])
+    th = np.asarray(p, dtype=float) ** 2 * (D * t)
+    c, s = np.cos(th), np.sin(th)
+    return np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
+
+
+def eigenphase(u):
+    """Phase theta of the phi eigenvalues at u = p delta, elementwise.
+
+    The eigenvalues have modulus rho = alpha/sqrt(2), so they are
+    rho e^{+/- i theta}; theta = arg lambda+ does not depend on alpha and
+    lies in [pi/4, 3 pi/4].
+    """
+    return np.angle(eigenvalue_plus(u, 1.0))
+
+
+def phi_power(u, alpha: float, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """Real coefficients (c1, c0) with T^s = c1 T - c0 I at u = p delta.
+
+    Cayley-Hamilton with the conjugate eigenvalues rho e^{+/- i theta}:
+    c1 = rho^(s-1) sin(s theta) / sin(theta) and
+    c0 = rho^s sin((s-1) theta) / sin(theta).  sin(theta) >= 1/sqrt(2), so
+    the division is well conditioned at every momentum.  The phase error of
+    theta grows like s times the rounding unit, as it does for repeated
+    squaring.
+    """
+    if not (isinstance(s, int) and s >= 0):
+        raise ValueError(f"s must be a nonnegative integer, got {s}")
+    theta = eigenphase(u)
+    rho = alpha / SQRT2
+    inv_sin = 1.0 / np.sin(theta)
+    c1 = rho ** (s - 1) * np.sin(s * theta) * inv_sin
+    c0 = rho**s * np.sin((s - 1) * theta) * inv_sin
+    return c1, c0
+
+
+def transfer_power(p, delta: float, alpha: float, s: int) -> np.ndarray:
+    """T^s at each momentum of p, shape p.shape + (2, 2), from phi_power.
+
+    Agrees with stroboscopic_power (repeated squaring) to rounding, for
+    any step count s.
+    """
+    c1, c0 = phi_power(np.asarray(p, dtype=float) * delta, alpha, s)
+    return c1[..., None, None] * transfer_matrices(p, delta, alpha) - c0[..., None, None] * np.eye(2)
+
+
+def evolve_spectral(field: np.ndarray, params: LatticeParams, block: str, s: int) -> np.ndarray:
+    """A real (2, N) z or phi field after s steps of its block map.
+
+    Equal, to rounding, to s calls of lattice_walk.z_step or phi_step
+    (params.alpha scales the phi block): the field is transformed once
+    (to_spectral), multiplied by the closed-form T(u)^s at the N // 2 + 1
+    momenta u = 2 pi j / N = p delta, and transformed back.  T(-u) is the
+    conjugate of T(u), so the real transform loses nothing.  s = 1 is one
+    step of the spectral pair.
+
+    phi: T^s = c1 T - c0 I (phi_power).  z: the z matrix
+    (1/2) [[e^{-iu}, e^{iu}], [e^{-iu}, e^{iu}]] has rank one and trace
+    cos u, so T^s = cos(u)^(s-1) T for s >= 1.
+    """
+    if block not in ("z", "phi"):
+        raise ValueError(f"block must be 'z' or 'phi', got {block!r}")
+    if not (isinstance(s, int) and s >= 0):
+        raise ValueError(f"s must be a nonnegative integer, got {s}")
+    f = to_spectral(field, params)
+    if s == 0:
+        return np.array(field, dtype=float)
+    u = (2.0 * math.pi / params.site_count) * np.arange(f.shape[1])
+    # One step reads row 0 from the left neighbour and row 1 from the right.
+    shift = np.exp(-1j * u)
+    g1 = f[0] * shift
+    g2 = f[1] * np.conjugate(shift, out=shift)
+    del shift
+    if block == "z":
+        g1 += g2
+        g1 *= 0.5 * np.cos(u) ** (s - 1)
+        f[0] = g1
+        f[1] = g1
+        return from_spectral(f, params)
+    # T f = a (g1 - g2, g1 + g2) with a = alpha / 2, and T^s f = c1 T f - c0 f.
+    c1, c0 = phi_power(u, params.alpha, s)
+    c1 *= 0.5 * params.alpha
+    g1 *= c1
+    g2 *= c1
+    f *= c0
+    f[0] = g1 - g2 - f[0]
+    f[1] = g1 + g2 - f[1]
+    return from_spectral(f, params)
 
 
 def assemble_psi(phi1, phi2):

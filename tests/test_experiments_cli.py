@@ -5,12 +5,13 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from clockwalk import experiments_cli
+from clockwalk import experiments_cli, lattice_walk
 from clockwalk.experiments_cli import (
     EXIT_CHECK,
     EXIT_CONFIG,
@@ -55,6 +56,13 @@ def write_launcher(path, entry):
     )
     path.chmod(0o755)
     return path
+
+
+def source_env():
+    """The environment with the checkout's ``src`` first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return env
 
 
 def run(scenario, out, *extra):
@@ -113,6 +121,8 @@ class TestScenarioRuns:
         rep = report(out)
         assert rep["checks"]["rotation_order"] and rep["checks"]["kernel_order"]
         assert rep["checks"]["diffusion_l1"] and rep["checks"]["p0_identity"]
+        assert rep["checks"]["engine_matches_step_loop"]
+        assert 0.0 <= rep["engine_step_loop_rel_dev"] <= 1e-12
         assert verify_manifest(out)
 
     def test_spectral_check(self, tmp_path):
@@ -127,11 +137,7 @@ class TestScenarioRuns:
         # PATH; build the one pip would generate from the declared entry
         # point and run it against the checkout's sources.
         launcher = write_launcher(tmp_path / "clockwalk", console_script_entry("clockwalk"))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(SRC), env.get("PYTHONPATH")) if p
-        )
-        launchers = [(launcher, env)]
+        launchers = [(launcher, source_env())]
         installed = shutil.which("clockwalk")
         if installed:
             launchers.append((installed, None))
@@ -145,6 +151,36 @@ class TestScenarioRuns:
             )
             assert proc.returncode == EXIT_OK, proc.stderr
             assert (out / "report.json").exists()
+
+    @pytest.mark.parametrize("module", ["clockwalk", "clockwalk.experiments_cli"])
+    def test_python_dash_m(self, tmp_path, module):
+        out = tmp_path / "cli"
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", module,
+             "spectral-check", "--out", str(out), "--set", "site_count=64"],
+            capture_output=True,
+            text=True,
+            env=source_env(),
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stderr == ""
+        assert verify_manifest(out)
+
+    def test_package_imports_submodules_lazily(self):
+        code = (
+            "import sys, clockwalk\n"
+            "assert 'clockwalk.experiments_cli' not in sys.modules\n"
+            "assert clockwalk.spectral_limit.__name__ == 'clockwalk.spectral_limit'\n"
+            "assert clockwalk.experiments_cli.main is sys.modules['clockwalk.experiments_cli'].main\n"
+            "try:\n"
+            "    clockwalk.missing\n"
+            "except AttributeError:\n"
+            "    pass\n"
+            "else:\n"
+            "    raise SystemExit('no AttributeError')\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=source_env())
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestConfigErrors:
@@ -209,6 +245,26 @@ class TestCheckFailure:
         rep = report(out)
         assert rep["checks"]["unitarity"] is False
         assert verify_manifest(out)
+
+    @pytest.mark.parametrize(
+        "name, mutant",
+        [
+            # phi_step with alpha scaled by 1 + 1e-9: every other check passes.
+            ("phi_step", lambda phi, params: lattice_walk.phi_step(
+                phi, replace(params, alpha=params.alpha * (1 + 1e-9)))),
+            # z_step that loses 1e-6 of the field per step.
+            ("z_step", lambda z, params: lattice_walk.z_step(z, params) * (1 - 1e-6)),
+        ],
+    )
+    def test_wrong_step_map_fails_engine_check(self, tmp_path, monkeypatch, name, mutant):
+        # The step loop is the oracle of the spectral engine: a step map
+        # that disagrees with the engine's closed form must fail the run.
+        monkeypatch.setattr(experiments_cli, name, mutant)
+        out = tmp_path / "cont"
+        assert run("continuum-check", out) == EXIT_CHECK
+        rep = report(out)
+        assert rep["checks"]["engine_matches_step_loop"] is False
+        assert rep["engine_step_loop_rel_dev"] > 1e-12
 
 
 class TestIoFailure:

@@ -9,28 +9,36 @@ from clockwalk.lattice_walk import (
     LatticeParams,
     phi_step,
     point_source_phi,
+    z_step,
 )
 from clockwalk.spectral_limit import (
     PSI_DENSITY_CALIBRATION,
-    SpectralField,
     assemble_psi,
     continuum_propagator,
+    eigenphase,
     eigenvalue_leading_order,
+    eigenvalue_plus,
     eigenvalues,
+    evolve_spectral,
     fresnel_kernel,
     from_spectral,
     momentum_grid,
-    spectral_l2_norm,
-    spectral_step,
     stroboscopic_power,
     to_spectral,
+    transfer_matrices,
     transfer_matrix,
+    transfer_power,
 )
 from clockwalk.reference_solutions import fit_convergence_order
 
 
 def params_for(n=64, delta=0.1, alpha=1.0):
     return LatticeParams(delta=delta, epsilon=delta * delta, site_count=n, alpha=alpha)
+
+
+def half_grid(n):
+    """u_j = p_j delta = 2 pi j / N of the to_spectral columns, j = 0 .. N // 2."""
+    return 2.0 * math.pi * np.arange(n // 2 + 1) / n
 
 
 class TestMomentumGrid:
@@ -53,50 +61,50 @@ class TestTransforms:
         params = params_for(n=16)
         phi = np.zeros((2, 16))
         phi[1, 0] = 1.0
-        sf = to_spectral(phi, params)
-        np.testing.assert_allclose(sf.values[0], 0.0, atol=0)
-        np.testing.assert_allclose(sf.values[1], 1.0, rtol=0, atol=1e-14)
+        values = to_spectral(phi, params)
+        assert values.shape == (2, 9)
+        np.testing.assert_allclose(values[0], 0.0, atol=0)
+        np.testing.assert_allclose(values[1], 1.0, rtol=0, atol=1e-14)
 
     def test_uniform_concentrates_at_zero_momentum(self):
         params = params_for(n=16)
         phi = np.zeros((2, 16))
         phi[0] = 1.0
-        sf = to_spectral(phi, params)
-        i0 = int(np.where(sf.p == 0.0)[0][0])
-        assert abs(sf.values[0, i0] - 16.0) < 1e-12
-        off = np.delete(sf.values[0], i0)
-        assert np.max(np.abs(off)) < 1e-12
+        values = to_spectral(phi, params)
+        assert abs(values[0, 0] - 16.0) < 1e-12
+        assert np.max(np.abs(values[0, 1:])) < 1e-12
 
     def test_roundtrip(self):
-        params = params_for(n=32)
         rng = np.random.default_rng(0)
-        phi = rng.random((2, 32)) - 0.5
-        back = from_spectral(to_spectral(phi, params), params)
-        np.testing.assert_allclose(back, phi, rtol=0, atol=1e-12)
+        for n in (31, 32):
+            params = params_for(n=n)
+            phi = rng.random((2, n)) - 0.5
+            back = from_spectral(to_spectral(phi, params), params)
+            assert back.shape == (2, n)
+            np.testing.assert_allclose(back, phi, rtol=0, atol=1e-12)
 
     def test_matches_explicit_dft(self):
         """Brute-force O(N^2) transform with the same sign convention."""
         params = params_for(n=16, delta=0.3)
         rng = np.random.default_rng(1)
         phi = rng.random((2, 16)) - 0.5
-        sf = to_spectral(phi, params)
+        values = to_spectral(phi, params)
         m = np.arange(16)
         for row in range(2):
-            for j, pj in enumerate(sf.p):
-                explicit = np.sum(phi[row] * np.exp(-1j * pj * m * params.delta))
-                assert abs(sf.values[row, j] - explicit) < 1e-10
+            for j, uj in enumerate(half_grid(16)):
+                explicit = np.sum(phi[row] * np.exp(-1j * uj * m))
+                assert abs(values[row, j] - explicit) < 1e-10
 
     def test_real_field_has_hermitian_spectrum(self):
+        """The half spectrum holds the full one: -p carries the conjugate of p."""
         params = params_for(n=16)
         rng = np.random.default_rng(2)
         phi = rng.random((2, 16)) - 0.5
-        sf = to_spectral(phi, params)
-        # p and -p entries are conjugate; index N/2 + j holds p_j
-        n = 16
-        for j in range(1, n // 2):
-            plus = sf.values[:, n // 2 + j]
-            minus = sf.values[:, n // 2 - j]
-            np.testing.assert_allclose(minus, np.conj(plus), rtol=0, atol=1e-12)
+        values = to_spectral(phi, params)
+        full = np.fft.fft(phi, axis=1)
+        np.testing.assert_allclose(full[:, :9], values, rtol=0, atol=1e-12)
+        for j in range(1, 8):
+            np.testing.assert_allclose(full[:, 16 - j], np.conj(values[:, j]), rtol=0, atol=1e-12)
 
     def test_rejects_wrong_shape(self):
         params = params_for(n=16)
@@ -113,19 +121,20 @@ class TestTransferMatrix:
             params = params_for(n=32, alpha=alpha)
             rng = np.random.default_rng(3)
             phi = rng.random((2, 32)) - 0.5
-            lhs = to_spectral(phi_step(phi, params), params).values
-            sf = to_spectral(phi, params)
-            rhs = spectral_step(sf.values, sf.p, params.delta, alpha)
+            lhs = to_spectral(phi_step(phi, params), params)
+            m = transfer_matrices(half_grid(32) / params.delta, params.delta, alpha)
+            rhs = np.einsum("jab,bj->aj", m, to_spectral(phi, params))
             np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-12)
 
     def test_matrix_matches_vectorized_step(self):
+        """One step of the engine is the transfer matrix at every momentum."""
         params = params_for(n=16, alpha=SQRT2)
-        p = momentum_grid(params)
         rng = np.random.default_rng(4)
-        values = rng.random((2, 16)) + 1j * rng.random((2, 16))
-        stepped = spectral_step(values, p, params.delta, SQRT2)
-        for j, pj in enumerate(p):
-            tm = transfer_matrix(float(pj), params.delta, SQRT2)
+        field = rng.random((2, 16)) - 0.5
+        values = to_spectral(field, params)
+        stepped = to_spectral(evolve_spectral(field, params, "phi", 1), params)
+        for j, uj in enumerate(half_grid(16)):
+            tm = transfer_matrix(float(uj) / params.delta, params.delta, SQRT2)
             np.testing.assert_allclose(tm.matrix @ values[:, j], stepped[:, j], rtol=0, atol=1e-13)
 
     def test_zero_momentum_is_eighth_root(self):
@@ -161,6 +170,14 @@ class TestEigenvalues:
                 assert abs(abs(lam_p) - alpha / SQRT2) < 1e-15
                 assert abs(abs(lam_m) - alpha / SQRT2) < 1e-15
 
+    def test_eigenvalue_plus_is_elementwise(self):
+        p = np.linspace(-3.0, 3.0, 11)
+        for alpha in (1.0, SQRT2):
+            lam = eigenvalue_plus(p * 0.1, alpha)
+            assert lam.shape == (11,)
+            for j, pv in enumerate(p.tolist()):
+                assert lam[j] == eigenvalues(transfer_matrix(pv, 0.1, alpha))[0]
+
     def test_satisfy_characteristic_polynomial(self):
         for p in (-1.2, 0.0, 0.8, 2.5):
             tm = transfer_matrix(p, 0.2, SQRT2)
@@ -183,6 +200,103 @@ class TestEigenvalues:
             errs.append(abs(lam - eigenvalue_leading_order(1.0, d, SQRT2)))
         order = fit_convergence_order(deltas, errs)
         assert order >= 3.8
+
+
+class TestClosedFormPower:
+    def test_matches_repeated_squaring(self):
+        for alpha in (1.0, SQRT2, 0.7):
+            for p in np.linspace(-3.0, 3.0, 13):
+                tm = transfer_matrix(float(p), 0.1, alpha)
+                # Below alpha = sqrt(2) the power decays as (alpha/sqrt(2))^s;
+                # keep s where it stays a normal float.
+                for s in (0, 8, 64, 1024) if alpha == SQRT2 else (0, 8, 64, 256):
+                    ref = stroboscopic_power(tm, s)
+                    got = transfer_power(p, 0.1, alpha, s)
+                    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_matches_matrix_power_at_any_step_count(self):
+        for p in (-2.0, 0.0, 0.45, 3.1):
+            tm = transfer_matrix(p, 0.2, SQRT2)
+            for s in (1, 2, 3, 7, 13):
+                ref = np.linalg.matrix_power(tm.matrix, s)
+                np.testing.assert_allclose(transfer_power(p, 0.2, SQRT2, s), ref, rtol=0, atol=1e-14)
+
+    def test_eight_step_identity_at_zero_momentum(self):
+        resid = np.max(np.abs(transfer_power(0.0, 0.1, SQRT2, 8) - np.eye(2)))
+        assert resid <= 1e-14
+
+    def test_eigenphase_is_eigenvalue_argument(self):
+        for alpha in (1.0, SQRT2):
+            for p in (-2.5, -0.3, 0.0, 1.0, 2.9):
+                lam_p, lam_m = eigenvalues(transfer_matrix(p, 0.1, alpha))
+                theta = float(eigenphase(p * 0.1))
+                assert abs(lam_p - alpha / SQRT2 * np.exp(1j * theta)) <= 1e-15
+                assert abs(lam_m - alpha / SQRT2 * np.exp(-1j * theta)) <= 1e-15
+
+    def test_batched_matrices_match_single(self):
+        p = momentum_grid(params_for(n=256, delta=0.1))
+        for alpha in (1.0, SQRT2):
+            single = np.stack([transfer_matrix(pv, 0.1, alpha).matrix for pv in p.tolist()])
+            assert np.array_equal(transfer_matrices(p, 0.1, alpha), single)
+            powers = transfer_power(p, 0.1, alpha, 16)
+            assert powers.shape == (256, 2, 2)
+            for j in (0, 77, 128, 255):
+                assert np.array_equal(powers[j], transfer_power(p[j], 0.1, alpha, 16))
+
+    def test_continuum_propagator_is_elementwise(self):
+        p = np.linspace(-2.0, 2.0, 9)
+        batch = continuum_propagator(p, 0.5, 2.56)
+        assert batch.shape == (9, 2, 2)
+        for j, pv in enumerate(p):
+            assert np.array_equal(batch[j], continuum_propagator(pv, 0.5, 2.56))
+
+    def test_rejects_negative_power(self):
+        for s in (-1, 2.0):
+            with pytest.raises(ValueError):
+                transfer_power(0.3, 0.1, SQRT2, s)
+
+
+class TestSpectralEngine:
+    """evolve_spectral against the position-space step loop it replaces."""
+
+    @pytest.mark.parametrize("n", [63, 64])
+    @pytest.mark.parametrize("alpha", [1.0, SQRT2])
+    @pytest.mark.parametrize("block", ["phi", "z"])
+    def test_matches_step_loop_on_random_fields(self, block, alpha, n):
+        params = params_for(n=n, alpha=alpha)
+        step = phi_step if block == "phi" else z_step
+        rng = np.random.default_rng(n + 10 * int(alpha == SQRT2) + 100 * (block == "z"))
+        field = rng.random((2, n)) - 0.5
+        loop = field.copy()
+        done = 0
+        for s in (0, 1, 7, 8, 256):
+            for _ in range(s - done):
+                loop = step(loop, params)
+            done = s
+            got = evolve_spectral(field, params, block, s)
+            assert got.shape == (2, n) and got.dtype == np.float64
+            assert np.max(np.abs(got - loop)) <= 1e-12 * np.max(np.abs(loop))
+
+    def test_leaves_input_unchanged(self):
+        params = params_for(n=32, alpha=SQRT2)
+        field = np.random.default_rng(5).random((2, 32))
+        before = field.copy()
+        for block in ("phi", "z"):
+            for s in (0, 9):
+                out = evolve_spectral(field, params, block, s)
+                assert out is not field
+        assert np.array_equal(field, before)
+
+    def test_validates(self):
+        params = params_for(n=16)
+        field = np.zeros((2, 16))
+        with pytest.raises(ValueError):
+            evolve_spectral(field, params, "psi", 8)
+        for s in (-1, 8.0):
+            with pytest.raises(ValueError):
+                evolve_spectral(field, params, "phi", s)
+        with pytest.raises(ValueError):
+            evolve_spectral(np.zeros((2, 15)), params, "z", 8)
 
 
 class TestStroboscopicPower:
@@ -291,35 +405,31 @@ class TestNormBehaviour:
     def test_norm_invariant_at_sqrt2(self):
         """L2 drift below 1e-10 over 1024 steps of the rotating branch."""
         params = params_for(n=256, delta=0.1, alpha=SQRT2)
-        p = momentum_grid(params)
         rng = np.random.default_rng(6)
-        values = rng.random((2, 256)) + 1j * rng.random((2, 256))
-        norm0 = spectral_l2_norm(values)
+        field = rng.random((2, 256)) - 0.5
+        norm0 = np.linalg.norm(field)
+        stepped = field
         for _ in range(1024):
-            values = spectral_step(values, p, params.delta, SQRT2)
-        assert abs(spectral_l2_norm(values) - norm0) <= 1e-10 * norm0
+            stepped = evolve_spectral(stepped, params, "phi", 1)
+        for out in (stepped, evolve_spectral(field, params, "phi", 1024)):
+            assert abs(np.linalg.norm(out) - norm0) <= 1e-10 * norm0
 
     def test_per_step_decay_at_alpha_one(self):
         """Each bare-walk step scales the L2 norm by exactly 1/sqrt(2)."""
         params = params_for(n=128, delta=0.1, alpha=1.0)
-        p = momentum_grid(params)
         rng = np.random.default_rng(7)
-        values = rng.random((2, 128)) + 1j * rng.random((2, 128))
+        field = rng.random((2, 128)) - 0.5
         for _ in range(50):
-            before = spectral_l2_norm(values)
-            values = spectral_step(values, p, params.delta, 1.0)
-            ratio = spectral_l2_norm(values) / before
+            before = np.linalg.norm(field)
+            field = evolve_spectral(field, params, "phi", 1)
+            ratio = np.linalg.norm(field) / before
             assert abs(ratio - 1.0 / SQRT2) <= 1e-12
 
     def test_position_and_spectral_evolution_agree(self):
         params = params_for(n=128, delta=0.1, alpha=SQRT2)
         rng = np.random.default_rng(8)
         phi = rng.random((2, 128)) - 0.5
-        sf = to_spectral(phi, params)
-        values = sf.values
         pos = phi
         for _ in range(256):
             pos = phi_step(pos, params)
-            values = spectral_step(values, sf.p, params.delta, SQRT2)
-        back = from_spectral(SpectralField(sf.p, values, 256), params)
-        assert np.max(np.abs(back - pos)) <= 1e-10
+        assert np.max(np.abs(evolve_spectral(phi, params, "phi", 256) - pos)) <= 1e-10
