@@ -1,10 +1,12 @@
 """Command-line experiment runner emitting CSV/JSON artifacts with a manifest.
 
-Each subcommand configures one scenario, validates every parameter before
-touching the filesystem, computes, writes plain data tables plus a
-report.json (flat metrics with a nested reproducibility manifest), and
-gates CI via exit codes: 0 success, 2 configuration failure, 3 numerical
-check failure, 4 I/O failure.
+Each scenario subcommand configures one scenario, validates every
+parameter before touching the filesystem, computes, writes plain data
+tables plus a report.json (flat metrics, stage timings and a nested
+reproducibility manifest), and gates CI via exit codes: 0 success, 2
+configuration failure, 3 numerical check failure, 4 I/O failure.
+`verify RUN_DIR` re-hashes a run directory against its manifest: 0 when
+it matches, 3 when it does not, 2 when RUN_DIR is not a run.
 """
 
 from __future__ import annotations
@@ -19,6 +21,11 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
+
+try:
+    import resource
+except ImportError:  # not available on Windows
+    resource = None
 
 import numpy as np
 
@@ -853,6 +860,11 @@ RUNNERS = {
 
 # Rows per write: bounds the text of one table held in memory at a time.
 CHUNK_ROWS = 8192
+# Rows per dedupe: each distinct value of a column is formatted once per
+# block.  The raster's x comes back only every t-count rows (5001 at the
+# benchmark size), so a block of one chunk still formats most cells; one
+# block per table raises the peak memory of the largest table by 13 MB.
+BLOCK_ROWS = 65536
 
 def _column_text(col: np.ndarray, fmt: str) -> list[str]:
     """The cells of one column as text, chosen once by dtype kind.
@@ -870,11 +882,22 @@ def _column_text(col: np.ndarray, fmt: str) -> list[str]:
     return text
 
 
+def _distinct_text(col: np.ndarray, fmt: str) -> tuple[np.ndarray, np.ndarray]:
+    """(text of each distinct value, index of each cell into that text).
+
+    Values are keyed on their bit pattern, not compared as numbers: -0.0
+    equals 0.0 but is written differently.
+    """
+    keys, index = np.unique(col.view(f"u{col.itemsize}"), return_inverse=True)
+    return np.array(_column_text(keys.view(col.dtype), fmt), dtype=object), index
+
+
 def _write_table(path: Path, header: list[str], rows: np.ndarray, fmt: str) -> str:
     """Write one table in chunks of CHUNK_ROWS rows; returns the SHA-256 of its bytes.
 
     CSV is a header line and one line per row.  JSON is the object
     {"header": [...], "rows": [[...], ...]} with sorted keys and no spaces.
+    Each column's distinct values are formatted once per BLOCK_ROWS rows.
     """
     if fmt == "csv":
         start, open_row, close_row, between, end = ",".join(header) + "\n", "", "\n", "", ""
@@ -890,11 +913,13 @@ def _write_table(path: Path, header: list[str], rows: np.ndarray, fmt: str) -> s
             fh.write(blob)
 
         put(start)
-        for lo in range(0, len(rows), CHUNK_ROWS):
-            chunk = rows[lo : lo + CHUNK_ROWS]
-            cells = zip(*(_column_text(chunk[name], fmt) for name in header))
-            lines = (close_row + between + open_row).join(map(",".join, cells))
-            put((between if lo else "") + open_row + lines + close_row)
+        for block_lo in range(0, len(rows), BLOCK_ROWS):
+            block = rows[block_lo : block_lo + BLOCK_ROWS]
+            columns = [_distinct_text(block[name], fmt) for name in header]
+            for lo in range(0, len(block), CHUNK_ROWS):
+                cells = zip(*(text[index[lo : lo + CHUNK_ROWS]].tolist() for text, index in columns))
+                lines = (close_row + between + open_row).join(map(",".join, cells))
+                put((between if block_lo + lo else "") + open_row + lines + close_row)
         put(end)
     return digest.hexdigest()
 
@@ -953,17 +978,19 @@ def run_scenario(scenario: str, cfg: dict, out_dir: str, fmt: str, seed: int):
     and renamed into place when complete, so out_dir holds a whole run or
     none; an OSError propagates.  Data files are a pure function of
     (config, seed), while the report carries the wall-clock duration and
-    therefore is not expected to be byte-stable.
+    the stage timings and therefore is not expected to be byte-stable.
     """
     start = time.perf_counter()
     out = Path(os.path.abspath(out_dir))
     _check_replaceable(out)
+    checked = time.perf_counter()
     try:
         result = RUNNERS[scenario](cfg, seed)
     except ConfigError:
         raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    computed = time.perf_counter()
 
     ext = "csv" if fmt == "csv" else "json"
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -975,18 +1002,26 @@ def run_scenario(scenario: str, cfg: dict, out_dir: str, fmt: str, seed: int):
         for name in sorted(result.tables):
             header, rows = result.tables[name]
             files[f"{name}.{ext}"] = _write_table(tmp / f"{name}.{ext}", header, rows, fmt)
+        written = time.perf_counter()
+        timings = {
+            "check_replaceable_s": checked - start,
+            "runner_s": computed - checked,
+            "write_s": written - computed,
+            # ru_maxrss is in KiB on Linux
+            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024 if resource else None,
+        }
         manifest = {
             "tool_version": __version__,
             "scenario": scenario,
             "config": _json_safe(cfg),
             "seed": seed,
             "format": fmt,
-            "duration_seconds": time.perf_counter() - start,
+            "duration_seconds": written - start,
             "checks": result.checks,
             "files": files,
             "digest": _manifest_digest(files),
         }
-        report = {**_json_safe(result.metrics), "checks": result.checks, "manifest": manifest}
+        report = {**_json_safe(result.metrics), "checks": result.checks, "timings": timings, "manifest": manifest}
         (tmp / "report.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8")
         if out.is_dir():
             os.rename(out, old)
@@ -1012,16 +1047,22 @@ def verify_manifest(out_dir: str) -> bool:
 
     False when a data file differs from its digest, a listed file is
     missing, or the directory holds a file the manifest does not list.
+    Raises ConfigError when out_dir is not a run: no directory, or no
+    readable report.json with a manifest of files and a digest.
     """
     out = Path(out_dir)
-    manifest = _read_manifest(out)
-    files = manifest["files"]
-    if {entry.name for entry in out.iterdir()} != {"report.json", *files}:
+    try:
+        manifest = _read_manifest(out)
+        files, digest = dict(manifest["files"]), manifest["digest"]
+        names = {entry.name for entry in out.iterdir()}
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"{out} is not a run directory: {exc!r}") from exc
+    if names != {"report.json", *files}:
         return False
-    for name, digest in files.items():
-        if hashlib.sha256((out / name).read_bytes()).hexdigest() != digest:
+    for name, sha256 in files.items():
+        if hashlib.sha256((out / name).read_bytes()).hexdigest() != sha256:
             return False
-    return _manifest_digest(files) == manifest["digest"]
+    return _manifest_digest(files) == digest
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1029,7 +1070,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="clockwalk",
         description="Clock-particle lattice experiments: pattern, filter, walk, and continuum checks.",
     )
-    sub = parser.add_subparsers(dest="scenario", required=True)
+    sub = parser.add_subparsers(dest="command", required=True)
+    verify = sub.add_parser("verify", help="check a run directory against its manifest; writes nothing")
+    verify.add_argument("run_dir")
     for name in SCHEMAS:
         p = sub.add_parser(name, help=f"run the {name} scenario")
         p.add_argument("--config", default=None, help="key = value config file")
@@ -1043,12 +1086,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.command == "verify":
+            if verify_manifest(args.run_dir):
+                print(f"{args.run_dir} matches its manifest")
+                return EXIT_OK
+            print(f"{args.run_dir} does not match its manifest", file=sys.stderr)
+            return EXIT_CHECK
         if args.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {args.seed}")
         file_entries = _read_config_file(args.config) if args.config else {}
-        cfg = resolve_config(args.scenario, file_entries, args.set)
-        out_dir = args.out if args.out else str(Path("runs") / args.scenario)
-        code, _ = run_scenario(args.scenario, cfg, out_dir, args.format, args.seed)
+        cfg = resolve_config(args.command, file_entries, args.set)
+        out_dir = args.out if args.out else str(Path("runs") / args.command)
+        code, _ = run_scenario(args.command, cfg, out_dir, args.format, args.seed)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

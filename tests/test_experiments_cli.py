@@ -353,6 +353,53 @@ class TestVerifyManifest:
         assert verify_manifest(out) is False
 
 
+def snapshot(path):
+    """Every file under path, by relative name, with its bytes."""
+    return {p.relative_to(path): p.read_bytes() for p in sorted(Path(path).rglob("*")) if p.is_file()}
+
+
+class TestVerifyCommand:
+    @pytest.fixture
+    def out(self, tmp_path):
+        out = tmp_path / "d"
+        assert run("spectral-check", out, "--set", "site_count=64") == EXIT_OK
+        return out
+
+    def test_matching_run_exits_zero(self, out, capsys):
+        before = snapshot(out.parent)
+        assert main(["verify", str(out)]) == EXIT_OK
+        assert "matches its manifest" in capsys.readouterr().out
+        assert snapshot(out.parent) == before
+
+    @pytest.mark.parametrize("damage", ["changed", "missing", "unlisted"])
+    def test_damaged_run_exits_three(self, out, capsys, damage):
+        if damage == "changed":
+            (out / "expansion.csv").write_bytes((out / "expansion.csv").read_bytes() + b"\n")
+        elif damage == "missing":
+            (out / "spectrum.csv").unlink()
+        else:
+            (out / "notes.txt").write_text("x")
+        before = snapshot(out.parent)
+        assert main(["verify", str(out)]) == EXIT_CHECK
+        assert "does not match its manifest" in capsys.readouterr().err
+        assert snapshot(out.parent) == before
+
+    @pytest.mark.parametrize("target", ["absent", "empty", "report-without-manifest", "file"])
+    def test_path_that_is_not_a_run_exits_two(self, tmp_path, capsys, target):
+        path = tmp_path / "p"
+        if target == "empty":
+            path.mkdir()
+        elif target == "report-without-manifest":
+            path.mkdir()
+            (path / "report.json").write_text('{"checks": {}}')
+        elif target == "file":
+            path.write_text("{}")
+        before = snapshot(tmp_path)
+        assert main(["verify", str(path)]) == EXIT_CONFIG
+        assert "not a run directory" in capsys.readouterr().err
+        assert snapshot(tmp_path) == before
+
+
 class TestConfigResolution:
     def test_file_then_flag_precedence(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -411,6 +458,16 @@ class TestOutputFormat:
             assert key in man
         assert man["scenario"] == "spectral-check"
         assert set(man["files"]) == {"spectrum.csv", "expansion.csv"}
+
+    def test_report_has_stage_timings_outside_manifest(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        for out in (a, b):
+            assert run("lattice-evolve", out, "--set", "n_steps=8") == EXIT_OK
+        timings = report(a)["timings"]
+        assert set(timings) == {"check_replaceable_s", "runner_s", "write_s", "peak_rss_mb"}
+        assert all(v > 0 for v in timings.values())
+        assert "timings" not in report(a)["manifest"]
+        assert report(a)["manifest"]["digest"] == report(b)["manifest"]["digest"]
 
 
 class TestDeterminism:
@@ -497,27 +554,33 @@ def oracle_table_bytes(header, rows, fmt):
     return (json.dumps(payload, sort_keys=True, indent=None, separators=(",", ":")) + "\n").encode("utf-8")
 
 
+# Every column repeats values, so a table deduplicates within a block, and
+# 0.0 sits beside -0.0: equal as numbers, different as text.
 EDGE_COLUMNS = {
-    "flag": np.array([True, False, False, True, True, False, True]),
-    "small": np.array([-128, 127, 0, -1, 1, 5, -7], dtype=np.int8),
-    "big": np.array([-(2**63), 2**63 - 1, 0, 1, -1, 10**15, 3], dtype=np.int64),
-    "x": np.array([-0.0, 5e-324, math.nan, math.inf, -math.inf, 0.1, 1e16]),
+    "flag": np.array([True, False, False, True, True, False, True, False, True, True, False, False, True, False]),
+    "small": np.array([-128, 127, 0, -1, -128, 5, 0, 1, -7, 5, 127, -1, 0, -7], dtype=np.int8),
+    "big": np.array(
+        [-(2**63), 2**63 - 1, 0, 1, -(2**63), 10**15, 0, -1, 3, 10**15, 2**63 - 1, 1, 3, -1], dtype=np.int64
+    ),
+    "x": np.array([-0.0, 0.0, 5e-324, math.nan, -0.0, 0.1, 0.0, math.inf, -math.inf, 0.1, 1e16, math.nan, -0.0, 1e16]),
 }
 
 
 class TestWriter:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    @pytest.mark.parametrize("n_rows", [7, 0])
+    @pytest.mark.parametrize("n_rows", [14, 7, 0])
     @pytest.mark.parametrize("chunk_rows", [1, 3, experiments_cli.CHUNK_ROWS])
     def test_matches_per_cell_oracle(self, tmp_path, monkeypatch, fmt, n_rows, chunk_rows):
         monkeypatch.setattr(experiments_cli, "CHUNK_ROWS", chunk_rows)
         header, rows = experiments_cli._table(**{k: col[:n_rows] for k, col in EDGE_COLUMNS.items()})
         assert len(rows) == n_rows
-        path = tmp_path / f"t.{fmt}"
-        digest = experiments_cli._write_table(path, header, rows, fmt)
         expected = oracle_table_bytes(header, [tuple(row) for row in rows], fmt)
-        assert path.read_bytes() == expected
-        assert digest == hashlib.sha256(expected).hexdigest()
+        for block_rows in (1, 3, experiments_cli.BLOCK_ROWS):
+            monkeypatch.setattr(experiments_cli, "BLOCK_ROWS", block_rows)
+            path = tmp_path / f"t{block_rows}.{fmt}"
+            digest = experiments_cli._write_table(path, header, rows, fmt)
+            assert path.read_bytes() == expected, f"BLOCK_ROWS={block_rows}"
+            assert digest == hashlib.sha256(expected).hexdigest()
 
     @pytest.mark.parametrize(
         "scenario,args",
