@@ -42,42 +42,32 @@ from .lattice_walk import (
     evolve,
     field_variance,
     monte_carlo_estimate,
-    phi_step,
     point_source_phi,
     point_source_z,
     unit_state_field,
-    z_step,
 )
 from .reference_solutions import (
     SampledSignal,
     compare,
-    diffusion_green,
     feynman_free,
     fit_convergence_order,
     local_minima,
     two_source_superposition,
 )
 from .spectral_limit import (
-    PSI_DENSITY_CALIBRATION,
-    assemble_psi,
-    continuum_propagator,
-    eigenphase,
+    diffusion_levels,
     eigenvalue_leading_order,
     eigenvalue_plus,
-    evolve_spectral,
-    fresnel_kernel,
+    engine_step_loop_deviation,
     momentum_grid,
+    schrodinger_levels,
     transfer_matrices,
-    transfer_power,
 )
 
 __all__ = [
     "main",
     "run_scenario",
     "ConfigError",
-    "schrodinger_levels",
-    "diffusion_levels",
-    "validate_level_sequence",
     "EXIT_OK",
     "EXIT_CONFIG",
     "EXIT_CHECK",
@@ -104,104 +94,126 @@ def _parse_bool(s: str) -> bool:
         return True
     if v in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"expected a boolean, got {s!r}")
-
-
-def _parse_alpha(s: str) -> float:
-    v = s.strip().lower()
-    if v == "sqrt2":
-        return SQRT2
-    try:
-        a = float(s)
-    except ValueError as exc:
-        raise ConfigError(f"alpha must be a number or 'sqrt2', got {s!r}") from exc
-    return a
-
-
-def _parse_float_list(s: str) -> tuple[float, ...]:
-    try:
-        vals = tuple(float(tok) for tok in s.split(",") if tok.strip())
-    except ValueError as exc:
-        raise ConfigError(f"expected comma-separated numbers, got {s!r}") from exc
-    if not vals:
-        raise ConfigError(f"expected a non-empty list, got {s!r}")
-    return vals
+    raise ValueError("expected a boolean")
 
 
 def _parse_choice(*choices: str):
     def parse(s: str) -> str:
         if s not in choices:
-            raise ConfigError(f"expected one of {choices}, got {s!r}")
+            raise ValueError(f"expected one of {choices}")
         return s
 
     return parse
 
 
+def _constrained(parse, rule: str, ok):
+    """A parser that also requires ok(value); rule names the constraint."""
+
+    def parse_constrained(s: str):
+        value = parse(s)
+        if not ok(value):
+            raise ValueError(f"must be {rule}")
+        return value
+
+    return parse_constrained
+
+
+_finite = _constrained(float, "finite", math.isfinite)
+_positive = _constrained(float, "positive and finite", lambda v: 0.0 < v < math.inf)
+_non_negative = _constrained(float, "non-negative and finite", lambda v: 0.0 <= v < math.inf)
+_unit_interval = _constrained(float, "within [0, 1]", lambda v: 0.0 <= v <= 1.0)
+_even_count = _constrained(int, "even and >= 2", lambda v: v >= 2 and v % 2 == 0)
+
+
+def _int_at_least(k: int):
+    return _constrained(int, f">= {k}", lambda v: v >= k)
+
+
+def _parse_alpha(s: str) -> float:
+    return SQRT2 if s.strip().lower() == "sqrt2" else _positive(s)
+
+
+def _positive_list(min_len: int, halving: bool = False):
+    """Comma-separated positive numbers, at least min_len, each half the last if halving."""
+
+    def parse(s: str) -> tuple[float, ...]:
+        vals = tuple(_positive(tok) for tok in s.split(",") if tok.strip())
+        if len(vals) < min_len:
+            raise ValueError(f"must list at least {min_len} values")
+        if halving and any(abs(b / a - 0.5) > 1e-9 for a, b in zip(vals, vals[1:])):
+            raise ValueError("each value must be half the one before")
+        return vals
+
+    return parse
+
+
 # Per-scenario configuration schema: key -> (parser, default as string).
-# All defaults are illustrative desk-scale choices, echoed into the
-# manifest; none of them is ground truth.
+# Each parser also enforces its key's own constraint, so an invalid value
+# exits 2 before any compute; rules that tie keys together are left to the
+# runner or the library.  All defaults are illustrative desk-scale
+# choices, echoed into the manifest; none of them is ground truth.
 SCHEMAS: dict[str, dict[str, tuple]] = {
     "clock-pattern": {
-        "t": (float, "20.0"),
-        "compton_period": (float, "4.0"),
-        "x_min": (float, "-25.0"),
-        "x_max": (float, "25.0"),
-        "x_step": (float, "0.05"),
-        "raster_t_min": (float, "0.5"),
-        "raster_t_max": (float, "25.0"),
-        "raster_t_step": (float, "0.5"),
+        "t": (_positive, "20.0"),
+        "compton_period": (_positive, "4.0"),
+        "x_min": (_finite, "-25.0"),
+        "x_max": (_finite, "25.0"),
+        "x_step": (_positive, "0.05"),
+        "raster_t_min": (_positive, "0.5"),
+        "raster_t_max": (_finite, "25.0"),
+        "raster_t_step": (_positive, "0.5"),
     },
     "propagator-compare": {
-        "t": (float, "20.0"),
-        "compton_period": (float, "4.0"),
-        "x_window": (float, "4.0"),
-        "x_step": (float, "0.01"),
-        "min_sign_agreement": (float, "0.95"),
-        "max_spacing_rel": (float, "0.10"),
+        "t": (_positive, "20.0"),
+        "compton_period": (_positive, "4.0"),
+        "x_window": (_positive, "4.0"),
+        "x_step": (_positive, "0.01"),
+        "min_sign_agreement": (_unit_interval, "0.95"),
+        "max_spacing_rel": (_positive, "0.10"),
         "alignment": (_parse_choice("aligned", "raw"), "aligned"),
     },
     "double-slit": {
-        "half_separation": (float, "4.0"),
-        "source_to_slit_time": (float, "8.0"),
-        "slit_to_screen_time": (float, "40.0"),
-        "compton_period": (float, "4.0"),
-        "x_min": (float, "-30.0"),
-        "x_max": (float, "30.0"),
-        "x_step": (float, "0.05"),
-        "node_tolerance": (float, "0.01"),
+        "half_separation": (_positive, "4.0"),
+        "source_to_slit_time": (_positive, "8.0"),
+        "slit_to_screen_time": (_positive, "40.0"),
+        "compton_period": (_positive, "4.0"),
+        "x_min": (_finite, "-30.0"),
+        "x_max": (_finite, "30.0"),
+        "x_step": (_positive, "0.05"),
+        "node_tolerance": (_non_negative, "0.01"),
     },
     "lattice-evolve": {
-        "delta": (float, "0.1"),
-        "diffusion": (float, "0.5"),
+        "delta": (_positive, "0.1"),
+        "diffusion": (_positive, "0.5"),
         "alpha": (_parse_alpha, "1.0"),
-        "n_steps": (int, "64"),
-        "snapshot_every": (int, "8"),
-        "site_count": (int, "0"),
+        "n_steps": (_int_at_least(1), "64"),
+        "snapshot_every": (_int_at_least(1), "8"),
+        "site_count": (_int_at_least(0), "0"),  # 0: 2 n_steps + 64
         "init": (_parse_choice("unit_state", "phi_point", "z_point"), "unit_state"),
         "initial_state": (int, "1"),
         "initial_site": (int, "-1"),
         "stroboscopic": (_parse_bool, "false"),
-        "mc_paths": (int, "0"),
+        "mc_paths": (_int_at_least(0), "0"),  # 0: no Monte Carlo overlay
     },
     "continuum-check": {
-        "deltas": (_parse_float_list, "0.2,0.1,0.05,0.025"),
-        "diffusion": (float, "0.5"),
-        "t": (float, "2.56"),
-        "p_window": (float, "2.0"),
-        "x_window": (float, "5.0"),
-        "diffusion_deltas": (_parse_float_list, "0.05,0.025,0.0125"),
-        "diffusion_t": (float, "1.0"),
-        "order_threshold": (float, "1.8"),
-        "l1_threshold": (float, "0.02"),
-        "pad": (int, "64"),
+        "deltas": (_positive_list(3, halving=True), "0.2,0.1,0.05,0.025"),
+        "diffusion": (_positive, "0.5"),
+        "t": (_positive, "2.56"),
+        "p_window": (_positive, "2.0"),
+        "x_window": (_positive, "5.0"),
+        "diffusion_deltas": (_positive_list(3, halving=True), "0.05,0.025,0.0125"),
+        "diffusion_t": (_positive, "1.0"),
+        "order_threshold": (_finite, "1.8"),
+        "l1_threshold": (_non_negative, "0.02"),
+        "pad": (_int_at_least(2), "64"),
     },
     "spectral-check": {
-        "delta": (float, "0.1"),
-        "site_count": (int, "1024"),
+        "delta": (_positive, "0.1"),
+        "site_count": (_even_count, "1024"),
         "alpha": (_parse_alpha, "sqrt2"),
-        "expansion_p": (float, "1.0"),
-        "expansion_deltas": (_parse_float_list, "0.2,0.1,0.05"),
-        "unitarity_tol": (float, "1e-14"),
+        "expansion_p": (_finite, "1.0"),
+        "expansion_deltas": (_positive_list(2), "0.2,0.1,0.05"),
+        "unitarity_tol": (_non_negative, "1e-14"),
     },
 }
 
@@ -244,176 +256,17 @@ def resolve_config(scenario: str, file_entries: dict[str, str], set_entries: lis
     for key, (parser, _) in schema.items():
         try:
             cfg[key] = parser(raw[key])
-        except ConfigError:
-            raise
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"invalid value for {key!r}: {raw[key]!r} ({exc})") from exc
     return cfg
 
 
 def _grid(x_min: float, x_max: float, step: float) -> np.ndarray:
-    if not (step > 0):
-        raise ConfigError(f"grid step must be positive, got {step}")
-    if not (x_max > x_min):
-        raise ConfigError(f"grid needs x_max > x_min, got [{x_min}, {x_max}]")
-    n = int(round((x_max - x_min) / step))
-    if n < 1:
-        raise ConfigError("grid needs at least two points")
-    return x_min + step * np.arange(n + 1)
-
-
-# ---------------------------------------------------------------------------
-# level studies (shared between the CLI and the acceptance tests)
-
-
-def validate_level_sequence(deltas, D: float, t: float) -> list[int]:
-    """Check a halving delta sequence against the mod-8 stroboscopic rule.
-
-    Returns the per-level step counts s = t/epsilon with epsilon fixed by
-    delta^2 = 2 D epsilon.  Raises ConfigError on non-halving sequences,
-    non-integer step counts, or step counts not divisible by 8.
-    """
-    deltas = list(deltas)
-    if len(deltas) < 2:
-        raise ConfigError("need at least two levels")
-    for d in deltas:
-        if not (d > 0):
-            raise ConfigError(f"deltas must be positive, got {d}")
-    for a, b in zip(deltas, deltas[1:]):
-        if abs(b / a - 0.5) > 1e-9:
-            raise ConfigError(f"levels must halve: {a} -> {b}")
-    steps = []
-    for d in deltas:
-        eps = d * d / (2.0 * D)
-        s_float = t / eps
-        s = int(round(s_float))
-        if abs(s_float - s) > 1e-6 or s <= 0:
-            raise ConfigError(f"t/epsilon = {s_float} is not a positive integer at delta={d}")
-        if s % 8 != 0:
-            raise ConfigError(f"level delta={d} gives s={s}, violating the mod-8 rule")
-        steps.append(s)
-    return steps
-
-
-def _level_params(delta: float, D: float, s: int, pad: int, alpha: float) -> LatticeParams:
-    n = 2 * s + pad
-    if n % 2:
-        n += 1
-    return LatticeParams(delta=delta, epsilon=delta * delta / (2.0 * D), site_count=n, alpha=alpha)
-
-
-def schrodinger_level(delta: float, D: float, t: float, p_window: float, x_window: float, pad: int = 64) -> dict:
-    """One level of the norm-preserving continuum study.
-
-    Evolves the phi point source s steps with the spectral engine,
-    assembles psi+, and measures: the rotation-angle error (exact
-    eigenvalue phase to the s-th power against the continuum rotation
-    phase, rms over the momentum grid inside the window), the full-matrix
-    error (T^s against the rotation matrix, same window, reported), the
-    kernel errors (sampled psi+ density against the Fresnel kernel: raw,
-    even part, odd fraction), and the p = 0 eight-step identity residual.
-
-    The raw kernel error carries an O(delta) odd-in-x component from the
-    eigenvector (branch) admixture of the transfer matrix, which is odd in
-    p; the even part isolates the kernel comparison the continuum limit
-    actually controls at second order.  Both are returned.
-    """
-    s = validate_level_sequence([delta, delta / 2], D, t)[0]
-    params = _level_params(delta, D, s, pad, SQRT2)
-    n = params.site_count
-    m0 = n // 2
-
-    # rotation-angle (eigenphase) error over the in-window momentum grid;
-    # the eigenvalue modulus is 1 at alpha = sqrt(2)
-    p = momentum_grid(params)
-    pw = p[np.abs(p) <= p_window]
-    lam_s = np.exp(1j * s * eigenphase(pw * delta))
-    rot_err = float(np.sqrt(np.mean(np.abs(lam_s - np.exp(1j * pw * pw * D * t)) ** 2)))
-
-    # full-matrix error against the rotation, reported alongside
-    frob = np.linalg.norm(transfer_power(pw, delta, SQRT2, s) - continuum_propagator(pw, D, t), axis=(-2, -1))
-    matrix_err = float(np.sqrt(np.mean(np.square(frob))))
-
-    # evolution of the phi point source
-    phi = evolve_spectral(point_source_phi(params, m0).phi, params, "phi", s)
-    psi_plus, _ = assemble_psi(phi[0], phi[1])
-
-    # sample the populated sublattice and convert to a density
-    kmax = int(math.floor(x_window / (2.0 * delta)))
-    kk = np.arange(-kmax, kmax + 1)
-    x = 2.0 * kk * delta
-    est = psi_plus[m0 + 2 * kk] * PSI_DENSITY_CALIBRATION / (2.0 * delta)
-    ker = fresnel_kernel(x, t, D)
-    ker_norm = float(np.linalg.norm(ker))
-    raw = float(np.linalg.norm(est - ker)) / ker_norm
-    est_even = 0.5 * (est + est[::-1])
-    est_odd = 0.5 * (est - est[::-1])
-    even = float(np.linalg.norm(est_even - ker)) / ker_norm
-    odd_fraction = float(np.linalg.norm(est_odd)) / ker_norm
-
-    p0 = np.linalg.matrix_power(transfer_matrices(0.0, delta, SQRT2), 8)
-    p0_residual = float(np.max(np.abs(p0 - np.eye(2))))
-
-    return {
-        "delta": delta,
-        "s": s,
-        "rotation_angle_error": rot_err,
-        "matrix_error": matrix_err,
-        "kernel_raw_rel": raw,
-        "kernel_even_rel": even,
-        "odd_fraction": odd_fraction,
-        "p0_residual": p0_residual,
-    }
-
-
-def schrodinger_levels(deltas, D: float, t: float, p_window: float, x_window: float, pad: int = 64) -> dict:
-    """Halving-delta convergence study of the norm-preserving branch."""
-    validate_level_sequence(deltas, D, t)
-    levels = [schrodinger_level(d, D, t, p_window, x_window, pad) for d in deltas]
-    ds = [lv["delta"] for lv in levels]
-    return {
-        "levels": levels,
-        "rotation_order": fit_convergence_order(ds, [lv["rotation_angle_error"] for lv in levels]),
-        "matrix_order": fit_convergence_order(ds, [lv["matrix_error"] for lv in levels]),
-        "kernel_raw_order": fit_convergence_order(ds, [lv["kernel_raw_rel"] for lv in levels]),
-        "kernel_even_order": fit_convergence_order(ds, [lv["kernel_even_rel"] for lv in levels]),
-    }
-
-
-def diffusion_levels(deltas, D: float, t: float, pad: int = 64) -> dict:
-    """Bare-walk (alpha = 1) z-field against the heat kernel, per level.
-
-    The point source's direction-summed density on the populated
-    sublattice is compared in L1, relative to the kernel's unit mass.
-    """
-    steps = validate_level_sequence(deltas, D, t)
-    errors = []
-    for delta, s in zip(deltas, steps):
-        params = _level_params(delta, D, s, pad, 1.0)
-        m0 = params.site_count // 2
-        z = evolve_spectral(point_source_z(params, m0).z, params, "z", s)
-        kmax = s // 2
-        kk = np.arange(-kmax, kmax + 1)
-        x = 2.0 * kk * delta
-        dens = (z[0] + z[1])[m0 + 2 * kk] / (2.0 * delta)
-        g = diffusion_green(x, t, D)
-        errors.append(float(np.sum(np.abs(dens - g)) * 2.0 * delta))
-    return {"deltas": list(deltas), "steps": steps, "l1_rel": errors}
-
-
-def engine_step_loop_deviation(delta: float, D: float, s: int, pad: int, block: str) -> float:
-    """max |spectral engine - step loop| / max |step loop| for one level's point source.
-
-    The per-step maps phi_step (alpha = sqrt(2)) and z_step are the oracle
-    that the spectral engine of the level studies is checked against.
-    """
-    alpha, source, step = (SQRT2, point_source_phi, phi_step) if block == "phi" else (1.0, point_source_z, z_step)
-    params = _level_params(delta, D, s, pad, alpha)
-    start = getattr(source(params, params.site_count // 2), block)
-    loop = start
-    for _ in range(s):
-        loop = step(loop, params)
-    return float(np.max(np.abs(evolve_spectral(start, params, block, s) - loop)) / np.max(np.abs(loop)))
+    """x_min, x_min + step, ... to x_max rounded to whole steps (the schema makes step > 0)."""
+    span = (x_max - x_min) / step
+    if not (x_max > x_min and 0.5 < span < math.inf):
+        raise ConfigError(f"grid [{x_min}, {x_max}] in steps of {step} needs x_max > x_min and finitely many points")
+    return x_min + step * np.arange(int(round(span)) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -472,12 +325,8 @@ def _pattern_crossing_check(t: float, units: UnitsConfig, pattern: Pattern) -> t
 
 def run_clock_pattern(cfg: dict, seed: int) -> ScenarioResult:
     units = UnitsConfig(cfg["compton_period"])
-    if not (cfg["t"] > 0):
-        raise ConfigError(f"t must be positive, got {cfg['t']}")
     xs = _grid(cfg["x_min"], cfg["x_max"], cfg["x_step"])
     ts = _grid(cfg["raster_t_min"], cfg["raster_t_max"], cfg["raster_t_step"])
-    if cfg["raster_t_min"] <= 0:
-        raise ConfigError("raster_t_min must be positive")
 
     slice_pattern = plane_pattern(cfg["t"], xs, units)
     raster = [plane_pattern(tv, xs, units) for tv in ts.tolist()]
@@ -501,12 +350,6 @@ def run_clock_pattern(cfg: dict, seed: int) -> ScenarioResult:
 
 def run_propagator_compare(cfg: dict, seed: int) -> ScenarioResult:
     units = UnitsConfig(cfg["compton_period"])
-    if not (cfg["t"] > 0):
-        raise ConfigError(f"t must be positive, got {cfg['t']}")
-    if not (0.0 <= cfg["min_sign_agreement"] <= 1.0):
-        raise ConfigError("min_sign_agreement must lie in [0, 1]")
-    if not (cfg["max_spacing_rel"] > 0):
-        raise ConfigError("max_spacing_rel must be positive")
     w = cfg["x_window"]
     xs = _grid(-w, w, cfg["x_step"])
 
@@ -543,8 +386,6 @@ def run_propagator_compare(cfg: dict, seed: int) -> ScenarioResult:
 
 def run_double_slit(cfg: dict, seed: int) -> ScenarioResult:
     units = UnitsConfig(cfg["compton_period"])
-    if not (cfg["half_separation"] > 0):
-        raise ConfigError(f"node spacing pi t/(m a) needs half_separation > 0, got {cfg['half_separation']}")
     xs = _grid(cfg["x_min"], cfg["x_max"], cfg["x_step"])
     geom = SlitGeometry(
         half_separation=cfg["half_separation"],
@@ -603,17 +444,8 @@ def run_double_slit(cfg: dict, seed: int) -> ScenarioResult:
 
 def run_lattice_evolve(cfg: dict, seed: int) -> ScenarioResult:
     delta, D = cfg["delta"], cfg["diffusion"]
-    if not (delta > 0 and D > 0):
-        raise ConfigError("delta and diffusion must be positive")
-    n_steps = cfg["n_steps"]
-    every = cfg["snapshot_every"]
-    if n_steps < 1 or every < 1:
-        raise ConfigError("n_steps and snapshot_every must be >= 1")
-    if cfg["stroboscopic"] and (n_steps % 8 != 0 or every % 8 != 0):
-        raise ConfigError(
-            f"stroboscopic run requires n_steps and snapshot_every % 8 == 0, got {n_steps}, {every}"
-        )
-    n = cfg["site_count"] if cfg["site_count"] > 0 else 2 * n_steps + 64
+    n_steps, every = cfg["n_steps"], cfg["snapshot_every"]
+    n = cfg["site_count"] or 2 * n_steps + 64
     if n <= 2 * n_steps:
         raise ConfigError(f"site_count {n} cannot hold {n_steps} steps without wraparound")
     params = LatticeParams(delta=delta, epsilon=delta * delta / (2.0 * D), site_count=n, alpha=cfg["alpha"])
@@ -624,8 +456,6 @@ def run_lattice_evolve(cfg: dict, seed: int) -> ScenarioResult:
         raise ConfigError("the Monte Carlo overlay requires init=unit_state")
 
     if cfg["init"] == "unit_state":
-        if cfg["initial_state"] not in (1, 2, 3, 4):
-            raise ConfigError(f"initial_state must be 1..4, got {cfg['initial_state']}")
         state: object = unit_state_field(params, cfg["initial_state"], site)
     elif cfg["init"] == "phi_point":
         state = point_source_phi(params, site)
@@ -728,25 +558,15 @@ def run_lattice_evolve(cfg: dict, seed: int) -> ScenarioResult:
 
 
 def run_continuum_check(cfg: dict, seed: int) -> ScenarioResult:
-    D, t = cfg["diffusion"], cfg["t"]
-    if not (D > 0 and t > 0 and cfg["diffusion_t"] > 0):
-        raise ConfigError("diffusion, t, and diffusion_t must be positive")
-    if len(cfg["deltas"]) < 3 or len(cfg["diffusion_deltas"]) < 3:
-        raise ConfigError("order fits need at least three levels")
-    phi_steps = validate_level_sequence(cfg["deltas"], D, t)
-    z_steps = validate_level_sequence(cfg["diffusion_deltas"], D, cfg["diffusion_t"])
-    if cfg["pad"] < 2:
-        raise ConfigError("pad must be >= 2")
-
-    study = schrodinger_levels(cfg["deltas"], D, t, cfg["p_window"], cfg["x_window"], cfg["pad"])
-    diff = diffusion_levels(cfg["diffusion_deltas"], D, cfg["diffusion_t"], cfg["pad"])
+    D, pad = cfg["diffusion"], cfg["pad"]
+    study = schrodinger_levels(cfg["deltas"], D, cfg["t"], cfg["p_window"], cfg["x_window"], pad)
+    diff = diffusion_levels(cfg["diffusion_deltas"], D, cfg["diffusion_t"], pad)
+    levels = study["levels"]
     # The step loop reruns the coarsest level of each study as the oracle.
     engine_dev = max(
-        engine_step_loop_deviation(cfg["deltas"][0], D, phi_steps[0], cfg["pad"], "phi"),
-        engine_step_loop_deviation(cfg["diffusion_deltas"][0], D, z_steps[0], cfg["pad"], "z"),
+        engine_step_loop_deviation(levels[0]["delta"], D, levels[0]["s"], pad, "phi"),
+        engine_step_loop_deviation(diff["deltas"][0], D, diff["steps"][0], pad, "z"),
     )
-
-    levels = study["levels"]
     raw = [lv["kernel_raw_rel"] for lv in levels]
 
     thr = cfg["order_threshold"]
@@ -782,15 +602,8 @@ def run_continuum_check(cfg: dict, seed: int) -> ScenarioResult:
 
 def run_spectral_check(cfg: dict, seed: int) -> ScenarioResult:
     delta, alpha = cfg["delta"], cfg["alpha"]
-    if not (delta > 0):
-        raise ConfigError("delta must be positive")
-    n = cfg["site_count"]
-    if n < 2 or n % 2:
-        raise ConfigError(f"site_count must be even and >= 2, got {n}")
     exp_deltas = cfg["expansion_deltas"]
-    if len(exp_deltas) < 2:
-        raise ConfigError("expansion fit needs at least two deltas")
-    params = LatticeParams(delta=delta, epsilon=delta * delta, site_count=n, alpha=alpha)
+    params = LatticeParams(delta=delta, epsilon=delta * delta, site_count=cfg["site_count"], alpha=alpha)
     ps = momentum_grid(params)
 
     # Per momentum: unitarity residual, |lambda+/-|, Re det, Im det.

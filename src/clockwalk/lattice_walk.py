@@ -22,7 +22,6 @@ __all__ = [
     "FourStateField",
     "DecomposedField",
     "McEstimate",
-    "zeros_field",
     "unit_state_field",
     "point_source_phi",
     "point_source_z",
@@ -32,7 +31,6 @@ __all__ = [
     "z_step",
     "phi_step",
     "evolve",
-    "mirror_field",
     "monte_carlo_estimate",
     "field_variance",
 ]
@@ -121,15 +119,11 @@ class McEstimate:
     deposit_quantum: float
 
 
-def zeros_field(params: LatticeParams) -> FourStateField:
-    return FourStateField(np.zeros((4, params.site_count)), 0)
-
-
 def unit_state_field(params: LatticeParams, state: int, site: int) -> FourStateField:
     """Unit mass in a single state at a single site."""
     if state not in (1, 2, 3, 4):
         raise ValueError(f"state must be 1..4, got {state}")
-    f = zeros_field(params)
+    f = FourStateField(np.zeros((4, params.site_count)), 0)
     f.p[state - 1, site % params.site_count] = 1.0
     return f
 
@@ -246,22 +240,6 @@ def evolve(field, params: LatticeParams, n_steps: int, stroboscopic: bool = Fals
             phi = phi_step(phi, params)
         return DecomposedField(z, phi, field.step_index + n_steps)
     raise TypeError(f"cannot evolve {type(field).__name__}")
-
-
-def mirror_field(f: FourStateField) -> FourStateField:
-    """Spatial mirror of a four-state field: m -> -m with the state cycle shifted.
-
-    The reflection that commutes with the walk is q_k(m) = p_{k+1}(-m)
-    (cycle shift 1->2->3->4->1, indices mod 4), not the naive swap of the
-    two right-movers with the two left-movers: reflecting a right-mover
-    mid-cycle lands on the left-mover that FOLLOWS it in the cycle, which
-    keeps the move-then-advance ordering intact.  Applying mirror_field
-    four times is the identity.
-    """
-    n = f.p.shape[1]
-    idx = (-np.arange(n)) % n
-    new = np.stack([f.p[1][idx], f.p[2][idx], f.p[3][idx], f.p[0][idx]])
-    return FourStateField(new, f.step_index)
 
 
 # States 1..4 mapped to internal 0..3: direction +1 for even rows (states

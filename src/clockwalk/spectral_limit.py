@@ -3,8 +3,9 @@
 Real Fourier transform of a z or phi pair, the one-step transfer matrix
 and its exact eigenvalues, closed-form and stroboscopic matrix powers, the
 spectral evolution engine of the z and phi blocks, the continuum rotation
-propagator, assembly of the two spin components, and the position-space
-Fresnel kernels they converge to.
+propagator, assembly of the two spin components, the position-space
+Fresnel kernels they converge to, and the halving-delta level studies that
+show the walk's diffusion and Schrodinger limits.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice_walk import SQRT2, LatticeParams
+from .lattice_walk import SQRT2, LatticeParams, phi_step, point_source_phi, point_source_z, z_step
+from .reference_solutions import diffusion_green, fit_convergence_order
 
 __all__ = [
     "TransferMatrix",
@@ -35,6 +37,11 @@ __all__ = [
     "evolve_spectral",
     "assemble_psi",
     "fresnel_kernel",
+    "validate_level_sequence",
+    "schrodinger_level",
+    "schrodinger_levels",
+    "diffusion_levels",
+    "engine_step_loop_deviation",
 ]
 
 # Frozen lattice-to-continuum calibration for the assembled psi+ density.
@@ -294,3 +301,160 @@ def fresnel_kernel(x, t: float, D: float, branch: str = "+"):
     phase = x * x / (4.0 * D * t) - 0.25 * math.pi
     value = np.exp(1j * phase) / math.sqrt(4.0 * math.pi * D * t)
     return np.conj(value) if branch == "-" else value
+
+
+# ---------------------------------------------------------------------------
+# continuum level studies
+
+
+def validate_level_sequence(deltas, D: float, t: float) -> list[int]:
+    """Per-level step counts s = t/epsilon of a halving delta sequence.
+
+    epsilon is fixed by delta^2 = 2 D epsilon.  Raises ValueError on fewer
+    than two levels, non-halving sequences, non-integer step counts, or
+    step counts not divisible by 8 (the stroboscopic rule).
+    """
+    deltas = list(deltas)
+    if len(deltas) < 2:
+        raise ValueError("need at least two levels")
+    if not (0.0 < D < math.inf and 0.0 < t < math.inf):
+        raise ValueError(f"D and t must be positive and finite, got {D}, {t}")
+    for d in deltas:
+        if not (d > 0):
+            raise ValueError(f"deltas must be positive, got {d}")
+    for a, b in zip(deltas, deltas[1:]):
+        if abs(b / a - 0.5) > 1e-9:
+            raise ValueError(f"levels must halve: {a} -> {b}")
+    steps = []
+    for d in deltas:
+        eps = d * d / (2.0 * D)
+        s_float = t / eps
+        s = int(round(s_float))
+        if abs(s_float - s) > 1e-6 or s <= 0:
+            raise ValueError(f"t/epsilon = {s_float} is not a positive integer at delta={d}")
+        if s % 8 != 0:
+            raise ValueError(f"level delta={d} gives s={s}, violating the mod-8 rule")
+        steps.append(s)
+    return steps
+
+
+def _level_params(delta: float, D: float, s: int, pad: int, alpha: float) -> LatticeParams:
+    n = 2 * s + pad
+    if n % 2:
+        n += 1
+    return LatticeParams(delta=delta, epsilon=delta * delta / (2.0 * D), site_count=n, alpha=alpha)
+
+
+def schrodinger_level(
+    delta: float, s: int, D: float, t: float, p_window: float, x_window: float, pad: int = 64
+) -> dict:
+    """One level of the norm-preserving continuum study, s = t/epsilon steps.
+
+    Evolves the phi point source s steps with the spectral engine,
+    assembles psi+, and measures: the rotation-angle error (exact
+    eigenvalue phase to the s-th power against the continuum rotation
+    phase, rms over the momentum grid inside the window), the full-matrix
+    error (T^s against the rotation matrix, same window, reported), the
+    kernel errors (sampled psi+ density against the Fresnel kernel: raw,
+    even part, odd fraction), and the p = 0 eight-step identity residual.
+
+    The raw kernel error carries an O(delta) odd-in-x component from the
+    eigenvector (branch) admixture of the transfer matrix, which is odd in
+    p; the even part isolates the kernel comparison the continuum limit
+    actually controls at second order.  Both are returned.
+    """
+    params = _level_params(delta, D, s, pad, SQRT2)
+    n = params.site_count
+    m0 = n // 2
+
+    # rotation-angle (eigenphase) error over the in-window momentum grid;
+    # the eigenvalue modulus is 1 at alpha = sqrt(2)
+    p = momentum_grid(params)
+    pw = p[np.abs(p) <= p_window]
+    lam_s = np.exp(1j * s * eigenphase(pw * delta))
+    rot_err = float(np.sqrt(np.mean(np.abs(lam_s - np.exp(1j * pw * pw * D * t)) ** 2)))
+
+    # full-matrix error against the rotation, reported alongside
+    frob = np.linalg.norm(transfer_power(pw, delta, SQRT2, s) - continuum_propagator(pw, D, t), axis=(-2, -1))
+    matrix_err = float(np.sqrt(np.mean(np.square(frob))))
+
+    # evolution of the phi point source
+    phi = evolve_spectral(point_source_phi(params, m0).phi, params, "phi", s)
+    psi_plus, _ = assemble_psi(phi[0], phi[1])
+
+    # sample the populated sublattice and convert to a density
+    kmax = int(math.floor(x_window / (2.0 * delta)))
+    kk = np.arange(-kmax, kmax + 1)
+    x = 2.0 * kk * delta
+    est = psi_plus[m0 + 2 * kk] * PSI_DENSITY_CALIBRATION / (2.0 * delta)
+    ker = fresnel_kernel(x, t, D)
+    ker_norm = float(np.linalg.norm(ker))
+    raw = float(np.linalg.norm(est - ker)) / ker_norm
+    est_even = 0.5 * (est + est[::-1])
+    est_odd = 0.5 * (est - est[::-1])
+    even = float(np.linalg.norm(est_even - ker)) / ker_norm
+    odd_fraction = float(np.linalg.norm(est_odd)) / ker_norm
+
+    p0 = np.linalg.matrix_power(transfer_matrices(0.0, delta, SQRT2), 8)
+    p0_residual = float(np.max(np.abs(p0 - np.eye(2))))
+
+    return {
+        "delta": delta,
+        "s": s,
+        "rotation_angle_error": rot_err,
+        "matrix_error": matrix_err,
+        "kernel_raw_rel": raw,
+        "kernel_even_rel": even,
+        "odd_fraction": odd_fraction,
+        "p0_residual": p0_residual,
+    }
+
+
+def schrodinger_levels(deltas, D: float, t: float, p_window: float, x_window: float, pad: int = 64) -> dict:
+    """Halving-delta convergence study of the norm-preserving branch."""
+    steps = validate_level_sequence(deltas, D, t)
+    levels = [schrodinger_level(d, s, D, t, p_window, x_window, pad) for d, s in zip(deltas, steps)]
+    ds = [lv["delta"] for lv in levels]
+    return {
+        "levels": levels,
+        "rotation_order": fit_convergence_order(ds, [lv["rotation_angle_error"] for lv in levels]),
+        "matrix_order": fit_convergence_order(ds, [lv["matrix_error"] for lv in levels]),
+        "kernel_raw_order": fit_convergence_order(ds, [lv["kernel_raw_rel"] for lv in levels]),
+        "kernel_even_order": fit_convergence_order(ds, [lv["kernel_even_rel"] for lv in levels]),
+    }
+
+
+def diffusion_levels(deltas, D: float, t: float, pad: int = 64) -> dict:
+    """Bare-walk (alpha = 1) z-field against the heat kernel, per level.
+
+    The point source's direction-summed density on the populated
+    sublattice is compared in L1, relative to the kernel's unit mass.
+    """
+    steps = validate_level_sequence(deltas, D, t)
+    errors = []
+    for delta, s in zip(deltas, steps):
+        params = _level_params(delta, D, s, pad, 1.0)
+        m0 = params.site_count // 2
+        z = evolve_spectral(point_source_z(params, m0).z, params, "z", s)
+        kmax = s // 2
+        kk = np.arange(-kmax, kmax + 1)
+        x = 2.0 * kk * delta
+        dens = (z[0] + z[1])[m0 + 2 * kk] / (2.0 * delta)
+        g = diffusion_green(x, t, D)
+        errors.append(float(np.sum(np.abs(dens - g)) * 2.0 * delta))
+    return {"deltas": list(deltas), "steps": steps, "l1_rel": errors}
+
+
+def engine_step_loop_deviation(delta: float, D: float, s: int, pad: int, block: str) -> float:
+    """max |spectral engine - step loop| / max |step loop| for one level's point source.
+
+    The per-step maps phi_step (alpha = sqrt(2)) and z_step are the oracle
+    that the spectral engine of the level studies is checked against.
+    """
+    alpha, source, step = (SQRT2, point_source_phi, phi_step) if block == "phi" else (1.0, point_source_z, z_step)
+    params = _level_params(delta, D, s, pad, alpha)
+    start = getattr(source(params, params.site_count // 2), block)
+    loop = start
+    for _ in range(s):
+        loop = step(loop, params)
+    return float(np.max(np.abs(evolve_spectral(start, params, block, s) - loop)) / np.max(np.abs(loop)))

@@ -13,12 +13,7 @@ from pathlib import Path
 import numpy as np
 from conftest import record_acceptance
 
-from clockwalk.experiments_cli import (
-    EXIT_OK,
-    diffusion_levels,
-    main,
-    schrodinger_levels,
-)
+from clockwalk.experiments_cli import EXIT_OK, main
 from clockwalk.kinematics import UnitsConfig
 from clockwalk.lattice_walk import (
     SQRT2,
@@ -45,10 +40,12 @@ from clockwalk.reference_solutions import (
 )
 from clockwalk.clock_signal import SlitGeometry, double_slit_phi, plane_pattern
 from clockwalk.spectral_limit import (
+    diffusion_levels,
     eigenvalue_leading_order,
     eigenvalues,
     evolve_spectral,
     momentum_grid,
+    schrodinger_levels,
     stroboscopic_power,
     transfer_matrix,
 )

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from clockwalk import experiments_cli, lattice_walk
+from clockwalk import experiments_cli, lattice_walk, spectral_limit
 from clockwalk.experiments_cli import (
     EXIT_CHECK,
     EXIT_CONFIG,
@@ -227,6 +227,16 @@ class TestConfigErrors:
             ("lattice-evolve", "alpha=-1"),  # LatticeParams
             ("lattice-evolve", "initial_site=-5"),  # only -1 means the centre
             ("spectral-check", "expansion_deltas=0.1"),  # a fit needs two deltas
+            # Values no check caught: a traceback (exit 1), a silently
+            # dropped overlay (exit 0) or a run written with exit 3.
+            ("clock-pattern", "raster_t_max=inf"),
+            ("clock-pattern", "x_max=inf"),
+            ("propagator-compare", "x_window=inf"),
+            ("continuum-check", "x_window=-1"),
+            ("continuum-check", "diffusion=inf"),
+            ("lattice-evolve", "mc_paths=-3"),
+            ("continuum-check", "l1_threshold=nan"),
+            ("spectral-check", "unitarity_tol=nan"),
         ],
     )
     def test_library_rejections_are_config_errors(self, tmp_path, capsys, scenario, entry):
@@ -234,6 +244,23 @@ class TestConfigErrors:
         assert run(scenario, out, "--set", entry) == EXIT_CONFIG
         assert "configuration error" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "scenario,key",
+        [
+            (scenario, key)
+            for scenario, schema in experiments_cli.SCHEMAS.items()
+            for key, (parser, default) in schema.items()
+            if isinstance(parser(default), (float, tuple))
+        ],
+    )
+    def test_non_finite_float_is_config_error(self, tmp_path, scenario, key):
+        # Every float and float-list key is rejected by its schema parser,
+        # before any compute.
+        for value in ("nan", "inf", "-inf"):
+            out = tmp_path / value
+            assert run(scenario, out, "--set", f"{key}={value}") == EXIT_CONFIG
+            assert not out.exists()
 
 
 class TestCheckFailure:
@@ -259,12 +286,34 @@ class TestCheckFailure:
     def test_wrong_step_map_fails_engine_check(self, tmp_path, monkeypatch, name, mutant):
         # The step loop is the oracle of the spectral engine: a step map
         # that disagrees with the engine's closed form must fail the run.
-        monkeypatch.setattr(experiments_cli, name, mutant)
+        monkeypatch.setattr(spectral_limit, name, mutant)
         out = tmp_path / "cont"
         assert run("continuum-check", out) == EXIT_CHECK
         rep = report(out)
         assert rep["checks"]["engine_matches_step_loop"] is False
         assert rep["engine_step_loop_rel_dev"] > 1e-12
+
+
+class TestBenchmarkHooks:
+    def test_traced_child_sees_runner_config_and_oracle_steps(self, tmp_path):
+        # perfbench/child.py wraps RUNNERS, resolve_config and the step maps
+        # from outside the package, where each module looks them up.
+        record = tmp_path / "record.json"
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "perfbench" / "child.py"), str(record), "1", "--",
+             "continuum-check", "--out", str(tmp_path / "run")],
+            capture_output=True,
+            text=True,
+            env=source_env(),
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        rec = json.loads(record.read_text())
+        names = [span[0] for span in rec["spans"]]
+        assert "runner_entry" in rec
+        assert {"experiments_cli.runner", "experiments_cli.resolve_config"} <= set(names)
+        # The oracle's step loop at the coarsest level of each study:
+        # 64 phi steps (delta 0.2, t 2.56) and 400 z steps (delta 0.05, t 1).
+        assert sum(name.rpartition(".")[0] == "lattice_walk.step" for name in names) == 64 + 400
 
 
 class TestIoFailure:
