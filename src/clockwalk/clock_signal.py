@@ -30,6 +30,7 @@ __all__ = [
     "plane_pattern",
     "lorentz_filter",
     "double_slit_phi",
+    "gap_intervals",
 ]
 
 
@@ -133,3 +134,9 @@ def double_slit_phi(geom: SlitGeometry, x, units: UnitsConfig) -> Pattern:
     value = np.zeros(x.shape, dtype=int)
     value[in_cone] = lorentz_filter(*parities)
     return Pattern(x, value, in_cone)
+
+
+def gap_intervals(pattern: Pattern) -> list[tuple[float, float]]:
+    """(first, last) position of each gap: each maximal run of in-cone zeros."""
+    edges = np.diff(np.concatenate(([0], (pattern.in_cone & (pattern.value == 0)).astype(int), [0])))
+    return list(zip(pattern.x[edges[:-1] == 1].tolist(), pattern.x[edges[1:] == -1].tolist()))

@@ -30,16 +30,13 @@ except ImportError:  # not available on Windows
 import numpy as np
 
 from . import __version__
-from .clock_signal import Pattern, SlitGeometry, double_slit_phi, plane_pattern
+from .clock_signal import Pattern, SlitGeometry, double_slit_phi, gap_intervals, plane_pattern
 from .kinematics import UnitsConfig, proper_time
 from .lattice_walk import (
     SQRT2,
-    DecomposedField,
     LatticeParams,
-    decompose,
-    compose,
-    deposit_standard_errors,
-    evolve,
+    band_deviations,
+    evolve_snapshots,
     field_variance,
     monte_carlo_estimate,
     point_source_phi,
@@ -51,8 +48,9 @@ from .reference_solutions import (
     compare,
     feynman_free,
     fit_convergence_order,
-    local_minima,
+    node_spacing_deviation,
     two_source_superposition,
+    zero_crossings,
 )
 from .spectral_limit import (
     diffusion_levels,
@@ -61,7 +59,7 @@ from .spectral_limit import (
     engine_step_loop_deviation,
     momentum_grid,
     schrodinger_levels,
-    transfer_matrices,
+    transfer_diagnostics,
 )
 
 __all__ = [
@@ -147,75 +145,24 @@ def _positive_list(min_len: int, halving: bool = False):
     return parse
 
 
-# Per-scenario configuration schema: key -> (parser, default as string).
+# Per-scenario configuration schema, key -> (parser, default as string),
+# and runner, both declared once per scenario by @scenario at its runner.
 # Each parser also enforces its key's own constraint, so an invalid value
 # exits 2 before any compute; rules that tie keys together are left to the
 # runner or the library.  All defaults are illustrative desk-scale
 # choices, echoed into the manifest; none of them is ground truth.
-SCHEMAS: dict[str, dict[str, tuple]] = {
-    "clock-pattern": {
-        "t": (_positive, "20.0"),
-        "compton_period": (_positive, "4.0"),
-        "x_min": (_finite, "-25.0"),
-        "x_max": (_finite, "25.0"),
-        "x_step": (_positive, "0.05"),
-        "raster_t_min": (_positive, "0.5"),
-        "raster_t_max": (_finite, "25.0"),
-        "raster_t_step": (_positive, "0.5"),
-    },
-    "propagator-compare": {
-        "t": (_positive, "20.0"),
-        "compton_period": (_positive, "4.0"),
-        "x_window": (_positive, "4.0"),
-        "x_step": (_positive, "0.01"),
-        "min_sign_agreement": (_unit_interval, "0.95"),
-        "max_spacing_rel": (_positive, "0.10"),
-        "alignment": (_parse_choice("aligned", "raw"), "aligned"),
-    },
-    "double-slit": {
-        "half_separation": (_positive, "4.0"),
-        "source_to_slit_time": (_positive, "8.0"),
-        "slit_to_screen_time": (_positive, "40.0"),
-        "compton_period": (_positive, "4.0"),
-        "x_min": (_finite, "-30.0"),
-        "x_max": (_finite, "30.0"),
-        "x_step": (_positive, "0.05"),
-        "node_tolerance": (_non_negative, "0.01"),
-    },
-    "lattice-evolve": {
-        "delta": (_positive, "0.1"),
-        "diffusion": (_positive, "0.5"),
-        "alpha": (_parse_alpha, "1.0"),
-        "n_steps": (_int_at_least(1), "64"),
-        "snapshot_every": (_int_at_least(1), "8"),
-        "site_count": (_int_at_least(0), "0"),  # 0: 2 n_steps + 64
-        "init": (_parse_choice("unit_state", "phi_point", "z_point"), "unit_state"),
-        "initial_state": (int, "1"),
-        "initial_site": (int, "-1"),
-        "stroboscopic": (_parse_bool, "false"),
-        "mc_paths": (_int_at_least(0), "0"),  # 0: no Monte Carlo overlay
-    },
-    "continuum-check": {
-        "deltas": (_positive_list(3, halving=True), "0.2,0.1,0.05,0.025"),
-        "diffusion": (_positive, "0.5"),
-        "t": (_positive, "2.56"),
-        "p_window": (_positive, "2.0"),
-        "x_window": (_positive, "5.0"),
-        "diffusion_deltas": (_positive_list(3, halving=True), "0.05,0.025,0.0125"),
-        "diffusion_t": (_positive, "1.0"),
-        "order_threshold": (_finite, "1.8"),
-        "l1_threshold": (_non_negative, "0.02"),
-        "pad": (_int_at_least(2), "64"),
-    },
-    "spectral-check": {
-        "delta": (_positive, "0.1"),
-        "site_count": (_even_count, "1024"),
-        "alpha": (_parse_alpha, "sqrt2"),
-        "expansion_p": (_finite, "1.0"),
-        "expansion_deltas": (_positive_list(2), "0.2,0.1,0.05"),
-        "unitarity_tol": (_non_negative, "1e-14"),
-    },
-}
+SCHEMAS: dict[str, dict[str, tuple]] = {}
+RUNNERS: dict = {}
+
+
+def scenario(name: str, **schema: tuple):
+    """Register the decorated runner and its config schema under name."""
+
+    def register(runner):
+        SCHEMAS[name], RUNNERS[name] = schema, runner
+        return runner
+
+    return register
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -302,7 +249,7 @@ def _pattern_crossing_check(t: float, units: UnitsConfig, pattern: Pattern) -> t
     Every analytic crossing inside the sampled window must have a sampled
     sign change within one grid cell and vice versa.
     """
-    xs, vals, ok = pattern.x, pattern.value, pattern.in_cone
+    xs = pattern.x
     h = float(xs[1] - xs[0])
     taus = units.half_period * np.arange(1.0, t / units.half_period + 1.0)
     xk = proper_time(t, taus[taus <= t, None])
@@ -311,8 +258,7 @@ def _pattern_crossing_check(t: float, units: UnitsConfig, pattern: Pattern) -> t
     predicted = np.sort(np.concatenate([xk, -xk[xk > 0.0]]))
     predicted = predicted[(lo <= predicted) & (predicted <= hi)]
 
-    flips = ok[:-1] & ok[1:] & (vals[:-1] * vals[1:] < 0)
-    mids = (0.5 * (xs[:-1] + xs[1:]))[flips]
+    mids = zero_crossings(SampledSignal(xs, pattern.value))
     near = np.abs(mids[:, None] - predicted[None, :]) <= h
     info = {
         "n_predicted_crossings": int(predicted.size),
@@ -323,6 +269,17 @@ def _pattern_crossing_check(t: float, units: UnitsConfig, pattern: Pattern) -> t
     return bool(near.any(axis=0).all() and near.any(axis=1).all()), info
 
 
+@scenario(
+    "clock-pattern",
+    t=(_positive, "20.0"),
+    compton_period=(_positive, "4.0"),
+    x_min=(_finite, "-25.0"),
+    x_max=(_finite, "25.0"),
+    x_step=(_positive, "0.05"),
+    raster_t_min=(_positive, "0.5"),
+    raster_t_max=(_finite, "25.0"),
+    raster_t_step=(_positive, "0.5"),
+)
 def run_clock_pattern(cfg: dict, seed: int) -> ScenarioResult:
     units = UnitsConfig(cfg["compton_period"])
     xs = _grid(cfg["x_min"], cfg["x_max"], cfg["x_step"])
@@ -348,6 +305,16 @@ def run_clock_pattern(cfg: dict, seed: int) -> ScenarioResult:
     )
 
 
+@scenario(
+    "propagator-compare",
+    t=(_positive, "20.0"),
+    compton_period=(_positive, "4.0"),
+    x_window=(_positive, "4.0"),
+    x_step=(_positive, "0.01"),
+    min_sign_agreement=(_unit_interval, "0.95"),
+    max_spacing_rel=(_positive, "0.10"),
+    alignment=(_parse_choice("aligned", "raw"), "aligned"),
+)
 def run_propagator_compare(cfg: dict, seed: int) -> ScenarioResult:
     units = UnitsConfig(cfg["compton_period"])
     w = cfg["x_window"]
@@ -355,11 +322,7 @@ def run_propagator_compare(cfg: dict, seed: int) -> ScenarioResult:
 
     pattern = plane_pattern(cfg["t"], xs, units).value.astype(float)
     re_k = np.real(feynman_free(xs, cfg["t"], units))
-    rep = compare(
-        SampledSignal(xs, pattern, label="clock_pattern"),
-        SampledSignal(xs, re_k, label="re_feynman"),
-        mode=cfg["alignment"],
-    )
+    rep = compare(SampledSignal(xs, pattern), SampledSignal(xs, re_k), mode=cfg["alignment"])
 
     spacing_ok = rep.insufficient_crossings or rep.crossing_spacing_error <= cfg["max_spacing_rel"]
     return ScenarioResult(
@@ -384,37 +347,31 @@ def run_propagator_compare(cfg: dict, seed: int) -> ScenarioResult:
     )
 
 
+@scenario(
+    "double-slit",
+    half_separation=(_positive, "4.0"),
+    source_to_slit_time=(_positive, "8.0"),
+    slit_to_screen_time=(_positive, "40.0"),
+    compton_period=(_positive, "4.0"),
+    x_min=(_finite, "-30.0"),
+    x_max=(_finite, "30.0"),
+    x_step=(_positive, "0.05"),
+    node_tolerance=(_non_negative, "0.01"),
+)
 def run_double_slit(cfg: dict, seed: int) -> ScenarioResult:
     units = UnitsConfig(cfg["compton_period"])
     xs = _grid(cfg["x_min"], cfg["x_max"], cfg["x_step"])
-    geom = SlitGeometry(
-        half_separation=cfg["half_separation"],
-        source_to_slit_time=cfg["source_to_slit_time"],
-        slit_to_screen_time=cfg["slit_to_screen_time"],
-    )
-    phi = double_slit_phi(geom, xs, units)
+    a, t2 = cfg["half_separation"], cfg["slit_to_screen_time"]
+    phi = double_slit_phi(SlitGeometry(a, cfg["source_to_slit_time"], t2), xs, units)
     phi_sq = phi.value * phi.value
     # Classical control: average the squared signals instead of squaring
     # the averaged signal; each squared parity is 1, so the control is 1
     # on the doubly-reachable mask and produces no gaps.
     control = phi.in_cone.astype(int)
-    _, fey = two_source_superposition(xs, cfg["slit_to_screen_time"], cfg["half_separation"], units)
-
-    binary_ok = bool(np.all((phi_sq == 0) | (phi_sq == 1)))
-    control_ok = bool(np.all(control[phi.in_cone] == 1))
-
-    # Gaps are the maximal runs of in-cone zeros: +1/-1 edges of the mask.
-    edges = np.diff(np.concatenate(([0], (phi.in_cone & (phi.value == 0)).astype(int), [0])))
-    gaps = list(zip(xs[edges[:-1] == 1].tolist(), xs[edges[1:] == -1].tolist()))
-
-    nodes = local_minima(xs, fey)
-    expected_spacing = math.pi * cfg["slit_to_screen_time"] / (units.mass * cfg["half_separation"])
-    if nodes.size >= 2:
-        spacings = np.diff(nodes)
-        node_dev = float(np.max(np.abs(spacings - expected_spacing)) / expected_spacing)
-    else:
-        node_dev = math.inf
-    node_ok = node_dev <= cfg["node_tolerance"]
+    _, fey = two_source_superposition(xs, t2, a, units)
+    gaps = gap_intervals(phi)
+    expected_spacing = math.pi * t2 / (units.mass * a)
+    nodes, node_dev = node_spacing_deviation(xs, fey, expected_spacing)
 
     return ScenarioResult(
         tables={
@@ -428,20 +385,34 @@ def run_double_slit(cfg: dict, seed: int) -> ScenarioResult:
             )
         },
         metrics={
-            "gap_intervals": [[a, b] for a, b in gaps],
+            "gap_intervals": [list(gap) for gap in gaps],
             "n_gaps": len(gaps),
             "node_positions": nodes.tolist(),
             "expected_node_spacing": expected_spacing,
             "node_spacing_max_rel_dev": node_dev,
         },
         checks={
-            "phi_squared_binary": binary_ok,
-            "classical_control_gap_free": control_ok,
-            "node_spacing": node_ok,
+            "phi_squared_binary": bool(np.all((phi_sq == 0) | (phi_sq == 1))),
+            "classical_control_gap_free": bool(np.all(control[phi.in_cone] == 1)),
+            "node_spacing": node_dev <= cfg["node_tolerance"],
         },
     )
 
 
+@scenario(
+    "lattice-evolve",
+    delta=(_positive, "0.1"),
+    diffusion=(_positive, "0.5"),
+    alpha=(_parse_alpha, "1.0"),
+    n_steps=(_int_at_least(1), "64"),
+    snapshot_every=(_int_at_least(1), "8"),
+    site_count=(_int_at_least(0), "0"),  # 0: 2 n_steps + 64
+    init=(_parse_choice("unit_state", "phi_point", "z_point"), "unit_state"),
+    initial_state=(int, "1"),
+    initial_site=(int, "-1"),
+    stroboscopic=(_parse_bool, "false"),
+    mc_paths=(_int_at_least(0), "0"),  # 0: no Monte Carlo overlay
+)
 def run_lattice_evolve(cfg: dict, seed: int) -> ScenarioResult:
     delta, D = cfg["delta"], cfg["diffusion"]
     n_steps, every = cfg["n_steps"], cfg["snapshot_every"]
@@ -455,43 +426,22 @@ def run_lattice_evolve(cfg: dict, seed: int) -> ScenarioResult:
     if cfg["mc_paths"] > 0 and cfg["init"] != "unit_state":
         raise ConfigError("the Monte Carlo overlay requires init=unit_state")
 
-    if cfg["init"] == "unit_state":
-        state: object = unit_state_field(params, cfg["initial_state"], site)
-    elif cfg["init"] == "phi_point":
-        state = point_source_phi(params, site)
-    else:
-        state = point_source_z(params, site)
-
+    source = {"phi_point": point_source_phi, "z_point": point_source_z}.get(cfg["init"])
+    state = source(params, site) if source else unit_state_field(params, cfg["initial_state"], site)
     snap_steps = sorted(set(range(0, n_steps + 1, every)) | {n_steps})
-    snapshots = []
-    masses = []
-    variances = []
+    snaps, final = evolve_snapshots(state, params, snap_steps, cfg["stroboscopic"])
 
-    current = state
-    done = 0
-    for s_target in snap_steps:
-        current = evolve(current, params, s_target - done, stroboscopic=cfg["stroboscopic"])
-        done = s_target
-        if isinstance(current, DecomposedField):
-            dec, four = current, compose(current)
-        else:
-            four, dec = current, decompose(current)
-        snapshots.append(np.concatenate([four.p, dec.z, dec.phi]))
-        masses.append(four.total_mass())
-        u = dec.z[0] + dec.z[1]
-        if u.sum() > 0:
-            variances.append((s_target * params.epsilon, field_variance(u, params)))
-
-    drift = abs(masses[-1] - masses[0])
-    conservation_tol = 1e-12 * max(1.0, n_steps / 1e4) * max(abs(masses[0]), 1.0)
+    mass_initial, mass_final = float(snaps[0, :4].sum()), float(snaps[-1, :4].sum())
+    drift = abs(mass_final - mass_initial)
+    conservation_tol = 1e-12 * max(1.0, n_steps / 1e4) * max(abs(mass_initial), 1.0)
     checks = {}
     metrics: dict = {
         "n_steps": n_steps,
         "site_count": n,
         "alpha": params.alpha,
         "epsilon": params.epsilon,
-        "mass_initial": masses[0],
-        "mass_final": masses[-1],
+        "mass_initial": mass_initial,
+        "mass_final": mass_final,
         "mass_drift": drift,
     }
     # Mass conservation is a property of the probabilistic walk; with
@@ -503,20 +453,21 @@ def run_lattice_evolve(cfg: dict, seed: int) -> ScenarioResult:
     # The diffusive rate is the slope of var(t) for t > 0; a unit-state
     # start carries a one-cell offset from its ballistic first step, so
     # the t = 0 snapshot is excluded from the fit.
-    if params.alpha == 1.0 and cfg["init"] in ("unit_state", "z_point") and len(variances) >= 3:
-        tv = np.array([v[0] for v in variances[1:]])
-        var = np.array([v[1] for v in variances[1:]])
-        slope = float(np.polyfit(tv, var, 1)[0])
-        rel = abs(slope - 2.0 * D) / (2.0 * D)
-        metrics["variance_slope"] = slope
-        metrics["variance_slope_rel_dev"] = rel
-        checks["variance_slope"] = rel <= 0.02
+    if params.alpha == 1.0 and cfg["init"] in ("unit_state", "z_point"):
+        u = snaps[:, 4] + snaps[:, 5]
+        fit = [(s * params.epsilon, field_variance(w, params)) for s, w in zip(snap_steps, u) if w.sum() > 0][1:]
+        if len(fit) >= 2:
+            slope = float(np.polyfit(*np.array(fit).T, 1)[0])
+            rel = abs(slope - 2.0 * D) / (2.0 * D)
+            metrics["variance_slope"] = slope
+            metrics["variance_slope_rel_dev"] = rel
+            checks["variance_slope"] = rel <= 0.02
 
     # One row per (snapshot, site), snapshots in step order.
     sites = np.arange(n)
     xs = sites * delta
     key = {"step": np.repeat(snap_steps, n), "m": np.tile(sites, len(snap_steps)), "x": np.tile(xs, len(snap_steps))}
-    p1, p2, p3, p4, z1, z2, phi1, phi2 = np.concatenate(snapshots, axis=1)
+    p1, p2, p3, p4, z1, z2, phi1, phi2 = snaps.transpose(1, 0, 2).reshape(8, -1)
     tables = {
         "snapshots_p": _table(**key, p1=p1, p2=p2, p3=p3, p4=p4),
         "snapshots_zphi": _table(**key, z1=z1, z2=z2, phi1=phi1, phi2=phi2),
@@ -524,19 +475,7 @@ def run_lattice_evolve(cfg: dict, seed: int) -> ScenarioResult:
 
     if cfg["mc_paths"] > 0:
         est = monte_carlo_estimate(params, n_steps, cfg["mc_paths"], seed, cfg["initial_state"], site)
-        det = decompose(current) if not isinstance(current, DecomposedField) else current
-        scale = params.alpha**n_steps
-        det_phi = det.phi * scale
-        z_true_se, phi_true_se = deposit_standard_errors(det, params, n_steps, est.n_paths)
-        z_floor = 0.5 / est.n_paths
-        # Floor the estimated SE with the exact one from the deterministic
-        # field: the estimated SE collapses at low-count tail sites.
-        z_band = 4.0 * np.maximum.reduce([est.z_stderr, z_true_se, np.full_like(z_true_se, z_floor)])
-        phi_band = 4.0 * np.maximum.reduce(
-            [est.phi_stderr, phi_true_se, np.full_like(phi_true_se, est.deposit_quantum)]
-        )
-        z_dev = np.abs(est.z_hat - det.z) / z_band
-        phi_dev = np.abs(est.phi_hat - det_phi) / phi_band
+        z_dev, phi_dev = band_deviations(est, final, params)
         checks["mc_within_4se"] = bool(z_dev.max() <= 1.0 and phi_dev.max() <= 1.0)
         metrics["mc_paths"] = est.n_paths
         metrics["mc_max_z_dev_4se"] = float(z_dev.max())
@@ -557,6 +496,19 @@ def run_lattice_evolve(cfg: dict, seed: int) -> ScenarioResult:
     return ScenarioResult(tables=tables, metrics=metrics, checks=checks)
 
 
+@scenario(
+    "continuum-check",
+    deltas=(_positive_list(3, halving=True), "0.2,0.1,0.05,0.025"),
+    diffusion=(_positive, "0.5"),
+    t=(_positive, "2.56"),
+    p_window=(_positive, "2.0"),
+    x_window=(_positive, "5.0"),
+    diffusion_deltas=(_positive_list(3, halving=True), "0.05,0.025,0.0125"),
+    diffusion_t=(_positive, "1.0"),
+    order_threshold=(_finite, "1.8"),
+    l1_threshold=(_non_negative, "0.02"),
+    pad=(_int_at_least(2), "64"),
+)
 def run_continuum_check(cfg: dict, seed: int) -> ScenarioResult:
     D, pad = cfg["diffusion"], cfg["pad"]
     study = schrodinger_levels(cfg["deltas"], D, cfg["t"], cfg["p_window"], cfg["x_window"], pad)
@@ -600,25 +552,25 @@ def run_continuum_check(cfg: dict, seed: int) -> ScenarioResult:
     )
 
 
+@scenario(
+    "spectral-check",
+    delta=(_positive, "0.1"),
+    site_count=(_even_count, "1024"),
+    alpha=(_parse_alpha, "sqrt2"),
+    expansion_p=(_finite, "1.0"),
+    expansion_deltas=(_positive_list(2), "0.2,0.1,0.05"),
+    unitarity_tol=(_non_negative, "1e-14"),
+)
 def run_spectral_check(cfg: dict, seed: int) -> ScenarioResult:
     delta, alpha = cfg["delta"], cfg["alpha"]
     exp_deltas = cfg["expansion_deltas"]
     params = LatticeParams(delta=delta, epsilon=delta * delta, site_count=cfg["site_count"], alpha=alpha)
     ps = momentum_grid(params)
 
-    # Per momentum: unitarity residual, |lambda+/-|, Re det, Im det.
-    target_mod = alpha / SQRT2
-    target_det = 0.5 * alpha * alpha
-    m = transfer_matrices(ps, delta, alpha)
-    resid = np.abs(np.conj(np.swapaxes(m, -2, -1)) @ m - target_det * np.eye(2)).max(axis=(-2, -1))
-    det = np.linalg.det(m)
-    re_det, im_det = det.real, det.imag
-    # The eigenvalues are conjugate, so one modulus serves both columns.
-    lam = eigenvalue_plus(ps * delta, alpha)
-    lam_mod = np.hypot(lam.real, lam.imag)
+    resid, lam_mod, det = transfer_diagnostics(ps, delta, alpha)
     unit_max = float(resid.max())
-    lam_dev = float(np.abs(lam_mod - target_mod).max())
-    det_dev = float(np.hypot(re_det - target_det, im_det).max())
+    lam_dev = float(np.abs(lam_mod - alpha / SQRT2).max())
+    det_dev = float(np.hypot(det.real - 0.5 * alpha * alpha, det.imag).max())
 
     exp_errors = []
     for d in exp_deltas:
@@ -642,8 +594,8 @@ def run_spectral_check(cfg: dict, seed: int) -> ScenarioResult:
                 unitarity_residual=resid,
                 abs_lambda_plus=lam_mod,
                 abs_lambda_minus=lam_mod,
-                re_det=re_det,
-                im_det=im_det,
+                re_det=det.real,
+                im_det=det.imag,
             ),
             "expansion": _table(delta=exp_deltas, residual=exp_errors),
         },
@@ -655,16 +607,6 @@ def run_spectral_check(cfg: dict, seed: int) -> ScenarioResult:
         },
         checks=checks,
     )
-
-
-RUNNERS = {
-    "clock-pattern": run_clock_pattern,
-    "propagator-compare": run_propagator_compare,
-    "double-slit": run_double_slit,
-    "lattice-evolve": run_lattice_evolve,
-    "continuum-check": run_continuum_check,
-    "spectral-check": run_spectral_check,
-}
 
 
 # ---------------------------------------------------------------------------

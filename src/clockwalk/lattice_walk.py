@@ -31,7 +31,9 @@ __all__ = [
     "z_step",
     "phi_step",
     "evolve",
+    "evolve_snapshots",
     "monte_carlo_estimate",
+    "band_deviations",
     "field_variance",
 ]
 
@@ -115,7 +117,6 @@ class McEstimate:
     phi_stderr: np.ndarray
     n_paths: int
     n_steps: int
-    seed: int
     deposit_quantum: float
 
 
@@ -242,6 +243,31 @@ def evolve(field, params: LatticeParams, n_steps: int, stroboscopic: bool = Fals
     raise TypeError(f"cannot evolve {type(field).__name__}")
 
 
+def evolve_snapshots(field, params: LatticeParams, steps, stroboscopic: bool = False):
+    """The field at each of the increasing step counts in steps, by the step loop.
+
+    Returns (rows, final): rows has shape (len(steps), 8, N) and holds
+    p1..p4, z1, z2, phi1, phi2 of each snapshot, whichever form field
+    evolves in; final is the decomposed field at the last step count.
+    Stroboscopic mode rejects the first step count that is not a multiple
+    of 8, by name.
+    """
+    bad = [s for s in steps if s % 8] if stroboscopic else []
+    if bad:
+        raise ValueError(f"stroboscopic snapshots require step counts divisible by 8, got {bad[0]}")
+    rows = np.empty((len(steps), 8, params.site_count))
+    done = 0
+    for k, s in enumerate(steps):
+        field = evolve(field, params, s - done)
+        done = s
+        if isinstance(field, DecomposedField):
+            dec, four = field, compose(field)
+        else:
+            four, dec = field, decompose(field)
+        rows[k, :4], rows[k, 4:6], rows[k, 6:] = four.p, dec.z, dec.phi
+    return rows, dec
+
+
 # States 1..4 mapped to internal 0..3: direction +1 for even rows (states
 # 1, 3), -1 for odd rows; parity +1 for rows 0, 1 (states 1, 2).
 _DIRECTIONS = np.array([1, -1, 1, -1], dtype=np.int64)
@@ -315,7 +341,6 @@ def monte_carlo_estimate(
         phi_stderr=phi_stderr * scale,
         n_paths=n_paths,
         n_steps=n_steps,
-        seed=seed,
         deposit_quantum=0.5 * scale / n_paths,
     )
 
@@ -343,6 +368,21 @@ def deposit_standard_errors(
     phi_var = np.maximum(hit_second_moment - reference.phi**2, 0.0)
     phi_se = np.sqrt(phi_var / n_paths) * params.alpha**n_steps
     return z_se, phi_se
+
+
+def band_deviations(est: McEstimate, reference: DecomposedField, params: LatticeParams):
+    """Per-site |estimate - reference| of the z and phi blocks in units of a 4-SE band.
+
+    reference is the bare unit-state walk's decomposition, as for
+    deposit_standard_errors.  Each band's SE is the largest of the
+    estimated SE, the exact SE and one deposit: the estimate alone
+    collapses at tail sites whose counts fluctuate low.
+    """
+    z_se, phi_se = deposit_standard_errors(reference, params, est.n_steps, est.n_paths)
+    z_band = 4.0 * np.maximum.reduce([est.z_stderr, z_se, np.full_like(z_se, 0.5 / est.n_paths)])
+    phi_band = 4.0 * np.maximum.reduce([est.phi_stderr, phi_se, np.full_like(phi_se, est.deposit_quantum)])
+    phi = reference.phi * params.alpha**est.n_steps
+    return np.abs(est.z_hat - reference.z) / z_band, np.abs(est.phi_hat - phi) / phi_band
 
 
 def field_variance(weights: np.ndarray, params: LatticeParams) -> float:

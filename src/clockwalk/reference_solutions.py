@@ -8,7 +8,7 @@ zero-crossing spacings), and convergence-order fitting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,6 +24,7 @@ __all__ = [
     "compare",
     "fit_convergence_order",
     "local_minima",
+    "node_spacing_deviation",
 ]
 
 
@@ -33,8 +34,6 @@ class SampledSignal:
 
     x: np.ndarray
     values: np.ndarray
-    label: str = ""
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         x = np.asarray(self.x, dtype=float)
@@ -69,7 +68,6 @@ class ComparisonReport:
     crossing_spacing_error: float | None
     n_spacing_pairs: int
     insufficient_crossings: bool
-    convergence_order: float | None = None
 
 
 def feynman_free(x, t: float, units: UnitsConfig):
@@ -125,15 +123,12 @@ def zero_crossings(sig: SampledSignal) -> np.ndarray:
     if _is_binary(v):
         idx = np.nonzero(v[:-1] * v[1:] < 0)[0]
         return 0.5 * (x[idx] + x[idx + 1])
-    out = []
-    for i in range(v.size - 1):
-        if v[i] == 0.0:
-            out.append(x[i])
-        elif v[i] * v[i + 1] < 0.0:
-            out.append(x[i] - v[i] * (x[i + 1] - x[i]) / (v[i + 1] - v[i]))
-    if v.size and v[-1] == 0.0:
-        out.append(x[-1])
-    return np.array(out, dtype=float)
+    cross = np.zeros(v.shape, dtype=bool)
+    cross[:-1] = v[:-1] * v[1:] < 0.0
+    i = np.nonzero(cross)[0]
+    out = x.copy()
+    out[i] = x[i] - v[i] * (x[i + 1] - x[i]) / (v[i + 1] - v[i])
+    return out[cross | (v == 0.0)]
 
 
 def _matched_spacing_error(ca: np.ndarray, cb: np.ndarray):
@@ -219,3 +214,14 @@ def local_minima(x, v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     core = (v[1:-1] < v[:-2]) & (v[1:-1] < v[2:])
     return x[1:-1][core]
+
+
+def node_spacing_deviation(x, intensity, spacing: float) -> tuple[np.ndarray, float]:
+    """The nodes (local_minima) of a sampled intensity, and the largest
+    relative deviation of their spacings from spacing; inf with fewer than
+    two nodes.
+    """
+    nodes = local_minima(x, intensity)
+    if nodes.size < 2:
+        return nodes, math.inf
+    return nodes, float(np.max(np.abs(np.diff(nodes) - spacing)) / spacing)

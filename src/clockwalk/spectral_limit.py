@@ -11,23 +11,19 @@ show the walk's diffusion and Schrodinger limits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .lattice_walk import SQRT2, LatticeParams, phi_step, point_source_phi, point_source_z, z_step
 from .reference_solutions import diffusion_green, fit_convergence_order
 
 __all__ = [
-    "TransferMatrix",
     "PSI_DENSITY_CALIBRATION",
     "momentum_grid",
     "to_spectral",
     "from_spectral",
     "transfer_matrices",
-    "transfer_matrix",
+    "transfer_diagnostics",
     "eigenvalue_plus",
-    "eigenvalues",
     "eigenvalue_leading_order",
     "stroboscopic_power",
     "continuum_propagator",
@@ -50,16 +46,6 @@ __all__ = [
 # lattice sum of psi+ equals 1/sqrt(2) for the unit point source while the
 # kernel integrates to 1, so density = psi+ * sqrt(2) / (2*delta).
 PSI_DENSITY_CALIBRATION = SQRT2
-
-
-@dataclass(frozen=True)
-class TransferMatrix:
-    """One-step spectral evolution matrix at a single momentum."""
-
-    matrix: np.ndarray
-    p: float
-    delta: float
-    alpha: float
 
 
 def momentum_grid(params: LatticeParams) -> np.ndarray:
@@ -121,11 +107,6 @@ def transfer_matrices(p, delta: float, alpha: float) -> np.ndarray:
     return m
 
 
-def transfer_matrix(p: float, delta: float, alpha: float) -> TransferMatrix:
-    """The one-step matrix at a single momentum (transfer_matrices)."""
-    return TransferMatrix(transfer_matrices(p, delta, alpha), float(p), float(delta), float(alpha))
-
-
 def eigenvalue_plus(u, alpha: float) -> np.ndarray:
     """Exact eigenvalue lambda+ = (alpha/2) (cos u + i sqrt(1 + sin^2 u)) at u = p delta.
 
@@ -142,34 +123,41 @@ def eigenvalue_plus(u, alpha: float) -> np.ndarray:
     return lam
 
 
-def eigenvalues(tm: TransferMatrix) -> tuple[complex, complex]:
-    """The eigenvalues (lambda+, lambda-) of one transfer matrix (eigenvalue_plus)."""
-    lam = complex(eigenvalue_plus(tm.p * tm.delta, tm.alpha))
-    return lam, lam.conjugate()
+def transfer_diagnostics(p, delta: float, alpha: float):
+    """Per momentum of p: the unitarity residual, |lambda+/-| and det T.
+
+    The residual is max |T^dagger T - (alpha^2/2) I| over the entries; the
+    eigenvalues are conjugate, so one modulus serves both.  Exactly, the
+    residual is 0, the modulus alpha/sqrt(2) and det T = alpha^2/2.
+    """
+    m = transfer_matrices(p, delta, alpha)
+    resid = np.abs(np.conj(np.swapaxes(m, -2, -1)) @ m - 0.5 * alpha * alpha * np.eye(2)).max(axis=(-2, -1))
+    lam = eigenvalue_plus(np.asarray(p, dtype=float) * delta, alpha)
+    return resid, np.hypot(lam.real, lam.imag), np.linalg.det(m)
 
 
 def eigenvalue_leading_order(p: float, delta: float, alpha: float) -> complex:
     """Small-u expansion (alpha/sqrt(2)) e^{i pi/4} (1 + i p^2 delta^2 / 2).
 
-    Test-only reference: the residual against the exact eigenvalue scales
-    as delta^4 at fixed p.
+    The residual against the exact eigenvalue scales as delta^4 at fixed p;
+    spectral-check fits that order.
     """
     u = p * delta
     return (alpha / SQRT2) * np.exp(1j * math.pi / 4.0) * (1.0 + 0.5j * u * u)
 
 
-def stroboscopic_power(tm: TransferMatrix, s: int) -> np.ndarray:
-    """T^s for stroboscopic step counts (s a multiple of 8).
+def stroboscopic_power(matrix: np.ndarray, s: int) -> np.ndarray:
+    """T^s of one (2, 2) matrix for stroboscopic step counts (s a multiple of 8).
 
     Binary exponentiation with a fixed multiply order, so repeated calls
-    are bit-identical.
+    are bit-identical; the test oracle of transfer_power.
     """
     if not (isinstance(s, int) and s >= 0):
         raise ValueError(f"s must be a nonnegative integer, got {s}")
     if s % 8 != 0:
         raise ValueError(f"stroboscopic power requires s % 8 == 0, got {s}")
     result = np.eye(2, dtype=complex)
-    base = tm.matrix.copy()
+    base = np.array(matrix, dtype=complex)
     k = s
     while k:
         if k & 1:

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from clockwalk.clock_signal import (
+    Pattern,
     SlitGeometry,
     double_slit_phi,
+    gap_intervals,
     lorentz_filter,
     parity_of_proper_time,
     plane_pattern,
@@ -238,6 +240,16 @@ class TestDoubleSlit:
         assert set(intensity.tolist()) == {0, 1}
         # zero intensity exactly at the gaps and outside the cone
         assert np.array_equal(intensity == 0, phi.value == 0)
+
+    def test_gap_intervals_are_runs_of_in_cone_zeros(self):
+        x = np.arange(8.0)
+        value = np.array([0, 1, 0, 0, -1, 0, 1, 0])
+        in_cone = np.array([False, True, True, True, True, True, True, False])
+        assert gap_intervals(Pattern(x, value, in_cone)) == [(2.0, 3.0), (5.0, 5.0)]
+        phi = double_slit_phi(GEOM, SCREEN, UNITS)
+        gaps = gap_intervals(phi)
+        in_gap = phi.in_cone & (phi.value == 0)
+        assert sum(int(round((b - a) / 0.05)) + 1 for a, b in gaps) == in_gap.sum() > 0
 
     def test_gaps_and_agreements_both_present(self):
         phi = double_slit_phi(GEOM, SCREEN, UNITS)

@@ -211,6 +211,15 @@ class TestConfigErrors:
         assert code == EXIT_CONFIG
         assert not out.exists()
 
+    @pytest.mark.parametrize("entry,step", [("n_steps=60", 60), ("snapshot_every=4", 4)])
+    def test_stroboscopic_names_the_step_count_set(self, tmp_path, capsys, entry, step):
+        # The first snapshot step count off the 8-step period is the one the
+        # user set, not the length of the segment that reaches it.
+        out = tmp_path / "x"
+        assert run("lattice-evolve", out, "--set", "stroboscopic=true", "--set", entry) == EXIT_CONFIG
+        assert capsys.readouterr().err.rstrip().endswith(f" {step}")
+        assert not out.exists()
+
     def test_malformed_set_entry(self, tmp_path):
         assert run("clock-pattern", tmp_path / "x", "--set", "no_equals_sign") == EXIT_CONFIG
 
@@ -294,26 +303,41 @@ class TestCheckFailure:
         assert rep["engine_step_loop_rel_dev"] > 1e-12
 
 
+def traced_child(tmp_path, *argv):
+    """Spans (name, start, end, parent, work) of one perfbench/child.py REC 1 run."""
+    record = tmp_path / "record.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "child.py"), str(record), "1", "--",
+         *argv, "--out", str(tmp_path / "run")],
+        capture_output=True,
+        text=True,
+        env=source_env(),
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    return json.loads(record.read_text())
+
+
 class TestBenchmarkHooks:
     def test_traced_child_sees_runner_config_and_oracle_steps(self, tmp_path):
         # perfbench/child.py wraps RUNNERS, resolve_config and the step maps
         # from outside the package, where each module looks them up.
-        record = tmp_path / "record.json"
-        proc = subprocess.run(
-            [sys.executable, str(ROOT / "perfbench" / "child.py"), str(record), "1", "--",
-             "continuum-check", "--out", str(tmp_path / "run")],
-            capture_output=True,
-            text=True,
-            env=source_env(),
-        )
-        assert proc.returncode == EXIT_OK, proc.stderr
-        rec = json.loads(record.read_text())
+        rec = traced_child(tmp_path, "continuum-check")
         names = [span[0] for span in rec["spans"]]
         assert "runner_entry" in rec
         assert {"experiments_cli.runner", "experiments_cli.resolve_config"} <= set(names)
         # The oracle's step loop at the coarsest level of each study:
         # 64 phi steps (delta 0.2, t 2.56) and 400 z steps (delta 0.05, t 1).
         assert sum(name.rpartition(".")[0] == "lattice_walk.step" for name in names) == 64 + 400
+
+    def test_traced_child_sees_snapshot_steps_and_sampler(self, tmp_path):
+        # The snapshot loop and the Monte Carlo band live in lattice_walk;
+        # the per-step map and the sampler stay visible to the benchmark.
+        rec = traced_child(tmp_path, "lattice-evolve", "--set", "n_steps=16", "--set", "mc_paths=200")
+        names = [span[0] for span in rec["spans"]]
+        assert names.count("lattice_walk.step.step_four_state") == 16
+        mc = [span for span in rec["spans"] if span[0] == "lattice_walk.mc.monte_carlo_estimate"]
+        assert len(mc) == 1 and mc[0][4] == 16 * 200
+        assert "lattice_walk.mc.deposit_standard_errors" in names
 
 
 class TestIoFailure:
@@ -563,6 +587,17 @@ class TestDeterminism:
                 "lattice-evolve",
                 ["--set", "n_steps=16", "--set", "mc_paths=2000", "--seed", "11", "--format", "json"],
                 "cbb190d47a6f64b6b559662a52a6a40ad90544e585301631b816f0cbe8318f1b",
+            ),
+            # The decomposed-field path of the snapshot loop.
+            (
+                "lattice-evolve",
+                ["--set", "init=phi_point", "--set", "alpha=sqrt2"],
+                "6d019ebb98aa3462fc93d103d28c78b9e0694e8d234b9dd04c0bac8b48732362",
+            ),
+            (
+                "lattice-evolve",
+                ["--set", "init=z_point", "--set", "stroboscopic=true"],
+                "aa2b4be3eead01f5db40eea3401b598e31f5ea81dbbafe2aa447a0a743901ce3",
             ),
         ],
     )

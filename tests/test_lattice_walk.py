@@ -6,10 +6,12 @@ from clockwalk.lattice_walk import (
     DecomposedField,
     FourStateField,
     LatticeParams,
+    band_deviations,
     compose,
     decompose,
     deposit_standard_errors,
     evolve,
+    evolve_snapshots,
     field_variance,
     monte_carlo_estimate,
     phi_step,
@@ -254,6 +256,36 @@ class TestEvolve:
         assert f.step_index == 7
 
 
+class TestEvolveSnapshots:
+    STEPS = [0, 3, 8, 11]
+
+    @pytest.mark.parametrize("form", ["four_state", "decomposed"])
+    def test_rows_are_the_evolved_field(self, form):
+        params = params_for(alpha=SQRT2 if form == "decomposed" else 1.0)
+        start = random_four_state(params, seed=6)
+        if form == "decomposed":
+            start = decompose(start)
+        rows, final = evolve_snapshots(start, params, self.STEPS)
+        assert rows.shape == (4, 8, 64)
+        for k, s in enumerate(self.STEPS):
+            field = evolve(start, params, s)
+            dec, four = (field, compose(field)) if form == "decomposed" else (decompose(field), field)
+            assert np.array_equal(rows[k], np.concatenate([four.p, dec.z, dec.phi]))
+        assert isinstance(final, DecomposedField) and final.step_index == 11
+        assert np.array_equal(final.z, rows[-1, 4:6]) and np.array_equal(final.phi, rows[-1, 6:])
+
+    @pytest.mark.parametrize("steps,named", [([0, 8, 16, 20], 20), ([0, 4, 8], 4), ([0, 12, 16], 12)])
+    def test_stroboscopic_names_first_bad_step_count(self, steps, named):
+        params = params_for()
+        with pytest.raises(ValueError, match=f"got {named}$"):
+            evolve_snapshots(point_source_z(params, 32), params, steps, stroboscopic=True)
+
+    def test_stroboscopic_accepts_multiples_of_eight(self):
+        params = params_for()
+        rows, _ = evolve_snapshots(point_source_z(params, 32), params, [0, 64], stroboscopic=True)
+        assert rows.shape == (2, 8, 64)
+
+
 class TestMirror:
     def test_fourth_power_is_identity(self):
         params = params_for(n=16)
@@ -376,6 +408,20 @@ class TestMonteCarlo:
         bulk = det.z > 1e-3
         np.testing.assert_allclose(est.z_stderr[bulk], z_se[bulk], rtol=0.05, atol=0)
         np.testing.assert_allclose(est.phi_stderr[bulk], phi_se[bulk], rtol=0.05, atol=0)
+
+    @pytest.mark.parametrize("alpha", [1.0, SQRT2])
+    def test_band_deviations_match_inline_band(self, alpha):
+        # The band written out as acceptance 07 computes it.
+        params = params_for(n=64, alpha=alpha)
+        det = decompose(evolve(unit_state_field(params, 1, 32), params, 16))
+        est = monte_carlo_estimate(params, 16, 2000, seed=8, initial_state=1, initial_site=32)
+        z_se, phi_se = deposit_standard_errors(det, params, 16, est.n_paths)
+        z_band = 4.0 * np.maximum.reduce([est.z_stderr, z_se, np.full_like(z_se, 0.5 / est.n_paths)])
+        phi_band = 4.0 * np.maximum.reduce([est.phi_stderr, phi_se, np.full_like(phi_se, est.deposit_quantum)])
+        z_dev, phi_dev = band_deviations(est, det, params)
+        assert np.array_equal(z_dev, np.abs(est.z_hat - det.z) / z_band)
+        assert np.array_equal(phi_dev, np.abs(est.phi_hat - det.phi * alpha**16) / phi_band)
+        assert z_dev.max() <= 1.0 and phi_dev.max() <= 1.0
 
     def test_alpha_scales_estimate_post_hoc(self):
         params1 = params_for(n=32, alpha=1.0)

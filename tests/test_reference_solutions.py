@@ -11,6 +11,7 @@ from clockwalk.reference_solutions import (
     feynman_free,
     fit_convergence_order,
     local_minima,
+    node_spacing_deviation,
     two_source_superposition,
     zero_crossings,
 )
@@ -23,8 +24,9 @@ trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 class TestSampledSignal:
     def test_holds_arrays(self):
-        s = SampledSignal(np.array([0.0, 1.0]), np.array([2.0, 3.0]), label="demo")
-        assert s.label == "demo"
+        s = SampledSignal(np.array([0.0, 1.0]), np.array([2, 3]))
+        assert s.x.dtype == s.values.dtype == np.float64
+        assert s.values.tolist() == [2.0, 3.0]
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -127,6 +129,10 @@ class TestTwoSourceSuperposition:
         assert nodes.size >= 2
         spacing = math.pi * t / (UNITS.mass * a)
         np.testing.assert_allclose(np.diff(nodes), spacing, rtol=1e-9)
+        found, dev = node_spacing_deviation(x, inten, spacing)
+        assert np.array_equal(found, nodes) and dev <= 1e-9
+        assert node_spacing_deviation(x, inten, 0.9 * spacing)[1] == pytest.approx(1 / 0.9 - 1, rel=1e-8)
+        assert node_spacing_deviation(x[:200], inten[:200], spacing)[1] == math.inf
 
     def test_even_in_x(self):
         x = np.linspace(-25, 25, 501)
@@ -161,6 +167,45 @@ class TestZeroCrossings:
         # contributing crossings of their own
         sig = SampledSignal(np.arange(5.0), np.array([1.0, 0.0, 0.0, -1.0, -1.0]))
         assert zero_crossings(sig).size == 0
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [0.0, 0.0, 1.5, -2.0, 0.0, 3.0, 0.5, -0.25, 0.0],  # leading, interior, trailing zeros
+            [0.0, -1.0, 2.0, 0.0, 0.0, -3.0, 1e-300, -1e300],
+            [2.0, 1.0, -0.5, 0.0],
+            [0.0, 2.5],
+            [3.0, -2.0],
+        ],
+    )
+    def test_smooth_matches_scan_oracle(self, values):
+        # The sample-by-sample scan the vectorized branch replaced, bit for bit.
+        # Irregular spacing from x = -0.0, whose sign bit a leading zero keeps.
+        x = np.cumsum(np.random.default_rng(len(values)).random(len(values)) + 0.1)
+        x = np.concatenate([[-0.0], x[1:] - x[0]]) if x.size else x
+        v = np.array(values)
+        sig = SampledSignal(x, v)
+        got = zero_crossings(sig)
+        expected = scan_crossings(sig.x, sig.values)
+        assert got.dtype == expected.dtype == np.float64
+        assert got.tobytes() == expected.tobytes()
+
+    def test_smooth_on_propagator_matches_scan_oracle(self):
+        x = np.linspace(-30.0, 30.0, 16001)
+        sig = SampledSignal(x, np.real(feynman_free(x, 20.0, UNITS)))
+        assert zero_crossings(sig).tobytes() == scan_crossings(sig.x, sig.values).tobytes()
+
+
+def scan_crossings(x, v):
+    out = []
+    for i in range(v.size - 1):
+        if v[i] == 0.0:
+            out.append(x[i])
+        elif v[i] * v[i + 1] < 0.0:
+            out.append(x[i] - v[i] * (x[i + 1] - x[i]) / (v[i + 1] - v[i]))
+    if v.size and v[-1] == 0.0:
+        out.append(x[-1])
+    return np.array(out, dtype=float)
 
 
 class TestCompare:

@@ -18,15 +18,14 @@ from clockwalk.spectral_limit import (
     eigenphase,
     eigenvalue_leading_order,
     eigenvalue_plus,
-    eigenvalues,
     evolve_spectral,
     fresnel_kernel,
     from_spectral,
     momentum_grid,
     stroboscopic_power,
     to_spectral,
+    transfer_diagnostics,
     transfer_matrices,
-    transfer_matrix,
     transfer_power,
 )
 from clockwalk.reference_solutions import fit_convergence_order
@@ -134,39 +133,54 @@ class TestTransferMatrix:
         values = to_spectral(field, params)
         stepped = to_spectral(evolve_spectral(field, params, "phi", 1), params)
         for j, uj in enumerate(half_grid(16)):
-            tm = transfer_matrix(float(uj) / params.delta, params.delta, SQRT2)
-            np.testing.assert_allclose(tm.matrix @ values[:, j], stepped[:, j], rtol=0, atol=1e-13)
+            tm = transfer_matrices(float(uj) / params.delta, params.delta, SQRT2)
+            np.testing.assert_allclose(tm @ values[:, j], stepped[:, j], rtol=0, atol=1e-13)
 
     def test_zero_momentum_is_eighth_root(self):
-        tm = transfer_matrix(0.0, 0.1, SQRT2)
+        tm = transfer_matrices(0.0, 0.1, SQRT2)
         # quarter turn after two steps, identity after eight
-        sq = tm.matrix @ tm.matrix
+        sq = tm @ tm
         np.testing.assert_allclose(sq, [[0.0, -1.0], [1.0, 0.0]], rtol=0, atol=1e-15)
         np.testing.assert_allclose(stroboscopic_power(tm, 8), np.eye(2), rtol=0, atol=1e-14)
 
     def test_unitary_at_sqrt2(self):
         for p in np.linspace(-3.0, 3.0, 101):
-            tm = transfer_matrix(float(p), 0.1, SQRT2)
-            resid = tm.matrix.conj().T @ tm.matrix - np.eye(2)
+            tm = transfer_matrices(float(p), 0.1, SQRT2)
+            resid = tm.conj().T @ tm - np.eye(2)
             assert np.max(np.abs(resid)) <= 1e-14
 
+    @pytest.mark.parametrize("alpha", [1.0, SQRT2, 0.7])
+    def test_diagnostics_per_momentum(self, alpha):
+        p = momentum_grid(params_for(n=64, delta=0.1))
+        resid, modulus, det = transfer_diagnostics(p, 0.1, alpha)
+        assert resid.shape == modulus.shape == det.shape == (64,)
+        for j, pv in enumerate(p.tolist()):
+            tm = transfer_matrices(pv, 0.1, alpha)
+            gram = tm.conj().T @ tm - 0.5 * alpha * alpha * np.eye(2)
+            assert resid[j] == np.max(np.abs(gram))
+            assert abs(modulus[j] - abs(complex(eigenvalue_plus(pv * 0.1, alpha)))) <= 1e-15
+            assert abs(det[j] - np.linalg.det(tm)) <= 1e-15
+        assert resid.max() <= 1e-15 and np.abs(modulus - alpha / SQRT2).max() <= 1e-15
+        assert np.abs(det - 0.5 * alpha * alpha).max() <= 1e-15
+
     def test_halved_gram_at_alpha_one(self):
-        tm = transfer_matrix(0.7, 0.1, 1.0)
-        resid = tm.matrix.conj().T @ tm.matrix - 0.5 * np.eye(2)
+        tm = transfer_matrices(0.7, 0.1, 1.0)
+        resid = tm.conj().T @ tm - 0.5 * np.eye(2)
         assert np.max(np.abs(resid)) <= 1e-15
 
 
 class TestEigenvalues:
     def test_zero_momentum_eighth_roots_of_unity(self):
-        tm = transfer_matrix(0.0, 0.1, SQRT2)
-        lam_p, lam_m = eigenvalues(tm)
+        lam_p = complex(eigenvalue_plus(0.0, SQRT2))
+        lam_m = lam_p.conjugate()
         assert abs(lam_p - np.exp(1j * math.pi / 4)) < 1e-15
         assert abs(lam_m - np.exp(-1j * math.pi / 4)) < 1e-15
 
     def test_constant_modulus(self):
         for alpha in (1.0, SQRT2, 0.7):
             for p in (-2.0, 0.0, 0.3, 1.9):
-                lam_p, lam_m = eigenvalues(transfer_matrix(p, 0.1, alpha))
+                lam_p = complex(eigenvalue_plus(p * 0.1, alpha))
+                lam_m = lam_p.conjugate()
                 assert abs(abs(lam_p) - alpha / SQRT2) < 1e-15
                 assert abs(abs(lam_m) - alpha / SQRT2) < 1e-15
 
@@ -176,27 +190,27 @@ class TestEigenvalues:
             lam = eigenvalue_plus(p * 0.1, alpha)
             assert lam.shape == (11,)
             for j, pv in enumerate(p.tolist()):
-                assert lam[j] == eigenvalues(transfer_matrix(pv, 0.1, alpha))[0]
+                assert lam[j] == complex(eigenvalue_plus(pv * 0.1, alpha))
 
     def test_satisfy_characteristic_polynomial(self):
         for p in (-1.2, 0.0, 0.8, 2.5):
-            tm = transfer_matrix(p, 0.2, SQRT2)
-            tr = complex(np.trace(tm.matrix))
-            det = complex(np.linalg.det(tm.matrix))
-            for lam in eigenvalues(tm):
+            tm = transfer_matrices(p, 0.2, SQRT2)
+            tr = complex(np.trace(tm))
+            det = complex(np.linalg.det(tm))
+            lam_p = complex(eigenvalue_plus(p * 0.2, SQRT2))
+            for lam in (lam_p, lam_p.conjugate()):
                 assert abs(lam * lam - tr * lam + det) < 1e-12
 
     def test_product_is_determinant(self):
         for alpha in (1.0, SQRT2):
-            tm = transfer_matrix(1.1, 0.15, alpha)
-            lam_p, lam_m = eigenvalues(tm)
-            assert abs(lam_p * lam_m - 0.5 * alpha * alpha) < 1e-14
+            lam_p = complex(eigenvalue_plus(1.1 * 0.15, alpha))
+            assert abs(lam_p * lam_p.conjugate() - 0.5 * alpha * alpha) < 1e-14
 
     def test_expansion_residual_is_fourth_order(self):
         deltas = [0.2, 0.1, 0.05]
         errs = []
         for d in deltas:
-            lam, _ = eigenvalues(transfer_matrix(1.0, d, SQRT2))
+            lam = complex(eigenvalue_plus(1.0 * d, SQRT2))
             errs.append(abs(lam - eigenvalue_leading_order(1.0, d, SQRT2)))
         order = fit_convergence_order(deltas, errs)
         assert order >= 3.8
@@ -206,7 +220,7 @@ class TestClosedFormPower:
     def test_matches_repeated_squaring(self):
         for alpha in (1.0, SQRT2, 0.7):
             for p in np.linspace(-3.0, 3.0, 13):
-                tm = transfer_matrix(float(p), 0.1, alpha)
+                tm = transfer_matrices(float(p), 0.1, alpha)
                 # Below alpha = sqrt(2) the power decays as (alpha/sqrt(2))^s;
                 # keep s where it stays a normal float.
                 for s in (0, 8, 64, 1024) if alpha == SQRT2 else (0, 8, 64, 256):
@@ -216,9 +230,9 @@ class TestClosedFormPower:
 
     def test_matches_matrix_power_at_any_step_count(self):
         for p in (-2.0, 0.0, 0.45, 3.1):
-            tm = transfer_matrix(p, 0.2, SQRT2)
+            tm = transfer_matrices(p, 0.2, SQRT2)
             for s in (1, 2, 3, 7, 13):
-                ref = np.linalg.matrix_power(tm.matrix, s)
+                ref = np.linalg.matrix_power(tm, s)
                 np.testing.assert_allclose(transfer_power(p, 0.2, SQRT2, s), ref, rtol=0, atol=1e-14)
 
     def test_eight_step_identity_at_zero_momentum(self):
@@ -228,7 +242,8 @@ class TestClosedFormPower:
     def test_eigenphase_is_eigenvalue_argument(self):
         for alpha in (1.0, SQRT2):
             for p in (-2.5, -0.3, 0.0, 1.0, 2.9):
-                lam_p, lam_m = eigenvalues(transfer_matrix(p, 0.1, alpha))
+                lam_p = complex(eigenvalue_plus(p * 0.1, alpha))
+                lam_m = lam_p.conjugate()
                 theta = float(eigenphase(p * 0.1))
                 assert abs(lam_p - alpha / SQRT2 * np.exp(1j * theta)) <= 1e-15
                 assert abs(lam_m - alpha / SQRT2 * np.exp(-1j * theta)) <= 1e-15
@@ -236,7 +251,7 @@ class TestClosedFormPower:
     def test_batched_matrices_match_single(self):
         p = momentum_grid(params_for(n=256, delta=0.1))
         for alpha in (1.0, SQRT2):
-            single = np.stack([transfer_matrix(pv, 0.1, alpha).matrix for pv in p.tolist()])
+            single = np.stack([transfer_matrices(pv, 0.1, alpha) for pv in p.tolist()])
             assert np.array_equal(transfer_matrices(p, 0.1, alpha), single)
             powers = transfer_power(p, 0.1, alpha, 16)
             assert powers.shape == (256, 2, 2)
@@ -301,29 +316,30 @@ class TestSpectralEngine:
 
 class TestStroboscopicPower:
     def test_zero_power_identity(self):
-        tm = transfer_matrix(0.9, 0.1, SQRT2)
+        tm = transfer_matrices(0.9, 0.1, SQRT2)
         np.testing.assert_allclose(stroboscopic_power(tm, 0), np.eye(2), rtol=0, atol=0)
 
     def test_rejects_non_multiple_of_eight(self):
-        tm = transfer_matrix(0.9, 0.1, SQRT2)
+        tm = transfer_matrices(0.9, 0.1, SQRT2)
         for s in (1, 7, 12):
             with pytest.raises(ValueError):
                 stroboscopic_power(tm, s)
 
     def test_sixteen_is_square_of_eight(self):
-        tm = transfer_matrix(0.9, 0.1, SQRT2)
+        tm = transfer_matrices(0.9, 0.1, SQRT2)
         t8 = stroboscopic_power(tm, 8)
         np.testing.assert_allclose(stroboscopic_power(tm, 16), t8 @ t8, rtol=0, atol=1e-14)
 
     def test_trace_and_determinant_from_eigenvalues(self):
-        tm = transfer_matrix(0.6, 0.1, SQRT2)
-        lam_p, lam_m = eigenvalues(tm)
+        tm = transfer_matrices(0.6, 0.1, SQRT2)
+        lam_p = complex(eigenvalue_plus(0.6 * 0.1, SQRT2))
+        lam_m = lam_p.conjugate()
         ts = stroboscopic_power(tm, 24)
         assert abs(np.trace(ts) - (lam_p**24 + lam_m**24)) < 1e-10
         assert abs(np.linalg.det(ts) - (lam_p * lam_m) ** 24) < 1e-10
 
     def test_decaying_branch_shrinks(self):
-        tm = transfer_matrix(0.6, 0.1, 1.0)
+        tm = transfer_matrices(0.6, 0.1, 1.0)
         ts = stroboscopic_power(tm, 32)
         assert np.max(np.abs(ts)) < 2.0 * 0.5**16
 
