@@ -54,9 +54,8 @@ from .reference_solutions import (
 )
 from .spectral_limit import (
     diffusion_levels,
-    eigenvalue_leading_order,
-    eigenvalue_plus,
     engine_step_loop_deviation,
+    expansion_residuals,
     momentum_grid,
     schrodinger_levels,
     transfer_diagnostics,
@@ -426,8 +425,13 @@ def run_lattice_evolve(cfg: dict, seed: int) -> ScenarioResult:
     if cfg["mc_paths"] > 0 and cfg["init"] != "unit_state":
         raise ConfigError("the Monte Carlo overlay requires init=unit_state")
 
-    source = {"phi_point": point_source_phi, "z_point": point_source_z}.get(cfg["init"])
-    state = source(params, site) if source else unit_state_field(params, cfg["initial_state"], site)
+    if cfg["init"] == "unit_state":
+        state: object = unit_state_field(params, cfg["initial_state"], site)
+    elif cfg["init"] == "phi_point":
+        state = point_source_phi(params, site)
+    else:
+        state = point_source_z(params, site)
+
     snap_steps = sorted(set(range(0, n_steps + 1, every)) | {n_steps})
     snaps, final = evolve_snapshots(state, params, snap_steps, cfg["stroboscopic"])
 
@@ -455,9 +459,11 @@ def run_lattice_evolve(cfg: dict, seed: int) -> ScenarioResult:
     # the t = 0 snapshot is excluded from the fit.
     if params.alpha == 1.0 and cfg["init"] in ("unit_state", "z_point"):
         u = snaps[:, 4] + snaps[:, 5]
-        fit = [(s * params.epsilon, field_variance(w, params)) for s, w in zip(snap_steps, u) if w.sum() > 0][1:]
-        if len(fit) >= 2:
-            slope = float(np.polyfit(*np.array(fit).T, 1)[0])
+        variances = [(s * params.epsilon, field_variance(w, params)) for s, w in zip(snap_steps, u) if w.sum() > 0]
+        if len(variances) >= 3:
+            tv = np.array([v[0] for v in variances[1:]])
+            var = np.array([v[1] for v in variances[1:]])
+            slope = float(np.polyfit(tv, var, 1)[0])
             rel = abs(slope - 2.0 * D) / (2.0 * D)
             metrics["variance_slope"] = slope
             metrics["variance_slope_rel_dev"] = rel
@@ -572,10 +578,7 @@ def run_spectral_check(cfg: dict, seed: int) -> ScenarioResult:
     lam_dev = float(np.abs(lam_mod - alpha / SQRT2).max())
     det_dev = float(np.hypot(det.real - 0.5 * alpha * alpha, det.imag).max())
 
-    exp_errors = []
-    for d in exp_deltas:
-        lam_p = complex(eigenvalue_plus(cfg["expansion_p"] * d, alpha))
-        exp_errors.append(abs(lam_p - eigenvalue_leading_order(cfg["expansion_p"], d, alpha)))
+    exp_errors = expansion_residuals(cfg["expansion_p"], exp_deltas, alpha)
     exp_order = fit_convergence_order(exp_deltas, exp_errors)
 
     checks = {

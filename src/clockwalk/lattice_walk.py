@@ -218,16 +218,10 @@ def phi_step(phi: np.ndarray, params: LatticeParams) -> np.ndarray:
     return np.stack([a * (f1 - f2), a * (f1 + f2)])
 
 
-def evolve(field, params: LatticeParams, n_steps: int, stroboscopic: bool = False):
-    """Apply n_steps of the per-step map to a four-state or decomposed field.
-
-    Stroboscopic mode insists on n_steps being a multiple of 8 (the state
-    cycle's return scale) and rejects anything else rather than rounding.
-    """
+def evolve(field, params: LatticeParams, n_steps: int):
+    """Apply n_steps of the per-step map to a four-state or decomposed field."""
     if not (isinstance(n_steps, int) and n_steps >= 0):
         raise ValueError(f"n_steps must be a nonnegative integer, got {n_steps}")
-    if stroboscopic and n_steps % 8 != 0:
-        raise ValueError(f"stroboscopic evolution requires n_steps % 8 == 0, got {n_steps}")
     if isinstance(field, FourStateField):
         out = FourStateField(field.p.copy(), field.step_index)
         for _ in range(n_steps):
@@ -249,8 +243,8 @@ def evolve_snapshots(field, params: LatticeParams, steps, stroboscopic: bool = F
     Returns (rows, final): rows has shape (len(steps), 8, N) and holds
     p1..p4, z1, z2, phi1, phi2 of each snapshot, whichever form field
     evolves in; final is the decomposed field at the last step count.
-    Stroboscopic mode rejects the first step count that is not a multiple
-    of 8, by name.
+    Stroboscopic mode rejects, by name, the first step count that is not a
+    multiple of 8 (the state cycle's return scale) rather than rounding it.
     """
     bad = [s for s in steps if s % 8] if stroboscopic else []
     if bad:

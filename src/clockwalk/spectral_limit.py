@@ -25,6 +25,7 @@ __all__ = [
     "transfer_diagnostics",
     "eigenvalue_plus",
     "eigenvalue_leading_order",
+    "expansion_residuals",
     "stroboscopic_power",
     "continuum_propagator",
     "eigenphase",
@@ -144,6 +145,15 @@ def eigenvalue_leading_order(p: float, delta: float, alpha: float) -> complex:
     """
     u = p * delta
     return (alpha / SQRT2) * np.exp(1j * math.pi / 4.0) * (1.0 + 0.5j * u * u)
+
+
+def expansion_residuals(p: float, deltas, alpha: float) -> list[float]:
+    """|lambda+ - eigenvalue_leading_order| at momentum p, one per delta of deltas."""
+    residuals = []
+    for d in deltas:
+        lam = complex(eigenvalue_plus(p * d, alpha))
+        residuals.append(abs(lam - eigenvalue_leading_order(p, d, alpha)))
+    return residuals
 
 
 def stroboscopic_power(matrix: np.ndarray, s: int) -> np.ndarray:

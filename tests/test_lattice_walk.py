@@ -217,13 +217,6 @@ class TestEvolve:
         with pytest.raises(ValueError):
             evolve(random_four_state(params, 0), params, -1)
 
-    def test_stroboscopic_requires_multiple_of_eight(self):
-        params = params_for()
-        f = random_four_state(params, seed=4)
-        with pytest.raises(ValueError):
-            evolve(f, params, 12, stroboscopic=True)
-        evolve(f, params, 16, stroboscopic=True)
-
     def test_dispatches_decomposed(self):
         params = params_for()
         d = point_source_phi(params, 32)
@@ -274,16 +267,17 @@ class TestEvolveSnapshots:
         assert isinstance(final, DecomposedField) and final.step_index == 11
         assert np.array_equal(final.z, rows[-1, 4:6]) and np.array_equal(final.phi, rows[-1, 6:])
 
-    @pytest.mark.parametrize("steps,named", [([0, 8, 16, 20], 20), ([0, 4, 8], 4), ([0, 12, 16], 12)])
+    @pytest.mark.parametrize("steps,named", [([0, 8, 16, 20], 20), ([0, 4, 8], 4), ([0, 12, 16], 12), ([12], 12)])
     def test_stroboscopic_names_first_bad_step_count(self, steps, named):
         params = params_for()
         with pytest.raises(ValueError, match=f"got {named}$"):
             evolve_snapshots(point_source_z(params, 32), params, steps, stroboscopic=True)
 
-    def test_stroboscopic_accepts_multiples_of_eight(self):
+    @pytest.mark.parametrize("steps", [[16], [0, 64]])
+    def test_stroboscopic_accepts_multiples_of_eight(self, steps):
         params = params_for()
-        rows, _ = evolve_snapshots(point_source_z(params, 32), params, [0, 64], stroboscopic=True)
-        assert rows.shape == (2, 8, 64)
+        rows, _ = evolve_snapshots(point_source_z(params, 32), params, steps, stroboscopic=True)
+        assert rows.shape == (len(steps), 8, 64)
 
 
 class TestMirror:

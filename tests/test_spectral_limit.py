@@ -19,6 +19,7 @@ from clockwalk.spectral_limit import (
     eigenvalue_leading_order,
     eigenvalue_plus,
     evolve_spectral,
+    expansion_residuals,
     fresnel_kernel,
     from_spectral,
     momentum_grid,
@@ -214,6 +215,13 @@ class TestEigenvalues:
             errs.append(abs(lam - eigenvalue_leading_order(1.0, d, SQRT2)))
         order = fit_convergence_order(deltas, errs)
         assert order >= 3.8
+
+    @pytest.mark.parametrize("alpha", [1.0, SQRT2])
+    def test_expansion_residuals_match_per_delta_loop(self, alpha):
+        deltas = (0.2, 0.1, 0.05)
+        for p in (1.0, 0.3):
+            loop = [abs(complex(eigenvalue_plus(p * d, alpha)) - eigenvalue_leading_order(p, d, alpha)) for d in deltas]
+            assert expansion_residuals(p, deltas, alpha) == loop
 
 
 class TestClosedFormPower:
