@@ -1,12 +1,14 @@
 """Parity-tracking four-state lattice walk and its block decomposition.
 
-Four densities p1..p4 live on a periodic chain: states 1,3 move right,
-states 2,4 move left, and states advance cyclically 1->2->3->4->1 with
-probability 1/2 per step.  States 1,2 carry parity +1 and states 3,4
-parity -1.  The change of variables z = half-sums, phi = half-differences
-splits the evolution into a diffusive block (z) and a signed, parity
-block (phi) carrying an adjustable per-step normalization alpha.  A
-signed-path Monte Carlo sampler provides an independent oracle.
+The walk's one field is p, a (4, N) array whose row k holds the density
+of state k+1 on a periodic chain: states 1,3 move right, states 2,4 move
+left, and states advance cyclically 1->2->3->4->1 with probability 1/2
+per step.  States 1,2 carry parity +1 and states 3,4 parity -1.  The
+change of variables z = half-sums, phi = half-differences exposes a
+diffusive block (z) and a signed, parity block (phi); the per-step
+normalization alpha acts on phi alone, so the bare walk's phi after s
+steps is scaled by alpha**s.  A signed-path Monte Carlo sampler
+provides an independent oracle.
 """
 
 from __future__ import annotations
@@ -19,8 +21,6 @@ import numpy as np
 __all__ = [
     "SQRT2",
     "LatticeParams",
-    "FourStateField",
-    "DecomposedField",
     "McEstimate",
     "unit_state_field",
     "point_source_phi",
@@ -67,38 +67,6 @@ class LatticeParams:
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise ValueError(f"alpha must be positive, got {self.alpha}")
 
-    @property
-    def diffusion_constant(self) -> float:
-        return self.delta * self.delta / (2.0 * self.epsilon)
-
-
-@dataclass
-class FourStateField:
-    """Site-resolved densities of the four walker states at one step.
-
-    p has shape (4, N); row k holds state k+1.
-    """
-
-    p: np.ndarray
-    step_index: int = 0
-
-    def total_mass(self) -> float:
-        return float(self.p.sum())
-
-
-@dataclass
-class DecomposedField:
-    """The (z, phi) representation: z = half-sums, phi = half-differences.
-
-    z and phi have shape (2, N).  Row 0 collects the right-moving states
-    (1, 3), row 1 the left-moving states (2, 4); phi records parity
-    partitioned by direction.
-    """
-
-    z: np.ndarray
-    phi: np.ndarray
-    step_index: int = 0
-
 
 @dataclass
 class McEstimate:
@@ -120,16 +88,16 @@ class McEstimate:
     deposit_quantum: float
 
 
-def unit_state_field(params: LatticeParams, state: int, site: int) -> FourStateField:
+def unit_state_field(params: LatticeParams, state: int, site: int) -> np.ndarray:
     """Unit mass in a single state at a single site."""
     if state not in (1, 2, 3, 4):
         raise ValueError(f"state must be 1..4, got {state}")
-    f = FourStateField(np.zeros((4, params.site_count)), 0)
-    f.p[state - 1, site % params.site_count] = 1.0
-    return f
+    p = np.zeros((4, params.site_count))
+    p[state - 1, site % params.site_count] = 1.0
+    return p
 
 
-def point_source_phi(params: LatticeParams, site: int) -> DecomposedField:
+def point_source_phi(params: LatticeParams, site: int) -> np.ndarray:
     """Point source in the phi sector: (phi1, phi2) = (0, sqrt(2)) at one site.
 
     The amplitude sqrt(2) makes both assembled spin components start at
@@ -140,10 +108,10 @@ def point_source_phi(params: LatticeParams, site: int) -> DecomposedField:
     z = np.zeros((2, n))
     phi = np.zeros((2, n))
     phi[1, site % n] = SQRT2
-    return DecomposedField(z, phi, 0)
+    return compose(z, phi)
 
 
-def point_source_z(params: LatticeParams, site: int) -> DecomposedField:
+def point_source_z(params: LatticeParams, site: int) -> np.ndarray:
     """Point source in the z sector with unit direction-summed mass.
 
     (z1, z2) = (1/2, 1/2) at one site is an eigenvector of the one-step z
@@ -153,47 +121,49 @@ def point_source_z(params: LatticeParams, site: int) -> DecomposedField:
     z = np.zeros((2, n))
     phi = np.zeros((2, n))
     z[:, site % n] = 0.5
-    return DecomposedField(z, phi, 0)
+    return compose(z, phi)
 
 
-def step_four_state(f: FourStateField, params: LatticeParams) -> FourStateField:
+def step_four_state(p: np.ndarray, params: LatticeParams) -> np.ndarray:
     """One step of the four-state walk (periodic chain).
 
     Each state's density moves one site in its direction; half of it then
     advances to the next state in the cycle.  Total mass is conserved
     exactly up to rounding.
     """
-    p1, p2, p3, p4 = f.p
+    p1, p2, p3, p4 = p
     if p1.shape != (params.site_count,):
-        raise ValueError(
-            f"field has {p1.shape[0]} sites, params expect {params.site_count}"
-        )
+        raise ValueError(f"field has {p1.shape[0]} sites, params expect {params.site_count}")
     r1 = np.roll(p1, 1)   # p1(m-1)
     r2 = np.roll(p2, -1)  # p2(m+1)
     r3 = np.roll(p3, 1)
     r4 = np.roll(p4, -1)
-    new = np.empty_like(f.p)
+    new = np.empty_like(p)
     new[0] = 0.5 * r1 + 0.5 * r4
     new[1] = 0.5 * r2 + 0.5 * r1
     new[2] = 0.5 * r3 + 0.5 * r2
     new[3] = 0.5 * r4 + 0.5 * r3
-    return FourStateField(new, f.step_index + 1)
+    return new
 
 
-def decompose(f: FourStateField) -> DecomposedField:
-    """Change of variables p -> (z, phi), invertible via compose()."""
-    p1, p2, p3, p4 = f.p
+def decompose(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Change of variables p -> (z, phi), invertible via compose().
+
+    z = half-sums, phi = half-differences, each of shape (2, N).  Row 0
+    collects the right-moving states (1, 3), row 1 the left-moving states
+    (2, 4); phi records parity partitioned by direction.
+    """
+    p1, p2, p3, p4 = p
     z = np.stack([0.5 * (p1 + p3), 0.5 * (p2 + p4)])
     phi = np.stack([0.5 * (p1 - p3), 0.5 * (p2 - p4)])
-    return DecomposedField(z, phi, f.step_index)
+    return z, phi
 
 
-def compose(d: DecomposedField) -> FourStateField:
+def compose(z: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Inverse change of variables (z, phi) -> p."""
-    z1, z2 = d.z
-    f1, f2 = d.phi
-    p = np.stack([z1 + f1, z2 + f2, z1 - f1, z2 - f2])
-    return FourStateField(p, d.step_index)
+    z1, z2 = z
+    f1, f2 = phi
+    return np.stack([z1 + f1, z2 + f2, z1 - f1, z2 - f2])
 
 
 def z_step(z: np.ndarray, params: LatticeParams) -> np.ndarray:
@@ -218,31 +188,20 @@ def phi_step(phi: np.ndarray, params: LatticeParams) -> np.ndarray:
     return np.stack([a * (f1 - f2), a * (f1 + f2)])
 
 
-def evolve(field, params: LatticeParams, n_steps: int):
-    """Apply n_steps of the per-step map to a four-state or decomposed field."""
-    if not (isinstance(n_steps, int) and n_steps >= 0):
-        raise ValueError(f"n_steps must be a nonnegative integer, got {n_steps}")
-    if isinstance(field, FourStateField):
-        out = FourStateField(field.p.copy(), field.step_index)
-        for _ in range(n_steps):
-            out = step_four_state(out, params)
-        return out
-    if isinstance(field, DecomposedField):
-        z = field.z.copy()
-        phi = field.phi.copy()
-        for _ in range(n_steps):
-            z = z_step(z, params)
-            phi = phi_step(phi, params)
-        return DecomposedField(z, phi, field.step_index + n_steps)
-    raise TypeError(f"cannot evolve {type(field).__name__}")
+def evolve(p: np.ndarray, params: LatticeParams, n_steps: int) -> np.ndarray:
+    """Apply n_steps of step_four_state to the densities p."""
+    if n_steps < 0:
+        raise ValueError(f"n_steps must be nonnegative, got {n_steps}")
+    for _ in range(n_steps):
+        p = step_four_state(p, params)
+    return p
 
 
-def evolve_snapshots(field, params: LatticeParams, steps, stroboscopic: bool = False):
-    """The field at each of the increasing step counts in steps, by the step loop.
+def evolve_snapshots(p: np.ndarray, params: LatticeParams, steps, stroboscopic: bool = False) -> np.ndarray:
+    """The walk at each of the increasing step counts in steps, by the step loop.
 
-    Returns (rows, final): rows has shape (len(steps), 8, N) and holds
-    p1..p4, z1, z2, phi1, phi2 of each snapshot, whichever form field
-    evolves in; final is the decomposed field at the last step count.
+    Returns rows (len(steps), 8, N) of p1..p4, z1, z2, phi1, phi2: p and z
+    of the bare walk, phi scaled by alpha**s as in monte_carlo_estimate.
     Stroboscopic mode rejects, by name, the first step count that is not a
     multiple of 8 (the state cycle's return scale) rather than rounding it.
     """
@@ -252,14 +211,11 @@ def evolve_snapshots(field, params: LatticeParams, steps, stroboscopic: bool = F
     rows = np.empty((len(steps), 8, params.site_count))
     done = 0
     for k, s in enumerate(steps):
-        field = evolve(field, params, s - done)
+        p = evolve(p, params, s - done)
         done = s
-        if isinstance(field, DecomposedField):
-            dec, four = field, compose(field)
-        else:
-            four, dec = field, decompose(field)
-        rows[k, :4], rows[k, 4:6], rows[k, 6:] = four.p, dec.z, dec.phi
-    return rows, dec
+        z, phi = decompose(p)
+        rows[k, :4], rows[k, 4:6], rows[k, 6:] = p, z, phi * params.alpha**s
+    return rows
 
 
 # States 1..4 mapped to internal 0..3: direction +1 for even rows (states
@@ -312,18 +268,17 @@ def monte_carlo_estimate(
 
     z_hat = np.zeros((2, n))
     phi_hat = np.zeros((2, n))
-    z_sqsum = np.zeros((2, n))
     for row, mask in ((0, right), (1, ~right)):
         counts = np.bincount(pos[mask], minlength=n).astype(float)
         signed = np.bincount(pos[mask], weights=parity[mask], minlength=n)
         z_hat[row] = 0.5 * counts / n_paths
         phi_hat[row] = 0.5 * signed / n_paths
-        z_sqsum[row] = 0.25 * counts / n_paths
 
     # Per-site deposit variance: deposits are 0 or +/-1/2, so the second
-    # moment is 0.25 * hit fraction for both blocks.
-    z_var = np.maximum(z_sqsum - z_hat**2, 0.0)
-    phi_var = np.maximum(z_sqsum - phi_hat**2, 0.0)
+    # moment is 0.25 * hit fraction = 0.5 * z_hat for both blocks.
+    hit_second_moment = 0.5 * z_hat
+    z_var = np.maximum(hit_second_moment - z_hat**2, 0.0)
+    phi_var = np.maximum(hit_second_moment - phi_hat**2, 0.0)
     z_stderr = np.sqrt(z_var / n_paths)
     phi_stderr = np.sqrt(phi_var / n_paths)
 
@@ -340,15 +295,14 @@ def monte_carlo_estimate(
 
 
 def deposit_standard_errors(
-    reference: DecomposedField,
+    p: np.ndarray,
     params: LatticeParams,
     n_steps: int,
     n_paths: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact per-site standard errors of monte_carlo_estimate.
 
-    Given the deterministic decomposition the sampler targets (the bare
-    unit-state walk, so reference.phi must be unscaled), the per-path
+    Given the bare unit-state walk p the sampler targets, the per-path
     deposit at a site is 0 or +/-1/2 with hit probability 2 * z; its
     second moment is 0.25 * (2 * z) for both blocks, so the sampling
     variances are 0.5 * z - z**2 and 0.5 * z - phi**2.  Unlike the
@@ -357,26 +311,28 @@ def deposit_standard_errors(
     when checking the sampler against a known reference.  The phi block
     is scaled by alpha**n_steps to match the estimate.
     """
-    hit_second_moment = 0.5 * reference.z
-    z_se = np.sqrt(np.maximum(hit_second_moment - reference.z**2, 0.0) / n_paths)
-    phi_var = np.maximum(hit_second_moment - reference.phi**2, 0.0)
+    z, phi = decompose(p)
+    hit_second_moment = 0.5 * z
+    z_se = np.sqrt(np.maximum(hit_second_moment - z**2, 0.0) / n_paths)
+    phi_var = np.maximum(hit_second_moment - phi**2, 0.0)
     phi_se = np.sqrt(phi_var / n_paths) * params.alpha**n_steps
     return z_se, phi_se
 
 
-def band_deviations(est: McEstimate, reference: DecomposedField, params: LatticeParams):
-    """Per-site |estimate - reference| of the z and phi blocks in units of a 4-SE band.
+def band_deviations(est: McEstimate, p: np.ndarray, params: LatticeParams):
+    """Per-site |estimate - walk| of the z and phi blocks in units of a 4-SE band.
 
-    reference is the bare unit-state walk's decomposition, as for
+    p is the bare unit-state walk at est.n_steps, as for
     deposit_standard_errors.  Each band's SE is the largest of the
     estimated SE, the exact SE and one deposit: the estimate alone
     collapses at tail sites whose counts fluctuate low.
     """
-    z_se, phi_se = deposit_standard_errors(reference, params, est.n_steps, est.n_paths)
+    z, phi = decompose(p)
+    z_se, phi_se = deposit_standard_errors(p, params, est.n_steps, est.n_paths)
     z_band = 4.0 * np.maximum.reduce([est.z_stderr, z_se, np.full_like(z_se, 0.5 / est.n_paths)])
     phi_band = 4.0 * np.maximum.reduce([est.phi_stderr, phi_se, np.full_like(phi_se, est.deposit_quantum)])
-    phi = reference.phi * params.alpha**est.n_steps
-    return np.abs(est.z_hat - reference.z) / z_band, np.abs(est.phi_hat - phi) / phi_band
+    phi = phi * params.alpha**est.n_steps
+    return np.abs(est.z_hat - z) / z_band, np.abs(est.phi_hat - phi) / phi_band
 
 
 def field_variance(weights: np.ndarray, params: LatticeParams) -> float:

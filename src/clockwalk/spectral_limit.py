@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import numpy as np
 
-from .lattice_walk import SQRT2, LatticeParams, phi_step, point_source_phi, point_source_z, z_step
+from .lattice_walk import SQRT2, LatticeParams, decompose, phi_step, point_source_phi, point_source_z, z_step
 from .reference_solutions import diffusion_green, fit_convergence_order
 
 __all__ = [
@@ -366,9 +366,10 @@ def schrodinger_level(
     m0 = n // 2
 
     # rotation-angle (eigenphase) error over the in-window momentum grid;
-    # the eigenvalue modulus is 1 at alpha = sqrt(2)
-    p = momentum_grid(params)
-    pw = p[np.abs(p) <= p_window]
+    # the eigenvalue modulus is 1 at alpha = sqrt(2).  Only the window is
+    # kept, so the full grid is not held through the evolution below.
+    pw = momentum_grid(params)
+    pw = pw[np.abs(pw) <= p_window]
     lam_s = np.exp(1j * s * eigenphase(pw * delta))
     rot_err = float(np.sqrt(np.mean(np.abs(lam_s - np.exp(1j * pw * pw * D * t)) ** 2)))
 
@@ -377,7 +378,7 @@ def schrodinger_level(
     matrix_err = float(np.sqrt(np.mean(np.square(frob))))
 
     # evolution of the phi point source
-    phi = evolve_spectral(point_source_phi(params, m0).phi, params, "phi", s)
+    phi = evolve_spectral(decompose(point_source_phi(params, m0))[1], params, "phi", s)
     psi_plus, _ = assemble_psi(phi[0], phi[1])
 
     # sample the populated sublattice and convert to a density
@@ -433,7 +434,7 @@ def diffusion_levels(deltas, D: float, t: float, pad: int = 64) -> dict:
     for delta, s in zip(deltas, steps):
         params = _level_params(delta, D, s, pad, 1.0)
         m0 = params.site_count // 2
-        z = evolve_spectral(point_source_z(params, m0).z, params, "z", s)
+        z = evolve_spectral(decompose(point_source_z(params, m0))[0], params, "z", s)
         kmax = s // 2
         kk = np.arange(-kmax, kmax + 1)
         x = 2.0 * kk * delta
@@ -451,7 +452,8 @@ def engine_step_loop_deviation(delta: float, D: float, s: int, pad: int, block: 
     """
     alpha, source, step = (SQRT2, point_source_phi, phi_step) if block == "phi" else (1.0, point_source_z, z_step)
     params = _level_params(delta, D, s, pad, alpha)
-    start = getattr(source(params, params.site_count // 2), block)
+    z, phi = decompose(source(params, params.site_count // 2))
+    start = phi if block == "phi" else z
     loop = start
     for _ in range(s):
         loop = step(loop, params)

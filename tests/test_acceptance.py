@@ -17,7 +17,6 @@ from clockwalk.experiments_cli import EXIT_OK, main
 from clockwalk.kinematics import UnitsConfig
 from clockwalk.lattice_walk import (
     SQRT2,
-    FourStateField,
     LatticeParams,
     decompose,
     deposit_standard_errors,
@@ -110,13 +109,13 @@ def test_03_block_diagonalization():
     rng = np.random.default_rng(12345)
     worst = 0.0
     for _ in range(100):
-        f = FourStateField(rng.random((4, 64)) - 0.5, 0)
-        d = decompose(f)
-        stepped = decompose(step_four_state(f, params))
+        p = rng.random((4, 64)) - 0.5
+        z, phi = decompose(p)
+        z_stepped, phi_stepped = decompose(step_four_state(p, params))
         worst = max(
             worst,
-            float(np.max(np.abs(z_step(d.z, params) - stepped.z))),
-            float(np.max(np.abs(phi_step(d.phi, params) - stepped.phi))),
+            float(np.max(np.abs(z_step(z, params) - z_stepped))),
+            float(np.max(np.abs(phi_step(phi, params) - phi_stepped))),
         )
     ok = worst <= 1e-12
     assert announce(
@@ -137,7 +136,7 @@ def test_04_diffusion_limit():
     monotone = l1[0] > l1[1] > l1[2]
 
     params = LatticeParams(delta=0.05, epsilon=0.0025, site_count=928, alpha=1.0)
-    z = point_source_z(params, 464).z
+    z, _ = decompose(point_source_z(params, 464))
     ts, variances = [], []
     for s in range(0, 401, 50):
         ts.append(s * params.epsilon)
@@ -223,24 +222,25 @@ def test_07_monte_carlo_consistency():
     turn an ordinary ~2 sigma fluctuation into a spurious failure."""
     params = LatticeParams(delta=0.1, epsilon=0.01, site_count=192, alpha=SQRT2)
     n_steps, site = 64, 96
-    det = decompose(evolve(unit_state_field(params, 1, site), params, n_steps))
+    p = evolve(unit_state_field(params, 1, site), params, n_steps)
+    z, phi = decompose(p)
     scale = SQRT2**n_steps
 
     est = monte_carlo_estimate(params, n_steps, 100_000, seed=2024, initial_state=1, initial_site=site)
-    z_true_se, phi_true_se = deposit_standard_errors(det, params, n_steps, est.n_paths)
+    z_true_se, phi_true_se = deposit_standard_errors(p, params, n_steps, est.n_paths)
     z_floor = 0.5 / est.n_paths
     z_band = 4.0 * np.maximum.reduce([est.z_stderr, z_true_se, np.full_like(z_true_se, z_floor)])
     phi_band = 4.0 * np.maximum.reduce(
         [est.phi_stderr, phi_true_se, np.full_like(phi_true_se, est.deposit_quantum)]
     )
-    z_dev = np.max(np.abs(est.z_hat - det.z) / z_band)
-    phi_dev = np.max(np.abs(est.phi_hat - det.phi * scale) / phi_band)
+    z_dev = np.max(np.abs(est.z_hat - z) / z_band)
+    phi_dev = np.max(np.abs(est.phi_hat - phi * scale) / phi_band)
 
     counts = [1_000, 10_000, 100_000, 1_000_000]
     errs = []
     for i, n in enumerate(counts):
         e = monte_carlo_estimate(params, n_steps, n, seed=3000 + i, initial_state=1, initial_site=site)
-        errs.append(float(np.sqrt(np.mean((e.z_hat - det.z) ** 2))))
+        errs.append(float(np.sqrt(np.mean((e.z_hat - z) ** 2))))
     slope = float(np.polyfit(np.log(counts), np.log(errs), 1)[0])
 
     ok = z_dev <= 1.0 and phi_dev <= 1.0 and abs(slope + 0.5) <= 0.1

@@ -115,6 +115,47 @@ class TestScenarioRuns:
         assert (out / "mc_overlay.csv").exists()
         assert verify_manifest(out)
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--set", "initial_site=0"],
+            ["--set", "initial_site=10"],
+            ["--set", "initial_site=191"],
+            ["--set", "n_steps=512", "--set", "initial_site=0"],
+            ["--set", "n_steps=512", "--set", "initial_site=1087"],
+        ],
+    )
+    def test_variance_fit_near_the_seam(self, tmp_path, args):
+        # A cone that crosses the periodic seam is fitted as if it were
+        # centred on the chain.
+        out = tmp_path / "lat"
+        assert run("lattice-evolve", out, *args) == EXIT_OK
+        rep = report(out)
+        assert rep["checks"]["variance_slope"] and rep["variance_slope_rel_dev"] <= 0.02
+
+    def test_alpha_scales_only_the_phi_columns(self, tmp_path):
+        # p and z are the bare walk at every alpha; phi carries alpha**s,
+        # the normalisation the Monte Carlo overlay applies.
+        args = ["--set", "n_steps=16", "--set", "mc_paths=2000", "--seed", "11"]
+        bare, scaled = tmp_path / "bare", tmp_path / "scaled"
+        assert run("lattice-evolve", bare, *args, "--set", "alpha=1.0") == EXIT_OK
+        assert run("lattice-evolve", scaled, *args, "--set", "alpha=sqrt2") == EXIT_OK
+        assert (bare / "snapshots_p.csv").read_bytes() == (scaled / "snapshots_p.csv").read_bytes()
+        rows = {}
+        for out in (bare, scaled):
+            lines = (out / "snapshots_zphi.csv").read_text().splitlines()
+            assert lines[0] == "step,m,x,z1,z2,phi1,phi2"
+            rows[out] = [line.split(",") for line in lines[1:]]
+        assert [r[:5] for r in rows[bare]] == [r[:5] for r in rows[scaled]]
+        step = np.array([int(r[0]) for r in rows[bare]])
+        for col in (5, 6):
+            phi_bare = np.array([float(r[col]) for r in rows[bare]])
+            phi_scaled = np.array([float(r[col]) for r in rows[scaled]])
+            expect = phi_bare * np.array([lattice_walk.SQRT2**int(s) for s in step])
+            assert np.array_equal(phi_scaled.view(np.uint64), expect.view(np.uint64))
+        checks = report(scaled)["checks"]
+        assert checks["conservation"] and checks["variance_slope"] and checks["mc_within_4se"]
+
     def test_continuum_check(self, tmp_path):
         out = tmp_path / "cont"
         assert run("continuum-check", out, *FAST_CONTINUUM) == EXIT_OK
@@ -205,6 +246,20 @@ class TestConfigErrors:
         assert run("continuum-check", out, "--set", "t=0.6") == EXIT_CONFIG
         assert not out.exists()
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**70)])
+    def test_seed_outside_uint64(self, tmp_path, capsys, seed):
+        out = tmp_path / "x"
+        code = run("lattice-evolve", out, "--set", "n_steps=8", "--set", "mc_paths=10", "--seed", seed)
+        assert code == EXIT_CONFIG
+        assert "seed must be in [0, 2**64)" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_largest_seed_runs(self, tmp_path):
+        out = tmp_path / "x"
+        code = run("lattice-evolve", out, "--set", "n_steps=8", "--set", "mc_paths=10", "--seed", str(2**64 - 1))
+        assert code == EXIT_OK
+        assert report(out)["manifest"]["seed"] == 2**64 - 1
+
     def test_mc_requires_unit_state(self, tmp_path):
         out = tmp_path / "x"
         code = run("lattice-evolve", out, "--set", "init=phi_point", "--set", "mc_paths=100")
@@ -244,6 +299,7 @@ class TestConfigErrors:
             ("continuum-check", "x_window=-1"),
             ("continuum-check", "diffusion=inf"),
             ("lattice-evolve", "mc_paths=-3"),
+            ("lattice-evolve", "alpha=1e5"),  # alpha**64 overflows a float
             ("continuum-check", "l1_threshold=nan"),
             ("spectral-check", "unitarity_tol=nan"),
         ],
@@ -334,7 +390,9 @@ class TestBenchmarkHooks:
         # the per-step map and the sampler stay visible to the benchmark.
         rec = traced_child(tmp_path, "lattice-evolve", "--set", "n_steps=16", "--set", "mc_paths=200")
         names = [span[0] for span in rec["spans"]]
-        assert names.count("lattice_walk.step.step_four_state") == 16
+        # Each step's work is the site count, 2 * 16 + 64.
+        steps = [span for span in rec["spans"] if span[0] == "lattice_walk.step.step_four_state"]
+        assert len(steps) == 16 and all(span[4] == 96 for span in steps)
         mc = [span for span in rec["spans"] if span[0] == "lattice_walk.mc.monte_carlo_estimate"]
         assert len(mc) == 1 and mc[0][4] == 16 * 200
         assert "lattice_walk.mc.deposit_standard_errors" in names
@@ -567,8 +625,10 @@ class TestDeterminism:
         assert (a / "snapshots_p.csv").read_bytes() == (b / "snapshots_p.csv").read_bytes()
 
     # The data of these runs use only exactly rounded float operations and
-    # the seeded generator, so their digests hold on any IEEE 754 machine.
-    # A rewrite of the pattern, table or writer code must reproduce them.
+    # the seeded generator, so their digests hold on any IEEE 754 machine;
+    # the one exception is the alpha = sqrt2 run, whose phi columns are
+    # scaled by the C library's pow(alpha, s).  A rewrite of the pattern,
+    # table or writer code must reproduce them.
     @pytest.mark.parametrize(
         "scenario,args,digest",
         [
@@ -588,11 +648,12 @@ class TestDeterminism:
                 ["--set", "n_steps=16", "--set", "mc_paths=2000", "--seed", "11", "--format", "json"],
                 "cbb190d47a6f64b6b559662a52a6a40ad90544e585301631b816f0cbe8318f1b",
             ),
-            # The decomposed-field path of the snapshot loop.
+            # A point source at alpha = sqrt2: p is the bare walk, phi is
+            # scaled by alpha**s.
             (
                 "lattice-evolve",
                 ["--set", "init=phi_point", "--set", "alpha=sqrt2"],
-                "6d019ebb98aa3462fc93d103d28c78b9e0694e8d234b9dd04c0bac8b48732362",
+                "da25f0cbe90c60d7cba95b3651f6cce586170ad0d6ec97689ff767e2932e16b3",
             ),
             (
                 "lattice-evolve",

@@ -3,8 +3,6 @@ import pytest
 
 from clockwalk.lattice_walk import (
     SQRT2,
-    DecomposedField,
-    FourStateField,
     LatticeParams,
     band_deviations,
     compose,
@@ -33,9 +31,9 @@ def mirror_field(f):
     keeps the move-then-advance ordering intact.  Applying it four times is
     the identity.
     """
-    n = f.p.shape[1]
+    n = f.shape[1]
     idx = (-np.arange(n)) % n
-    return FourStateField(np.stack([f.p[1][idx], f.p[2][idx], f.p[3][idx], f.p[0][idx]]), f.step_index)
+    return np.stack([f[1][idx], f[2][idx], f[3][idx], f[0][idx]])
 
 
 def params_for(n=64, delta=0.1, epsilon=0.01, alpha=1.0):
@@ -47,16 +45,10 @@ def random_four_state(params, seed=0, nonnegative=True):
     p = rng.random((4, params.site_count))
     if not nonnegative:
         p = p - 0.5
-    return FourStateField(p, 0)
+    return p
 
 
 class TestLatticeParams:
-    def test_diffusion_constant(self):
-        p = params_for(delta=0.1, epsilon=0.01)
-        assert abs(p.diffusion_constant - 0.5) < 1e-15
-        p = params_for(delta=0.2, epsilon=0.01)
-        assert abs(p.diffusion_constant - 2.0) < 1e-15
-
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -82,8 +74,7 @@ class TestStepFourState:
         expected = np.zeros((4, 64))
         expected[0, 11] = 0.5
         expected[1, 11] = 0.5
-        assert np.array_equal(f.p, expected)
-        assert f.step_index == 1
+        assert np.array_equal(f, expected)
 
     def test_left_mover_splits_backward(self):
         params = params_for()
@@ -91,7 +82,7 @@ class TestStepFourState:
         expected = np.zeros((4, 64))
         expected[1, 9] = 0.5
         expected[2, 9] = 0.5
-        assert np.array_equal(f.p, expected)
+        assert np.array_equal(f, expected)
 
     def test_cycle_wraps_from_state_four(self):
         params = params_for()
@@ -99,25 +90,25 @@ class TestStepFourState:
         expected = np.zeros((4, 64))
         expected[3, 9] = 0.5
         expected[0, 9] = 0.5
-        assert np.array_equal(f.p, expected)
+        assert np.array_equal(f, expected)
 
     def test_uniform_field_is_stationary(self):
         params = params_for()
-        f = FourStateField(np.full((4, 64), 0.25), 0)
+        f = np.full((4, 64), 0.25)
         stepped = step_four_state(f, params)
-        assert np.array_equal(stepped.p, f.p)
+        assert np.array_equal(stepped, f)
 
     def test_mass_conserved_over_long_run(self):
         params = params_for(n=32)
         f = random_four_state(params, seed=3)
-        m0 = f.total_mass()
+        m0 = f.sum()
         f = evolve(f, params, 10_000)
-        assert abs(f.total_mass() - m0) <= 1e-12 * m0
+        assert abs(f.sum() - m0) <= 1e-12 * m0
 
     def test_periodic_boundary(self):
         params = params_for(n=8)
         f = step_four_state(unit_state_field(params, 1, 7), params)
-        assert f.p[0, 0] == 0.5 and f.p[1, 0] == 0.5
+        assert f[0, 0] == 0.5 and f[1, 0] == 0.5
 
     def test_rejects_mismatched_sites(self):
         params = params_for(n=64)
@@ -129,27 +120,27 @@ class TestStepFourState:
 class TestDecomposition:
     def test_pure_state_one(self):
         params = params_for(n=8)
-        d = decompose(unit_state_field(params, 1, 3))
-        assert d.z[0, 3] == 0.5 and d.phi[0, 3] == 0.5
-        assert d.z[1, 3] == 0.0 and d.phi[1, 3] == 0.0
+        z, phi = decompose(unit_state_field(params, 1, 3))
+        assert z[0, 3] == 0.5 and phi[0, 3] == 0.5
+        assert z[1, 3] == 0.0 and phi[1, 3] == 0.0
 
     def test_state_three_flips_phi_sign(self):
         params = params_for(n=8)
-        d = decompose(unit_state_field(params, 3, 3))
-        assert d.z[0, 3] == 0.5 and d.phi[0, 3] == -0.5
+        z, phi = decompose(unit_state_field(params, 3, 3))
+        assert z[0, 3] == 0.5 and phi[0, 3] == -0.5
 
     def test_roundtrip(self):
         params = params_for()
         f = random_four_state(params, seed=11, nonnegative=False)
-        back = compose(decompose(f))
-        np.testing.assert_allclose(back.p, f.p, rtol=0, atol=1e-15)
+        back = compose(*decompose(f))
+        np.testing.assert_allclose(back, f, rtol=0, atol=1e-15)
 
     def test_signed_mass_bounded_by_total(self):
         """|phi| <= z pointwise for any probabilistic field, at any time."""
         params = params_for(n=48)
         f = evolve(random_four_state(params, seed=5), params, 50)
-        d = decompose(f)
-        assert np.all(np.abs(d.phi) <= d.z + 1e-15)
+        z, phi = decompose(f)
+        assert np.all(np.abs(phi) <= z + 1e-15)
 
 
 class TestZStep:
@@ -157,8 +148,8 @@ class TestZStep:
         """z of the stepped field equals z_step of the z part alone."""
         params = params_for()
         f = random_four_state(params, seed=7)
-        expect = decompose(step_four_state(f, params)).z
-        got = z_step(decompose(f).z, params)
+        expect, _ = decompose(step_four_state(f, params))
+        got = z_step(decompose(f)[0], params)
         np.testing.assert_allclose(got, expect, rtol=0, atol=1e-14)
 
     def test_both_rows_identical_update(self):
@@ -181,8 +172,8 @@ class TestPhiStep:
         params = params_for(alpha=1.0)
         for seed in range(5):
             f = random_four_state(params, seed=seed, nonnegative=False)
-            expect = decompose(step_four_state(f, params)).phi
-            got = phi_step(decompose(f).phi, params)
+            _, expect = decompose(step_four_state(f, params))
+            got = phi_step(decompose(f)[1], params)
             assert np.max(np.abs(got - expect)) <= 1e-12
 
     def test_point_source_one_step(self):
@@ -210,27 +201,22 @@ class TestEvolve:
         params = params_for()
         f = random_four_state(params, seed=4)
         out = evolve(f, params, 0)
-        assert np.array_equal(out.p, f.p)
+        assert np.array_equal(out, f)
 
     def test_rejects_negative(self):
         params = params_for()
         with pytest.raises(ValueError):
             evolve(random_four_state(params, 0), params, -1)
 
-    def test_dispatches_decomposed(self):
-        params = params_for()
-        d = point_source_phi(params, 32)
-        out = evolve(d, params, 5)
-        assert isinstance(out, DecomposedField)
-        assert out.step_index == 5
-
-    def test_decomposed_consistent_with_four_state(self):
+    def test_block_maps_consistent_with_four_state(self):
         params = params_for(alpha=1.0)
         f = random_four_state(params, seed=9)
-        via_p = decompose(evolve(f, params, 8))
-        via_zphi = evolve(decompose(f), params, 8)
-        np.testing.assert_allclose(via_zphi.z, via_p.z, rtol=0, atol=1e-13)
-        np.testing.assert_allclose(via_zphi.phi, via_p.phi, rtol=0, atol=1e-13)
+        z_p, phi_p = decompose(evolve(f, params, 8))
+        z, phi = decompose(f)
+        for _ in range(8):
+            z, phi = z_step(z, params), phi_step(phi, params)
+        np.testing.assert_allclose(z, z_p, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(phi, phi_p, rtol=0, atol=1e-13)
 
     def test_uniform_phi_returns_after_eight_steps(self):
         """At alpha = sqrt(2) the spatially uniform phi mode has period 8."""
@@ -238,34 +224,45 @@ class TestEvolve:
         phi = np.zeros((2, 64))
         phi[0] = 0.3
         phi[1] = -0.7
-        d = DecomposedField(np.zeros((2, 64)), phi.copy(), 0)
-        out = evolve(d, params, 8)
-        assert np.max(np.abs(out.phi - phi)) <= 1e-14
+        out = phi
+        for _ in range(8):
+            out = phi_step(out, params)
+        assert np.max(np.abs(out - phi)) <= 1e-14
 
-    def test_step_index_accumulates(self):
+    def test_segments_compose_exactly(self):
         params = params_for()
-        f = evolve(random_four_state(params, 0), params, 3)
-        f = evolve(f, params, 4)
-        assert f.step_index == 7
+        f = random_four_state(params, 0)
+        assert np.array_equal(evolve(evolve(f, params, 3), params, 4), evolve(f, params, 7))
 
 
 class TestEvolveSnapshots:
     STEPS = [0, 3, 8, 11]
 
-    @pytest.mark.parametrize("form", ["four_state", "decomposed"])
-    def test_rows_are_the_evolved_field(self, form):
-        params = params_for(alpha=SQRT2 if form == "decomposed" else 1.0)
+    @pytest.mark.parametrize("alpha", [1.0, SQRT2])
+    def test_rows_are_the_evolved_field(self, alpha):
+        # p and z are the bare walk at every alpha; phi carries alpha**s.
+        params = params_for(alpha=alpha)
         start = random_four_state(params, seed=6)
-        if form == "decomposed":
-            start = decompose(start)
-        rows, final = evolve_snapshots(start, params, self.STEPS)
+        rows = evolve_snapshots(start, params, self.STEPS)
         assert rows.shape == (4, 8, 64)
         for k, s in enumerate(self.STEPS):
-            field = evolve(start, params, s)
-            dec, four = (field, compose(field)) if form == "decomposed" else (decompose(field), field)
-            assert np.array_equal(rows[k], np.concatenate([four.p, dec.z, dec.phi]))
-        assert isinstance(final, DecomposedField) and final.step_index == 11
-        assert np.array_equal(final.z, rows[-1, 4:6]) and np.array_equal(final.phi, rows[-1, 6:])
+            p = evolve(start, params, s)
+            z, phi = decompose(p)
+            assert np.array_equal(rows[k], np.concatenate([p, z, phi * alpha**s]))
+
+    def test_point_source_phi_follows_the_block_map(self):
+        # The phi rows of the alpha-normalised walk track phi_step's
+        # per-step normalisation to rounding.
+        params = params_for(alpha=SQRT2)
+        rows = evolve_snapshots(point_source_phi(params, 32), params, self.STEPS)
+        _, phi = decompose(point_source_phi(params, 32))
+        done = 0
+        for k, s in enumerate(self.STEPS):
+            for _ in range(s - done):
+                phi = phi_step(phi, params)
+            done = s
+            np.testing.assert_allclose(rows[k, 6:], phi, rtol=0, atol=1e-15)
+            assert not rows[k, 4:6].any()
 
     @pytest.mark.parametrize("steps,named", [([0, 8, 16, 20], 20), ([0, 4, 8], 4), ([0, 12, 16], 12), ([12], 12)])
     def test_stroboscopic_names_first_bad_step_count(self, steps, named):
@@ -276,7 +273,7 @@ class TestEvolveSnapshots:
     @pytest.mark.parametrize("steps", [[16], [0, 64]])
     def test_stroboscopic_accepts_multiples_of_eight(self, steps):
         params = params_for()
-        rows, _ = evolve_snapshots(point_source_z(params, 32), params, steps, stroboscopic=True)
+        rows = evolve_snapshots(point_source_z(params, 32), params, steps, stroboscopic=True)
         assert rows.shape == (len(steps), 8, 64)
 
 
@@ -287,14 +284,14 @@ class TestMirror:
         g = f
         for _ in range(4):
             g = mirror_field(g)
-        assert np.array_equal(g.p, f.p)
+        assert np.array_equal(g, f)
 
     def test_square_is_spatial_inversion_with_half_cycle(self):
         params = params_for(n=16)
         f = random_four_state(params, seed=14)
         g = mirror_field(mirror_field(f))
         for k in range(4):
-            assert np.array_equal(g.p[k], f.p[(k + 2) % 4])
+            assert np.array_equal(g[k], f[(k + 2) % 4])
 
     def test_commutes_with_step_exactly(self):
         """Mirror then step equals step then mirror, bit for bit."""
@@ -303,21 +300,19 @@ class TestMirror:
             f = random_four_state(params, seed=seed)
             a = step_four_state(mirror_field(f), params)
             b = mirror_field(step_four_state(f, params))
-            assert np.array_equal(a.p, b.p)
+            assert np.array_equal(a, b)
 
-    def test_preserves_mass_and_step_index(self):
+    def test_preserves_mass(self):
         params = params_for(n=16)
         f = evolve(random_four_state(params, seed=15), params, 3)
-        g = mirror_field(f)
-        assert g.total_mass() == f.total_mass()
-        assert g.step_index == f.step_index
+        assert mirror_field(f).sum() == f.sum()
 
 
 class TestVariance:
     def test_balanced_point_source_diffuses_exactly(self):
         """From the symmetric z source, var = n_steps * delta^2 exactly."""
         params = params_for(n=512, delta=0.1, epsilon=0.01)
-        z = point_source_z(params, 256).z
+        z, _ = decompose(point_source_z(params, 256))
         for s in (1, 10, 100):
             zz = z.copy()
             for _ in range(s):
@@ -334,13 +329,15 @@ class TestVariance:
 class TestPointSources:
     def test_phi_point_values(self):
         params = params_for(n=16)
-        d = point_source_phi(params, 5)
-        assert d.phi[1, 5] == SQRT2 and np.count_nonzero(d.phi) == 1
-        assert not d.z.any()
+        p = point_source_phi(params, 5)
+        assert p[1, 5] == SQRT2 and p[3, 5] == -SQRT2 and np.count_nonzero(p) == 2
+        z, phi = decompose(p)
+        assert phi[1, 5] == SQRT2 and np.count_nonzero(phi) == 1
+        assert not z.any()
 
     def test_z_point_is_one_step_eigenvector(self):
         params = params_for(n=16)
-        z = point_source_z(params, 8).z
+        z, _ = decompose(point_source_z(params, 8))
         out = z_step(z, params)
         # mass splits evenly into the two neighbours, rows staying equal
         assert out[0, 7] == 0.25 and out[0, 9] == 0.25
@@ -365,30 +362,30 @@ class TestMonteCarlo:
     def test_one_step_splits_evenly(self):
         params = params_for(n=16)
         est = monte_carlo_estimate(params, 1, 40_000, seed=2, initial_state=1, initial_site=8)
-        det = decompose(step_four_state(unit_state_field(params, 1, 8), params))
+        z, phi = decompose(step_four_state(unit_state_field(params, 1, 8), params))
         tol_z = 4.0 * np.maximum(est.z_stderr, 0.5 / est.n_paths)
         tol_phi = 4.0 * np.maximum(est.phi_stderr, est.deposit_quantum)
-        assert np.all(np.abs(est.z_hat - det.z) <= tol_z)
-        assert np.all(np.abs(est.phi_hat - det.phi) <= tol_phi)
+        assert np.all(np.abs(est.z_hat - z) <= tol_z)
+        assert np.all(np.abs(est.phi_hat - phi) <= tol_phi)
         # the moved site really carries z1 = z2 = 1/4
-        assert abs(det.z[0, 9] - 0.25) < 1e-15
+        assert abs(z[0, 9] - 0.25) < 1e-15
 
     def test_sixteen_steps_all_sites_within_four_se(self):
         """Real-signal consistency check at alpha = 1."""
         params = params_for(n=64, alpha=1.0)
         est = monte_carlo_estimate(params, 16, 50_000, seed=3, initial_state=1, initial_site=32)
-        det = decompose(evolve(unit_state_field(params, 1, 32), params, 16))
+        z, phi = decompose(evolve(unit_state_field(params, 1, 32), params, 16))
         tol_z = 4.0 * np.maximum(est.z_stderr, 0.5 / est.n_paths)
         tol_phi = 4.0 * np.maximum(est.phi_stderr, est.deposit_quantum)
-        assert np.all(np.abs(est.z_hat - det.z) <= tol_z)
-        assert np.all(np.abs(est.phi_hat - det.phi) <= tol_phi)
+        assert np.all(np.abs(est.z_hat - z) <= tol_z)
+        assert np.all(np.abs(est.phi_hat - phi) <= tol_phi)
 
     def test_deposit_standard_errors_closed_form(self):
         # one step from state 1: z1 = z2 = phi1 = phi2 = 1/4 at the moved
         # site, hit probability 1/2 per row, so SE = 1/4 / sqrt(n_paths)
         params = params_for(n=16, alpha=SQRT2)
-        det = decompose(step_four_state(unit_state_field(params, 1, 8), params))
-        z_se, phi_se = deposit_standard_errors(det, params, 1, 10_000)
+        p = step_four_state(unit_state_field(params, 1, 8), params)
+        z_se, phi_se = deposit_standard_errors(p, params, 1, 10_000)
         assert abs(z_se[0, 9] - 0.25 / 100.0) < 1e-15
         assert abs(phi_se[0, 9] - SQRT2 * 0.25 / 100.0) < 1e-15
         # empty sites have zero sampling variance
@@ -396,10 +393,10 @@ class TestMonteCarlo:
 
     def test_deposit_standard_errors_match_estimated(self):
         params = params_for(n=64, alpha=1.0)
-        det = decompose(evolve(unit_state_field(params, 1, 32), params, 16))
+        p = evolve(unit_state_field(params, 1, 32), params, 16)
         est = monte_carlo_estimate(params, 16, 200_000, seed=21, initial_state=1, initial_site=32)
-        z_se, phi_se = deposit_standard_errors(det, params, 16, est.n_paths)
-        bulk = det.z > 1e-3
+        z_se, phi_se = deposit_standard_errors(p, params, 16, est.n_paths)
+        bulk = decompose(p)[0] > 1e-3
         np.testing.assert_allclose(est.z_stderr[bulk], z_se[bulk], rtol=0.05, atol=0)
         np.testing.assert_allclose(est.phi_stderr[bulk], phi_se[bulk], rtol=0.05, atol=0)
 
@@ -407,14 +404,15 @@ class TestMonteCarlo:
     def test_band_deviations_match_inline_band(self, alpha):
         # The band written out as acceptance 07 computes it.
         params = params_for(n=64, alpha=alpha)
-        det = decompose(evolve(unit_state_field(params, 1, 32), params, 16))
+        p = evolve(unit_state_field(params, 1, 32), params, 16)
+        z, phi = decompose(p)
         est = monte_carlo_estimate(params, 16, 2000, seed=8, initial_state=1, initial_site=32)
-        z_se, phi_se = deposit_standard_errors(det, params, 16, est.n_paths)
+        z_se, phi_se = deposit_standard_errors(p, params, 16, est.n_paths)
         z_band = 4.0 * np.maximum.reduce([est.z_stderr, z_se, np.full_like(z_se, 0.5 / est.n_paths)])
         phi_band = 4.0 * np.maximum.reduce([est.phi_stderr, phi_se, np.full_like(phi_se, est.deposit_quantum)])
-        z_dev, phi_dev = band_deviations(est, det, params)
-        assert np.array_equal(z_dev, np.abs(est.z_hat - det.z) / z_band)
-        assert np.array_equal(phi_dev, np.abs(est.phi_hat - det.phi * alpha**16) / phi_band)
+        z_dev, phi_dev = band_deviations(est, p, params)
+        assert np.array_equal(z_dev, np.abs(est.z_hat - z) / z_band)
+        assert np.array_equal(phi_dev, np.abs(est.phi_hat - phi * alpha**16) / phi_band)
         assert z_dev.max() <= 1.0 and phi_dev.max() <= 1.0
 
     def test_alpha_scales_estimate_post_hoc(self):

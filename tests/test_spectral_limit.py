@@ -5,8 +5,8 @@ import pytest
 
 from clockwalk.lattice_walk import (
     SQRT2,
-    DecomposedField,
     LatticeParams,
+    decompose,
     phi_step,
     point_source_phi,
     z_step,
@@ -391,7 +391,7 @@ class TestAssemblePsi:
         """Sum of psi+ is 1/sqrt(2) for the unit source and is preserved
         at stroboscopic times, which fixes the density calibration."""
         params = params_for(n=64, alpha=SQRT2)
-        phi = point_source_phi(params, 32).phi
+        _, phi = decompose(point_source_phi(params, 32))
         for _ in range(16):
             phi = phi_step(phi, params)
         plus, _ = assemble_psi(phi[0], phi[1])
