@@ -426,6 +426,14 @@ def run_lattice_evolve(cfg: dict, seed: int) -> ScenarioResult:
         raise ConfigError("the Monte Carlo overlay requires init=unit_state")
     if n_steps * math.log2(params.alpha) >= 1024:  # phi and the overlay are scaled by alpha**s
         raise ConfigError(f"alpha**n_steps overflows a float (alpha {params.alpha}, n_steps {n_steps})")
+    # phi * alpha**s is as precise as the bare walk's phi.  From a unit state
+    # the walk is exact through 58 steps; later phi, a difference of far
+    # larger densities, is mostly rounding, which alpha**s would amplify.
+    # From the phi point source the cone-edge cells turn subnormal after
+    # 1022 steps.  The z point source has phi = 0 throughout.
+    max_steps = {"unit_state": 58, "phi_point": 1022}.get(cfg["init"], n_steps)
+    if params.alpha != 1.0 and n_steps > max_steps:
+        raise ConfigError(f"alpha != 1 with init={cfg['init']} allows at most {max_steps} steps, got {n_steps}")
 
     if cfg["init"] == "unit_state":
         p = unit_state_field(params, cfg["initial_state"], site)

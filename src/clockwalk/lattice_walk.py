@@ -67,6 +67,10 @@ class LatticeParams:
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise ValueError(f"alpha must be positive, got {self.alpha}")
 
+    @property
+    def diffusion_constant(self) -> float:
+        return self.delta * self.delta / (2.0 * self.epsilon)
+
 
 @dataclass
 class McEstimate:
@@ -133,7 +137,9 @@ def step_four_state(p: np.ndarray, params: LatticeParams) -> np.ndarray:
     """
     p1, p2, p3, p4 = p
     if p1.shape != (params.site_count,):
-        raise ValueError(f"field has {p1.shape[0]} sites, params expect {params.site_count}")
+        raise ValueError(
+            f"field has {p1.shape[0]} sites, params expect {params.site_count}"
+        )
     r1 = np.roll(p1, 1)   # p1(m-1)
     r2 = np.roll(p2, -1)  # p2(m+1)
     r3 = np.roll(p3, 1)
@@ -190,8 +196,8 @@ def phi_step(phi: np.ndarray, params: LatticeParams) -> np.ndarray:
 
 def evolve(p: np.ndarray, params: LatticeParams, n_steps: int) -> np.ndarray:
     """Apply n_steps of step_four_state to the densities p."""
-    if n_steps < 0:
-        raise ValueError(f"n_steps must be nonnegative, got {n_steps}")
+    if not (isinstance(n_steps, int) and n_steps >= 0):
+        raise ValueError(f"n_steps must be a nonnegative integer, got {n_steps}")
     for _ in range(n_steps):
         p = step_four_state(p, params)
     return p
@@ -268,17 +274,18 @@ def monte_carlo_estimate(
 
     z_hat = np.zeros((2, n))
     phi_hat = np.zeros((2, n))
+    z_sqsum = np.zeros((2, n))
     for row, mask in ((0, right), (1, ~right)):
         counts = np.bincount(pos[mask], minlength=n).astype(float)
         signed = np.bincount(pos[mask], weights=parity[mask], minlength=n)
         z_hat[row] = 0.5 * counts / n_paths
         phi_hat[row] = 0.5 * signed / n_paths
+        z_sqsum[row] = 0.25 * counts / n_paths
 
     # Per-site deposit variance: deposits are 0 or +/-1/2, so the second
-    # moment is 0.25 * hit fraction = 0.5 * z_hat for both blocks.
-    hit_second_moment = 0.5 * z_hat
-    z_var = np.maximum(hit_second_moment - z_hat**2, 0.0)
-    phi_var = np.maximum(hit_second_moment - phi_hat**2, 0.0)
+    # moment is 0.25 * hit fraction for both blocks.
+    z_var = np.maximum(z_sqsum - z_hat**2, 0.0)
+    phi_var = np.maximum(z_sqsum - phi_hat**2, 0.0)
     z_stderr = np.sqrt(z_var / n_paths)
     phi_stderr = np.sqrt(phi_var / n_paths)
 
@@ -295,14 +302,16 @@ def monte_carlo_estimate(
 
 
 def deposit_standard_errors(
-    p: np.ndarray,
+    z: np.ndarray,
+    phi: np.ndarray,
     params: LatticeParams,
     n_steps: int,
     n_paths: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact per-site standard errors of monte_carlo_estimate.
 
-    Given the bare unit-state walk p the sampler targets, the per-path
+    Given the blocks z, phi = decompose(p) of the bare unit-state walk p
+    the sampler targets (so phi must be unscaled), the per-path
     deposit at a site is 0 or +/-1/2 with hit probability 2 * z; its
     second moment is 0.25 * (2 * z) for both blocks, so the sampling
     variances are 0.5 * z - z**2 and 0.5 * z - phi**2.  Unlike the
@@ -311,7 +320,6 @@ def deposit_standard_errors(
     when checking the sampler against a known reference.  The phi block
     is scaled by alpha**n_steps to match the estimate.
     """
-    z, phi = decompose(p)
     hit_second_moment = 0.5 * z
     z_se = np.sqrt(np.maximum(hit_second_moment - z**2, 0.0) / n_paths)
     phi_var = np.maximum(hit_second_moment - phi**2, 0.0)
@@ -328,7 +336,7 @@ def band_deviations(est: McEstimate, p: np.ndarray, params: LatticeParams):
     collapses at tail sites whose counts fluctuate low.
     """
     z, phi = decompose(p)
-    z_se, phi_se = deposit_standard_errors(p, params, est.n_steps, est.n_paths)
+    z_se, phi_se = deposit_standard_errors(z, phi, params, est.n_steps, est.n_paths)
     z_band = 4.0 * np.maximum.reduce([est.z_stderr, z_se, np.full_like(z_se, 0.5 / est.n_paths)])
     phi_band = 4.0 * np.maximum.reduce([est.phi_stderr, phi_se, np.full_like(phi_se, est.deposit_quantum)])
     phi = phi * params.alpha**est.n_steps

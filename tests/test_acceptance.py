@@ -222,12 +222,11 @@ def test_07_monte_carlo_consistency():
     turn an ordinary ~2 sigma fluctuation into a spurious failure."""
     params = LatticeParams(delta=0.1, epsilon=0.01, site_count=192, alpha=SQRT2)
     n_steps, site = 64, 96
-    p = evolve(unit_state_field(params, 1, site), params, n_steps)
-    z, phi = decompose(p)
+    z, phi = decompose(evolve(unit_state_field(params, 1, site), params, n_steps))
     scale = SQRT2**n_steps
 
     est = monte_carlo_estimate(params, n_steps, 100_000, seed=2024, initial_state=1, initial_site=site)
-    z_true_se, phi_true_se = deposit_standard_errors(p, params, n_steps, est.n_paths)
+    z_true_se, phi_true_se = deposit_standard_errors(z, phi, params, n_steps, est.n_paths)
     z_floor = 0.5 / est.n_paths
     z_band = 4.0 * np.maximum.reduce([est.z_stderr, z_true_se, np.full_like(z_true_se, z_floor)])
     phi_band = 4.0 * np.maximum.reduce(

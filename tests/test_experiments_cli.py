@@ -260,6 +260,23 @@ class TestConfigErrors:
         assert code == EXIT_OK
         assert report(out)["manifest"]["seed"] == 2**64 - 1
 
+    @pytest.mark.parametrize("init,n_steps", [("unit_state", 59), ("phi_point", 1023)])
+    def test_alpha_precision_limits(self, tmp_path, capsys, init, n_steps):
+        # Past these step counts phi * alpha**s would lose the precision
+        # of the bare walk's phi; one step fewer runs.
+        args = ["--set", f"init={init}", "--set", "alpha=sqrt2", "--set", f"snapshot_every={n_steps}"]
+        out = tmp_path / "x"
+        assert run("lattice-evolve", out, *args, "--set", f"n_steps={n_steps}") == EXIT_CONFIG
+        assert f"at most {n_steps - 1} steps" in capsys.readouterr().err
+        assert not out.exists()
+        assert run("lattice-evolve", tmp_path / "ok", *args, "--set", f"n_steps={n_steps - 1}") == EXIT_OK
+
+    def test_z_point_alpha_has_no_step_limit(self, tmp_path):
+        out = tmp_path / "x"
+        args = ["--set", "init=z_point", "--set", "alpha=sqrt2", "--set", "n_steps=2000", "--set", "snapshot_every=1000"]
+        assert run("lattice-evolve", out, *args) == EXIT_OK
+        assert report(out)["checks"]["conservation"]
+
     def test_mc_requires_unit_state(self, tmp_path):
         out = tmp_path / "x"
         code = run("lattice-evolve", out, "--set", "init=phi_point", "--set", "mc_paths=100")

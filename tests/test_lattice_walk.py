@@ -49,6 +49,12 @@ def random_four_state(params, seed=0, nonnegative=True):
 
 
 class TestLatticeParams:
+    def test_diffusion_constant(self):
+        p = params_for(delta=0.1, epsilon=0.01)
+        assert abs(p.diffusion_constant - 0.5) < 1e-15
+        p = params_for(delta=0.2, epsilon=0.01)
+        assert abs(p.diffusion_constant - 2.0) < 1e-15
+
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -264,6 +270,38 @@ class TestEvolveSnapshots:
             np.testing.assert_allclose(rows[k, 6:], phi, rtol=0, atol=1e-15)
             assert not rows[k, 4:6].any()
 
+    @pytest.mark.parametrize("state", [1, 2, 3, 4])
+    def test_unit_state_walk_exact_through_58_steps(self, state):
+        # Against the walk in integers (units of 2**-s): every cell is exact
+        # through step 58 and some cell is rounded at step 59, the limit
+        # lattice-evolve puts on unit-state runs at alpha != 1.
+        params = params_for(n=160)
+        p = unit_state_field(params, state, 80)
+        k = (p == 1.0).astype(np.int64)
+        for s in range(1, 60):
+            p = step_four_state(p, params)
+            r = np.stack([np.roll(k[0], 1), np.roll(k[1], -1), np.roll(k[2], 1), np.roll(k[3], -1)])
+            k = np.stack([r[0] + r[3], r[1] + r[0], r[2] + r[1], r[3] + r[2]])
+            exact = all(float(a) * 2.0**s == int(b) for a, b in zip(p.ravel(), k.ravel()))
+            assert exact == (s <= 58), s
+
+    def test_point_source_phi_normal_through_1022_steps(self):
+        # Every nonzero cell of the bare walk stays a normal float through
+        # step 1022, so phi * alpha**s keeps phi_step's precision there;
+        # at step 1023 the cone edge turns subnormal.
+        params = params_for(n=2 * 1022 + 64, alpha=SQRT2)
+        source = point_source_phi(params, 1022 + 32)
+        rows = evolve_snapshots(source, params, [1022])
+        phi = decompose(source)[1]
+        for _ in range(1022):
+            phi = phi_step(phi, params)
+        assert np.array_equal(rows[0, 6:] != 0, phi != 0)
+        assert np.max(np.abs(rows[0, 6:] - phi)) <= 1e-14 * np.max(np.abs(phi))
+        tiny = np.finfo(float).tiny
+        assert np.abs(rows[0, :4][rows[0, :4] != 0]).min() >= tiny
+        p = step_four_state(rows[0, :4], params)
+        assert np.abs(p[p != 0]).min() < tiny
+
     @pytest.mark.parametrize("steps,named", [([0, 8, 16, 20], 20), ([0, 4, 8], 4), ([0, 12, 16], 12), ([12], 12)])
     def test_stroboscopic_names_first_bad_step_count(self, steps, named):
         params = params_for()
@@ -384,8 +422,8 @@ class TestMonteCarlo:
         # one step from state 1: z1 = z2 = phi1 = phi2 = 1/4 at the moved
         # site, hit probability 1/2 per row, so SE = 1/4 / sqrt(n_paths)
         params = params_for(n=16, alpha=SQRT2)
-        p = step_four_state(unit_state_field(params, 1, 8), params)
-        z_se, phi_se = deposit_standard_errors(p, params, 1, 10_000)
+        z, phi = decompose(step_four_state(unit_state_field(params, 1, 8), params))
+        z_se, phi_se = deposit_standard_errors(z, phi, params, 1, 10_000)
         assert abs(z_se[0, 9] - 0.25 / 100.0) < 1e-15
         assert abs(phi_se[0, 9] - SQRT2 * 0.25 / 100.0) < 1e-15
         # empty sites have zero sampling variance
@@ -393,10 +431,10 @@ class TestMonteCarlo:
 
     def test_deposit_standard_errors_match_estimated(self):
         params = params_for(n=64, alpha=1.0)
-        p = evolve(unit_state_field(params, 1, 32), params, 16)
+        z, phi = decompose(evolve(unit_state_field(params, 1, 32), params, 16))
         est = monte_carlo_estimate(params, 16, 200_000, seed=21, initial_state=1, initial_site=32)
-        z_se, phi_se = deposit_standard_errors(p, params, 16, est.n_paths)
-        bulk = decompose(p)[0] > 1e-3
+        z_se, phi_se = deposit_standard_errors(z, phi, params, 16, est.n_paths)
+        bulk = z > 1e-3
         np.testing.assert_allclose(est.z_stderr[bulk], z_se[bulk], rtol=0.05, atol=0)
         np.testing.assert_allclose(est.phi_stderr[bulk], phi_se[bulk], rtol=0.05, atol=0)
 
@@ -407,7 +445,7 @@ class TestMonteCarlo:
         p = evolve(unit_state_field(params, 1, 32), params, 16)
         z, phi = decompose(p)
         est = monte_carlo_estimate(params, 16, 2000, seed=8, initial_state=1, initial_site=32)
-        z_se, phi_se = deposit_standard_errors(p, params, 16, est.n_paths)
+        z_se, phi_se = deposit_standard_errors(z, phi, params, 16, est.n_paths)
         z_band = 4.0 * np.maximum.reduce([est.z_stderr, z_se, np.full_like(z_se, 0.5 / est.n_paths)])
         phi_band = 4.0 * np.maximum.reduce([est.phi_stderr, phi_se, np.full_like(phi_se, est.deposit_quantum)])
         z_dev, phi_dev = band_deviations(est, p, params)

@@ -10,9 +10,9 @@ report.json is left out: it carries wall-clock timings.  The exit code is
 1 if any invocation differs in exit code or data, 0 otherwise.
 
 The list covers the six scenarios at their desk defaults in CSV and JSON,
-every invocation of the benchmark's workloads (perfbench/run.py; the
-walk-snapshots walker at both ends of its site range), and the
-off-default lattice-evolve configs.
+every invocation of the benchmark's workloads, taken from
+perfbench/run.py's WORKLOADS (walk-snapshots at seeds 0 and 63, the two
+ends of its site range), and the off-default lattice-evolve configs.
 """
 
 from __future__ import annotations
@@ -25,43 +25,43 @@ import sys
 import tempfile
 from pathlib import Path
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from run import WORKLOADS, Op  # noqa: E402
+
 SCENARIOS = ["clock-pattern", "propagator-compare", "double-slit", "lattice-evolve", "continuum-check", "spectral-check"]
 
-INVOCATIONS: list[tuple[str, list[str]]] = [
-    *((f"{s} default {fmt}", [s, "--format", fmt]) for s in SCENARIOS for fmt in ("csv", "json")),
+
+def lattice(*entries: str) -> Op:
+    return Op("lattice-evolve", tuple(tuple(e.split("=", 1)) for e in entries))
+
+
+INVOCATIONS: list[tuple[str, Op]] = [
+    *((f"{s} default {fmt}", Op(s, (), fmt)) for s in SCENARIOS for fmt in ("csv", "json")),
     *(
-        (
-            f"walk-snapshots site {site}",
-            ["lattice-evolve", "--set", "n_steps=512", "--set", "mc_paths=20000", "--set", f"initial_site={site}"],
-        )
-        for site in (512, 575)
+        (f"{name} seed {seed}: {op.scenario}", op)
+        for name, seeds in (("walk-snapshots", (0, 63)), ("continuum-levels", (0,)), ("patterns-json", (0,)))
+        for seed in seeds
+        for op in WORKLOADS[name](seed)
     ),
-    ("continuum-levels", ["continuum-check", "--set", "deltas=0.1,0.05,0.025,0.0125"]),
-    ("patterns-json clock-pattern", ["clock-pattern", "--set", "x_step=0.01", "--set", "raster_t_step=0.25", "--format", "json"]),
-    ("patterns-json double-slit", ["double-slit", "--set", "x_step=0.002", "--format", "json"]),
-    ("patterns-json propagator-compare", ["propagator-compare", "--set", "x_step=0.0005", "--format", "json"]),
-    ("patterns-json spectral-check", ["spectral-check", "--set", "site_count=16384", "--format", "json"]),
-    ("lattice-evolve phi_point", ["lattice-evolve", "--set", "init=phi_point"]),
-    ("lattice-evolve z_point", ["lattice-evolve", "--set", "init=z_point"]),
-    ("lattice-evolve stroboscopic", ["lattice-evolve", "--set", "stroboscopic=true"]),
-    ("lattice-evolve z_point stroboscopic", ["lattice-evolve", "--set", "init=z_point", "--set", "stroboscopic=true"]),
-    ("lattice-evolve monte carlo", ["lattice-evolve", "--set", "n_steps=16", "--set", "mc_paths=2000", "--seed", "11"]),
-    ("lattice-evolve alpha=sqrt2", ["lattice-evolve", "--set", "alpha=sqrt2"]),
-    ("lattice-evolve phi_point alpha=sqrt2", ["lattice-evolve", "--set", "init=phi_point", "--set", "alpha=sqrt2"]),
-    ("lattice-evolve z_point alpha=sqrt2", ["lattice-evolve", "--set", "init=z_point", "--set", "alpha=sqrt2"]),
-    (
-        "lattice-evolve monte carlo alpha=sqrt2",
-        ["lattice-evolve", "--set", "n_steps=16", "--set", "mc_paths=2000", "--seed", "11", "--set", "alpha=sqrt2"],
-    ),
+    ("lattice-evolve phi_point", lattice("init=phi_point")),
+    ("lattice-evolve z_point", lattice("init=z_point")),
+    ("lattice-evolve stroboscopic", lattice("stroboscopic=true")),
+    ("lattice-evolve z_point stroboscopic", lattice("init=z_point", "stroboscopic=true")),
+    ("lattice-evolve monte carlo", lattice("n_steps=16", "mc_paths=2000")),
+    ("lattice-evolve alpha=sqrt2", lattice("alpha=sqrt2")),
+    ("lattice-evolve alpha=sqrt2 58 steps", lattice("alpha=sqrt2", "n_steps=58")),
+    ("lattice-evolve phi_point alpha=sqrt2", lattice("init=phi_point", "alpha=sqrt2")),
+    ("lattice-evolve z_point alpha=sqrt2", lattice("init=z_point", "alpha=sqrt2")),
+    ("lattice-evolve monte carlo alpha=sqrt2", lattice("n_steps=16", "mc_paths=2000", "alpha=sqrt2")),
 ]
 
 
-def run(root: Path, args: list[str], out: Path) -> tuple[int, dict[str, str]]:
+def run(root: Path, op: Op, out: Path) -> tuple[int, dict[str, str]]:
     """Exit code and {data file name: SHA-256} of one invocation."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-m", "clockwalk", *args, "--out", str(out)],
+        [sys.executable, "-m", "clockwalk", *op.argv(out)],
         cwd=root, env=env, capture_output=True,
     )
     files = {}
@@ -79,9 +79,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     differs = 0
     with tempfile.TemporaryDirectory(prefix="compare_runs.") as tmp:
-        for k, (name, cli_args) in enumerate(INVOCATIONS):
-            code_a, files_a = run(args.parent.resolve(), cli_args, Path(tmp) / f"{k}.parent")
-            code_b, files_b = run(args.change.resolve(), cli_args, Path(tmp) / f"{k}.change")
+        for k, (name, op) in enumerate(INVOCATIONS):
+            code_a, files_a = run(args.parent.resolve(), op, Path(tmp) / f"{k}.parent")
+            code_b, files_b = run(args.change.resolve(), op, Path(tmp) / f"{k}.change")
             changed = sorted(f for f in files_a.keys() | files_b.keys() if files_a.get(f) != files_b.get(f))
             same = code_a == code_b and not changed
             differs += not same
