@@ -196,8 +196,8 @@ def phi_step(phi: np.ndarray, params: LatticeParams) -> np.ndarray:
 
 def evolve(p: np.ndarray, params: LatticeParams, n_steps: int) -> np.ndarray:
     """Apply n_steps of step_four_state to the densities p."""
-    if not (isinstance(n_steps, int) and n_steps >= 0):
-        raise ValueError(f"n_steps must be a nonnegative integer, got {n_steps}")
+    if n_steps < 0:
+        raise ValueError(f"n_steps must be nonnegative, got {n_steps}")
     for _ in range(n_steps):
         p = step_four_state(p, params)
     return p
