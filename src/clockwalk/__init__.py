@@ -22,6 +22,7 @@ __all__ = [
     "kinematics",
     "lattice_walk",
     "reference_solutions",
+    "rundir",
     "spectral_limit",
 ]
 

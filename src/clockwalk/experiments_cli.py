@@ -12,20 +12,11 @@ it matches, 3 when it does not, 2 when RUN_DIR is not a run.
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import math
 import os
-import shutil
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
-
-try:
-    import resource
-except ImportError:  # not available on Windows
-    resource = None
 
 import numpy as np
 
@@ -52,6 +43,7 @@ from .reference_solutions import (
     two_source_superposition,
     zero_crossings,
 )
+from .rundir import ConfigError, ScenarioResult, check_replaceable, table, verify_manifest, write_run
 from .spectral_limit import (
     diffusion_levels,
     engine_step_loop_deviation,
@@ -64,7 +56,6 @@ from .spectral_limit import (
 __all__ = [
     "main",
     "run_scenario",
-    "ConfigError",
     "EXIT_OK",
     "EXIT_CONFIG",
     "EXIT_CHECK",
@@ -75,10 +66,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_CHECK = 3
 EXIT_IO = 4
-
-
-class ConfigError(ValueError):
-    """Raised for any invalid configuration before any file is written."""
 
 
 # ---------------------------------------------------------------------------
@@ -131,12 +118,14 @@ def _parse_alpha(s: str) -> float:
 
 
 def _positive_list(min_len: int, halving: bool = False):
-    """Comma-separated positive numbers, at least min_len, each half the last if halving."""
+    """Comma-separated distinct positive numbers, at least min_len, each half the last if halving."""
 
     def parse(s: str) -> tuple[float, ...]:
         vals = tuple(_positive(tok) for tok in s.split(",") if tok.strip())
         if len(vals) < min_len:
             raise ValueError(f"must list at least {min_len} values")
+        if len(set(vals)) < len(vals):
+            raise ValueError("values must be distinct")
         if halving and any(abs(b / a - 0.5) > 1e-9 for a, b in zip(vals, vals[1:])):
             raise ValueError("each value must be half the one before")
         return vals
@@ -219,26 +208,6 @@ def _grid(x_min: float, x_max: float, step: float) -> np.ndarray:
 # scenario runners
 
 
-@dataclass
-class ScenarioResult:
-    tables: dict[str, tuple[list[str], np.ndarray]]
-    metrics: dict
-    checks: dict[str, bool]
-
-
-def _table(**columns) -> tuple[list[str], np.ndarray]:
-    """A table as (header, rows): the keywords in order, and a 1-D structured
-    array with one field per column, so len(rows) is the row count.  A
-    scalar column repeats down the table.
-    """
-    arrays = [np.asarray(c) for c in columns.values()]
-    shape = np.broadcast_shapes(*(a.shape for a in arrays))
-    rows = np.empty(shape, dtype=[(name, a.dtype) for name, a in zip(columns, arrays)])
-    for name, a in zip(columns, arrays):
-        rows[name] = a
-    return list(columns), rows
-
-
 def _pattern_crossing_check(t: float, units: UnitsConfig, pattern: Pattern) -> tuple[bool, dict]:
     """Two-way bracketing of analytic against sampled parity crossings.
 
@@ -291,8 +260,8 @@ def run_clock_pattern(cfg: dict, seed: int) -> ScenarioResult:
     bracketed, info = _pattern_crossing_check(cfg["t"], units, slice_pattern)
     return ScenarioResult(
         tables={
-            "slice": _table(x=xs, t=cfg["t"], parity=slice_pattern.value, in_cone=slice_pattern.in_cone),
-            "raster": _table(
+            "slice": table(x=xs, t=cfg["t"], parity=slice_pattern.value, in_cone=slice_pattern.in_cone),
+            "raster": table(
                 x=np.tile(xs, ts.size),
                 t=np.repeat(ts, xs.size),
                 parity=np.concatenate([pat.value for pat in raster]),
@@ -325,7 +294,7 @@ def run_propagator_compare(cfg: dict, seed: int) -> ScenarioResult:
 
     spacing_ok = rep.insufficient_crossings or rep.crossing_spacing_error <= cfg["max_spacing_rel"]
     return ScenarioResult(
-        tables={"compare": _table(x=xs, clock_parity=pattern, re_feynman=re_k, sign_re_feynman=np.sign(re_k))},
+        tables={"compare": table(x=xs, clock_parity=pattern, re_feynman=re_k, sign_re_feynman=np.sign(re_k))},
         metrics={
             "t": cfg["t"],
             "x_window": w,
@@ -374,7 +343,7 @@ def run_double_slit(cfg: dict, seed: int) -> ScenarioResult:
 
     return ScenarioResult(
         tables={
-            "slit": _table(
+            "slit": table(
                 x=xs,
                 phi=phi.value,
                 phi_sq=phi_sq,
@@ -407,7 +376,7 @@ def run_double_slit(cfg: dict, seed: int) -> ScenarioResult:
     snapshot_every=(_int_at_least(1), "8"),
     site_count=(_int_at_least(0), "0"),  # 0: 2 n_steps + 64
     init=(_parse_choice("unit_state", "phi_point", "z_point"), "unit_state"),
-    initial_state=(int, "1"),
+    initial_state=(_constrained(int, "1, 2, 3 or 4", lambda v: 1 <= v <= 4), "1"),
     initial_site=(int, "-1"),
     stroboscopic=(_parse_bool, "false"),
     mc_paths=(_int_at_least(0), "0"),  # 0: no Monte Carlo overlay
@@ -480,8 +449,8 @@ def run_lattice_evolve(cfg: dict, seed: int) -> ScenarioResult:
     key = {"step": np.repeat(snap_steps, n), "m": np.tile(sites, len(snap_steps)), "x": np.tile(xs, len(snap_steps))}
     p1, p2, p3, p4, z1, z2, phi1, phi2 = snaps.transpose(1, 0, 2).reshape(8, -1)
     tables = {
-        "snapshots_p": _table(**key, p1=p1, p2=p2, p3=p3, p4=p4),
-        "snapshots_zphi": _table(**key, z1=z1, z2=z2, phi1=phi1, phi2=phi2),
+        "snapshots_p": table(**key, p1=p1, p2=p2, p3=p3, p4=p4),
+        "snapshots_zphi": table(**key, z1=z1, z2=z2, phi1=phi1, phi2=phi2),
     }
 
     if cfg["mc_paths"] > 0:
@@ -491,7 +460,7 @@ def run_lattice_evolve(cfg: dict, seed: int) -> ScenarioResult:
         metrics["mc_paths"] = est.n_paths
         metrics["mc_max_z_dev_4se"] = float(z_dev.max())
         metrics["mc_max_phi_dev_4se"] = float(phi_dev.max())
-        tables["mc_overlay"] = _table(
+        tables["mc_overlay"] = table(
             m=sites,
             x=xs,
             z1_hat=est.z_hat[0],
@@ -555,8 +524,8 @@ def run_continuum_check(cfg: dict, seed: int) -> ScenarioResult:
     return ScenarioResult(
         tables={
             # One row per level; the columns are the keys of schrodinger_level's dict.
-            "levels": _table(**{key: [lv[key] for lv in levels] for key in levels[0]}),
-            "diffusion": _table(delta=diff["deltas"], s=diff["steps"], l1_rel=diff["l1_rel"]),
+            "levels": table(**{key: [lv[key] for lv in levels] for key in levels[0]}),
+            "diffusion": table(delta=diff["deltas"], s=diff["steps"], l1_rel=diff["l1_rel"]),
         },
         metrics=metrics,
         checks=checks,
@@ -597,7 +566,7 @@ def run_spectral_check(cfg: dict, seed: int) -> ScenarioResult:
         checks["unitarity"] = unit_max <= cfg["unitarity_tol"]
     return ScenarioResult(
         tables={
-            "spectrum": _table(
+            "spectrum": table(
                 p=ps,
                 unitarity_residual=resid,
                 abs_lambda_plus=lam_mod,
@@ -605,7 +574,7 @@ def run_spectral_check(cfg: dict, seed: int) -> ScenarioResult:
                 re_det=det.real,
                 im_det=det.imag,
             ),
-            "expansion": _table(delta=exp_deltas, residual=exp_errors),
+            "expansion": table(delta=exp_deltas, residual=exp_errors),
         },
         metrics={
             "unitarity_max_residual": unit_max,
@@ -618,214 +587,41 @@ def run_spectral_check(cfg: dict, seed: int) -> ScenarioResult:
 
 
 # ---------------------------------------------------------------------------
-# output
-
-
-# Rows per write: bounds the text of one table held in memory at a time.
-CHUNK_ROWS = 8192
-# Rows per dedupe: each distinct value of a column is formatted once per
-# block.  The raster's x comes back only every t-count rows (5001 at the
-# benchmark size), so a block of one chunk still formats most cells; one
-# block per table raises the peak memory of the largest table by 13 MB.
-BLOCK_ROWS = 65536
-
-def _column_text(col: np.ndarray, fmt: str) -> list[str]:
-    """The cells of one column as text, chosen once by dtype kind.
-
-    Bools are 1/0 in CSV and true/false in JSON; numbers are their repr,
-    which round-trips a float.  JSON has no literal for a non-finite float,
-    so there it is its repr in quotes.
-    """
-    if col.dtype.kind == "b":
-        true, false = ("1", "0") if fmt == "csv" else ("true", "false")
-        return [true if v else false for v in col.tolist()]
-    text = list(map(repr, col.tolist()))
-    if fmt == "json" and not np.isfinite(col).all():
-        text = [f'"{s}"' if s in ("nan", "inf", "-inf") else s for s in text]
-    return text
-
-
-def _distinct_text(col: np.ndarray, fmt: str) -> tuple[np.ndarray, np.ndarray]:
-    """(text of each distinct value, index of each cell into that text).
-
-    Values are keyed on their bit pattern, not compared as numbers: -0.0
-    equals 0.0 but is written differently.
-    """
-    keys, index = np.unique(col.view(f"u{col.itemsize}"), return_inverse=True)
-    return np.array(_column_text(keys.view(col.dtype), fmt), dtype=object), index
-
-
-def _write_table(path: Path, header: list[str], rows: np.ndarray, fmt: str) -> str:
-    """Write one table in chunks of CHUNK_ROWS rows; returns the SHA-256 of its bytes.
-
-    CSV is a header line and one line per row.  JSON is the object
-    {"header": [...], "rows": [[...], ...]} with sorted keys and no spaces.
-    Each column's distinct values are formatted once per BLOCK_ROWS rows.
-    """
-    if fmt == "csv":
-        start, open_row, close_row, between, end = ",".join(header) + "\n", "", "\n", "", ""
-    else:
-        start = '{"header":' + json.dumps(header, separators=(",", ":")) + ',"rows":['
-        open_row, close_row, between, end = "[", "]", ",", "]}\n"
-    digest = hashlib.sha256()
-    with open(path, "wb") as fh:
-
-        def put(text: str) -> None:
-            blob = text.encode("utf-8")
-            digest.update(blob)
-            fh.write(blob)
-
-        put(start)
-        for block_lo in range(0, len(rows), BLOCK_ROWS):
-            block = rows[block_lo : block_lo + BLOCK_ROWS]
-            columns = [_distinct_text(block[name], fmt) for name in header]
-            for lo in range(0, len(block), CHUNK_ROWS):
-                cells = zip(*(text[index[lo : lo + CHUNK_ROWS]].tolist() for text, index in columns))
-                lines = (close_row + between + open_row).join(map(",".join, cells))
-                put((between if block_lo + lo else "") + open_row + lines + close_row)
-        put(end)
-    return digest.hexdigest()
-
-
-def _json_safe(v):
-    if isinstance(v, (bool, np.bool_)):
-        return bool(v)
-    if isinstance(v, (int, np.integer)):
-        return int(v)
-    if isinstance(v, (float, np.floating)):
-        f = float(v)
-        return f if math.isfinite(f) else repr(f)
-    if isinstance(v, np.ndarray):
-        return [_json_safe(x) for x in v.tolist()]
-    if isinstance(v, (list, tuple)):
-        return [_json_safe(x) for x in v]
-    if isinstance(v, dict):
-        return {str(k): _json_safe(x) for k, x in v.items()}
-    if v is None or isinstance(v, str):
-        return v
-    return str(v)
-
-
-def _manifest_digest(files: dict[str, str]) -> str:
-    """SHA-256 over the sorted "name:sha256" lines of a run's data files."""
-    lines = "\n".join(f"{name}:{digest}" for name, digest in sorted(files.items()))
-    return hashlib.sha256(lines.encode("utf-8")).hexdigest()
-
-
-def _read_manifest(out: Path) -> dict:
-    return json.loads((out / "report.json").read_text(encoding="utf-8"))["manifest"]
-
-
-def _check_replaceable(out: Path) -> None:
-    """Refuse an existing directory that is neither empty nor a previous run.
-
-    A previous run is a report.json with a manifest plus only files that
-    manifest lists; anything else may be data that a run must not delete.
-    """
-    names = {entry.name for entry in out.iterdir()} if out.is_dir() else set()
-    try:
-        previous_run = not names or names <= {"report.json", *_read_manifest(out)["files"]}
-    except (OSError, ValueError, KeyError, TypeError):
-        previous_run = False
-    if not previous_run:
-        raise ConfigError(f"{out} is neither empty nor a previous run; not replacing it")
+# run directory and command line
 
 
 def run_scenario(scenario: str, cfg: dict, out_dir: str, fmt: str, seed: int):
-    """Compute a scenario and write its run directory; returns (exit_code, report).
+    """Compute a scenario and write its run directory; returns the exit code.
 
     Validation happens before any filesystem work: a ValueError from the
     runner, which includes those the library dataclasses raise for values
     only they check, becomes a ConfigError, as does an out_dir that may not
-    be replaced.  The run is written into a temporary sibling of out_dir
-    and renamed into place when complete, so out_dir holds a whole run or
-    none; an OSError propagates.  Data files are a pure function of
-    (config, seed), while the report carries the wall-clock duration and
-    the stage timings and therefore is not expected to be byte-stable.
+    be replaced.  write_run lands the run whole or not at all; an OSError
+    propagates.
     """
     start = time.perf_counter()
     out = Path(os.path.abspath(out_dir))
-    _check_replaceable(out)
+    check_replaceable(out)
     checked = time.perf_counter()
     try:
         result = RUNNERS[scenario](cfg, seed)
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     computed = time.perf_counter()
 
-    ext = "csv" if fmt == "csv" else "json"
-    out.parent.mkdir(parents=True, exist_ok=True)
-    tmp = out.with_name(f".{out.name}.{os.urandom(4).hex()}.tmp")
-    old = tmp.with_name(tmp.name + ".old")
-    tmp.mkdir()
-    try:
-        files = {}
-        for name in sorted(result.tables):
-            header, rows = result.tables[name]
-            files[f"{name}.{ext}"] = _write_table(tmp / f"{name}.{ext}", header, rows, fmt)
-        written = time.perf_counter()
-        timings = {
-            "check_replaceable_s": checked - start,
-            "runner_s": computed - checked,
-            "write_s": written - computed,
-            # ru_maxrss is in KiB on Linux
-            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024 if resource else None,
-        }
-        manifest = {
-            "tool_version": __version__,
-            "scenario": scenario,
-            "config": _json_safe(cfg),
-            "seed": seed,
-            "format": fmt,
-            "duration_seconds": written - start,
-            "checks": result.checks,
-            "files": files,
-            "digest": _manifest_digest(files),
-        }
-        report = {**_json_safe(result.metrics), "checks": result.checks, "timings": timings, "manifest": manifest}
-        (tmp / "report.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-        if out.is_dir():
-            os.rename(out, old)
-        try:
-            os.rename(tmp, out)  # a file at out fails here (ENOTDIR): an I/O failure
-        except OSError:
-            if old.exists():
-                os.rename(old, out)
-            raise
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
-    shutil.rmtree(old, ignore_errors=True)
+    write_run(
+        out,
+        result,
+        fmt,
+        timings={"check_replaceable_s": checked - start, "runner_s": computed - checked},
+        manifest={"tool_version": __version__, "scenario": scenario, "config": cfg, "seed": seed, "format": fmt},
+    )
 
     if not all(result.checks.values()):
         failed = [k for k, ok in result.checks.items() if not ok]
         print(f"numerical checks failed: {', '.join(failed)}", file=sys.stderr)
-        return EXIT_CHECK, report
-    return EXIT_OK, report
-
-
-def verify_manifest(out_dir: str) -> bool:
-    """Re-hash a run directory against the manifest in its report.json.
-
-    False when a data file differs from its digest, a listed file is
-    missing, or the directory holds a file the manifest does not list.
-    Raises ConfigError when out_dir is not a run: no directory, or no
-    readable report.json with a manifest of files and a digest.
-    """
-    out = Path(out_dir)
-    try:
-        manifest = _read_manifest(out)
-        files, digest = dict(manifest["files"]), manifest["digest"]
-        names = {entry.name for entry in out.iterdir()}
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(f"{out} is not a run directory: {exc!r}") from exc
-    if names != {"report.json", *files}:
-        return False
-    for name, sha256 in files.items():
-        if hashlib.sha256((out / name).read_bytes()).hexdigest() != sha256:
-            return False
-    return _manifest_digest(files) == digest
+        return EXIT_CHECK
+    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -860,14 +656,13 @@ def main(argv=None) -> int:
         file_entries = _read_config_file(args.config) if args.config else {}
         cfg = resolve_config(args.command, file_entries, args.set)
         out_dir = args.out if args.out else str(Path("runs") / args.command)
-        code, _ = run_scenario(args.command, cfg, out_dir, args.format, args.seed)
+        return run_scenario(args.command, cfg, out_dir, args.format, args.seed)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
         print(f"I/O failure: {exc}", file=sys.stderr)
         return EXIT_IO
-    return code
 
 
 if __name__ == "__main__":

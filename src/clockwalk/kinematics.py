@@ -36,11 +36,6 @@ class UnitsConfig:
         return 2.0 * math.pi / self.compton_period
 
     @property
-    def diffusion_constant(self) -> float:
-        """D = 1/(2m) with the action scale set to 1."""
-        return self.compton_period / (4.0 * math.pi)
-
-    @property
     def half_period(self) -> float:
         """Duration of one parity cell (half a clock period)."""
         return 0.5 * self.compton_period

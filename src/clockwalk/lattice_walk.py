@@ -67,10 +67,6 @@ class LatticeParams:
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise ValueError(f"alpha must be positive, got {self.alpha}")
 
-    @property
-    def diffusion_constant(self) -> float:
-        return self.delta * self.delta / (2.0 * self.epsilon)
-
 
 @dataclass
 class McEstimate:

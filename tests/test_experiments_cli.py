@@ -11,15 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from clockwalk import experiments_cli, lattice_walk, spectral_limit
-from clockwalk.experiments_cli import (
-    EXIT_CHECK,
-    EXIT_CONFIG,
-    EXIT_IO,
-    EXIT_OK,
-    main,
-    verify_manifest,
-)
+from clockwalk import experiments_cli, lattice_walk, rundir, spectral_limit
+from clockwalk.experiments_cli import EXIT_CHECK, EXIT_CONFIG, EXIT_IO, EXIT_OK, main
+from clockwalk.rundir import verify_manifest
 
 # Trimmed level sequences keep the full pipeline honest but quick: the
 # same halving structure as the defaults, one level shorter, and a
@@ -277,6 +271,13 @@ class TestConfigErrors:
         assert run("lattice-evolve", out, *args) == EXIT_OK
         assert report(out)["checks"]["conservation"]
 
+    def test_initial_state_outside_one_to_four(self, tmp_path, capsys):
+        # The 1..4 rule holds for every init, not only the unit state that reads it.
+        out = tmp_path / "x"
+        assert run("lattice-evolve", out, "--set", "init=phi_point", "--set", "initial_state=7") == EXIT_CONFIG
+        assert "initial_state" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_mc_requires_unit_state(self, tmp_path):
         out = tmp_path / "x"
         code = run("lattice-evolve", out, "--set", "init=phi_point", "--set", "mc_paths=100")
@@ -308,6 +309,7 @@ class TestConfigErrors:
             ("lattice-evolve", "alpha=-1"),  # LatticeParams
             ("lattice-evolve", "initial_site=-5"),  # only -1 means the centre
             ("spectral-check", "expansion_deltas=0.1"),  # a fit needs two deltas
+            ("spectral-check", "expansion_deltas=0.1,0.1"),  # ... two distinct ones
             # Values no check caught: a traceback (exit 1), a silently
             # dropped overlay (exit 0) or a run written with exit 3.
             ("clock-pattern", "raster_t_max=inf"),
@@ -414,6 +416,19 @@ class TestBenchmarkHooks:
         assert len(mc) == 1 and mc[0][4] == 16 * 200
         assert "lattice_walk.mc.deposit_standard_errors" in names
 
+    def test_traced_child_sees_the_write_inside_run_scenario(self, tmp_path):
+        # The benchmark derives experiments_cli.write_s as the run_scenario
+        # span minus the runner span; a writer outside run_scenario would
+        # read as zero.  At 256 steps the write (about 270 000 cells) takes
+        # far longer than the rest of that difference.
+        rec = traced_child(tmp_path, "lattice-evolve", "--set", "n_steps=256")
+        spans = rec["spans"]
+        (k,) = [k for k, span in enumerate(spans) if span[0] == "experiments_cli.run_scenario"]
+        (runner,) = [span for span in spans if span[0] == "experiments_cli.runner"]
+        assert runner[3] == k  # the runner span's parent
+        outside_runner = (spans[k][2] - spans[k][1]) - (runner[2] - runner[1])
+        assert outside_runner >= report(tmp_path / "run")["timings"]["write_s"] > 0
+
 
 class TestIoFailure:
     def test_output_path_is_a_file(self, tmp_path):
@@ -428,7 +443,7 @@ class TestIoFailure:
         before = {p.name: p.read_bytes() for p in out.iterdir()}
 
         if failing == "second table":
-            write_table = experiments_cli._write_table
+            write_table = rundir._write_table
             calls = []
 
             def fail_after_first_table(*args):
@@ -437,7 +452,7 @@ class TestIoFailure:
                     raise OSError("disk full")
                 return write_table(*args)
 
-            monkeypatch.setattr(experiments_cli, "_write_table", fail_after_first_table)
+            monkeypatch.setattr(rundir, "_write_table", fail_after_first_table)
         else:
             # The previous run has been moved aside when the new one fails to land.
             rename = os.rename
@@ -447,7 +462,7 @@ class TestIoFailure:
                     raise OSError("device busy")
                 rename(src, dst)
 
-            monkeypatch.setattr(experiments_cli.os, "rename", fail_landing)
+            monkeypatch.setattr(rundir.os, "rename", fail_landing)
         assert run("spectral-check", out, "--set", "site_count=128") == EXIT_IO
         assert [p.name for p in tmp_path.iterdir()] == ["d"]  # no partial or temporary directory
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
@@ -731,16 +746,16 @@ EDGE_COLUMNS = {
 class TestWriter:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("n_rows", [14, 7, 0])
-    @pytest.mark.parametrize("chunk_rows", [1, 3, experiments_cli.CHUNK_ROWS])
+    @pytest.mark.parametrize("chunk_rows", [1, 3, rundir.CHUNK_ROWS])
     def test_matches_per_cell_oracle(self, tmp_path, monkeypatch, fmt, n_rows, chunk_rows):
-        monkeypatch.setattr(experiments_cli, "CHUNK_ROWS", chunk_rows)
-        header, rows = experiments_cli._table(**{k: col[:n_rows] for k, col in EDGE_COLUMNS.items()})
+        monkeypatch.setattr(rundir, "CHUNK_ROWS", chunk_rows)
+        header, rows = rundir.table(**{k: col[:n_rows] for k, col in EDGE_COLUMNS.items()})
         assert len(rows) == n_rows
         expected = oracle_table_bytes(header, [tuple(row) for row in rows], fmt)
-        for block_rows in (1, 3, experiments_cli.BLOCK_ROWS):
-            monkeypatch.setattr(experiments_cli, "BLOCK_ROWS", block_rows)
+        for block_rows in (1, 3, rundir.BLOCK_ROWS):
+            monkeypatch.setattr(rundir, "BLOCK_ROWS", block_rows)
             path = tmp_path / f"t{block_rows}.{fmt}"
-            digest = experiments_cli._write_table(path, header, rows, fmt)
+            digest = rundir._write_table(path, header, rows, fmt)
             assert path.read_bytes() == expected, f"BLOCK_ROWS={block_rows}"
             assert digest == hashlib.sha256(expected).hexdigest()
 

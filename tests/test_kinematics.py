@@ -31,12 +31,6 @@ class TestUnitsConfig:
         assert units.compton_period == 4.0
         assert rel_err(units.mass, math.pi / 2.0) < 1e-15
 
-    def test_diffusion_constant_is_inverse_mass_halved(self):
-        # D = 1/(2m) must hold for any period, not just the default
-        for period in (4.0, 1.0, 2.5, 17.0):
-            units = UnitsConfig(period)
-            assert rel_err(units.diffusion_constant, 1.0 / (2.0 * units.mass)) < 1e-15
-
     def test_half_period(self):
         assert UnitsConfig(4.0).half_period == 2.0
         assert UnitsConfig(7.0).half_period == 3.5

@@ -49,12 +49,6 @@ def random_four_state(params, seed=0, nonnegative=True):
 
 
 class TestLatticeParams:
-    def test_diffusion_constant(self):
-        p = params_for(delta=0.1, epsilon=0.01)
-        assert abs(p.diffusion_constant - 0.5) < 1e-15
-        p = params_for(delta=0.2, epsilon=0.01)
-        assert abs(p.diffusion_constant - 2.0) < 1e-15
-
     @pytest.mark.parametrize(
         "kwargs",
         [

@@ -52,7 +52,7 @@ class TestFeynmanFree:
         """Same kernel in two parameterizations: D = 1/(2m)."""
         x = np.linspace(-15, 15, 301)
         k1 = feynman_free(x, 7.0, UNITS)
-        k2 = fresnel_kernel(x, 7.0, UNITS.diffusion_constant)
+        k2 = fresnel_kernel(x, 7.0, 1 / (2 * UNITS.mass))
         np.testing.assert_allclose(k1, k2, rtol=0, atol=1e-12)
 
     def test_real_part_zeros_on_known_hyperbolae(self):

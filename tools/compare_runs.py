@@ -5,9 +5,10 @@
 DIR is the root of a checkout; each invocation runs `python -m clockwalk`
 with DIR/src on PYTHONPATH, into a fresh run directory per side.  For each
 invocation the script prints both exit codes and every data file whose
-SHA-256 differs between the sides or that only one side wrote.
-report.json is left out: it carries wall-clock timings.  The exit code is
-1 if any invocation differs in exit code or data, 0 otherwise.
+SHA-256 differs between the sides or that only one side wrote.  report.json
+is compared too, without its wall-clock fields (`timings` and
+`manifest.duration_seconds`).  The exit code is 1 if any invocation differs
+in exit code, data or report, 0 otherwise.
 
 The list covers the six scenarios at their desk defaults in CSV and JSON,
 every invocation of the benchmark's workloads, taken from
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -56,20 +58,23 @@ INVOCATIONS: list[tuple[str, Op]] = [
 ]
 
 
-def run(root: Path, op: Op, out: Path) -> tuple[int, dict[str, str]]:
-    """Exit code and {data file name: SHA-256} of one invocation."""
+def run(root: Path, op: Op, out: Path) -> tuple[int, dict[str, str], dict | None]:
+    """Exit code, {data file name: SHA-256} and report.json without its wall-clock fields, of one invocation."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "clockwalk", *op.argv(out)],
         cwd=root, env=env, capture_output=True,
     )
-    files = {}
+    files, report = {}, None
     if out.is_dir():
         for path in sorted(out.iterdir()):
             if path.name != "report.json":
                 files[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
-    return proc.returncode, files
+            else:
+                report = json.loads(path.read_text(encoding="utf-8"))
+                del report["timings"], report["manifest"]["duration_seconds"]
+    return proc.returncode, files, report
 
 
 def main(argv=None) -> int:
@@ -80,14 +85,16 @@ def main(argv=None) -> int:
     differs = 0
     with tempfile.TemporaryDirectory(prefix="compare_runs.") as tmp:
         for k, (name, op) in enumerate(INVOCATIONS):
-            code_a, files_a = run(args.parent.resolve(), op, Path(tmp) / f"{k}.parent")
-            code_b, files_b = run(args.change.resolve(), op, Path(tmp) / f"{k}.change")
+            code_a, files_a, report_a = run(args.parent.resolve(), op, Path(tmp) / f"{k}.parent")
+            code_b, files_b, report_b = run(args.change.resolve(), op, Path(tmp) / f"{k}.change")
             changed = sorted(f for f in files_a.keys() | files_b.keys() if files_a.get(f) != files_b.get(f))
-            same = code_a == code_b and not changed
+            same = code_a == code_b and not changed and report_a == report_b
             differs += not same
             print(f"{'same' if same else 'DIFF'}  exit {code_a}/{code_b}  {name}")
             for f in changed:
                 print(f"        {f}: {files_a.get(f, 'missing')[:12]} -> {files_b.get(f, 'missing')[:12]}")
+            if report_a != report_b:
+                print("        report.json differs")
     print(f"{len(INVOCATIONS) - differs} of {len(INVOCATIONS)} invocations identical")
     return 1 if differs else 0
 
