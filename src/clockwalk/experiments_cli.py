@@ -25,7 +25,6 @@ from .clock_signal import Pattern, SlitGeometry, double_slit_phi, gap_intervals,
 from .kinematics import UnitsConfig, proper_time
 from .lattice_walk import (
     SQRT2,
-    LatticeParams,
     band_deviations,
     evolve_snapshots,
     field_variance,
@@ -382,37 +381,39 @@ def run_double_slit(cfg: dict, seed: int) -> ScenarioResult:
     mc_paths=(_int_at_least(0), "0"),  # 0: no Monte Carlo overlay
 )
 def run_lattice_evolve(cfg: dict, seed: int) -> ScenarioResult:
-    delta, D = cfg["delta"], cfg["diffusion"]
+    delta, D, alpha = cfg["delta"], cfg["diffusion"], cfg["alpha"]
     n_steps, every = cfg["n_steps"], cfg["snapshot_every"]
     n = cfg["site_count"] or 2 * n_steps + 64
     if n <= 2 * n_steps:
         raise ConfigError(f"site_count {n} cannot hold {n_steps} steps without wraparound")
-    params = LatticeParams(delta=delta, epsilon=delta * delta / (2.0 * D), site_count=n, alpha=cfg["alpha"])
+    epsilon = delta * delta / (2.0 * D)  # the time step, from delta^2 = 2 D epsilon
+    if not 0.0 < epsilon < math.inf:
+        raise ConfigError(f"epsilon = delta^2 / (2 diffusion) must be positive and finite, got {epsilon}")
     site = n // 2 if cfg["initial_site"] == -1 else cfg["initial_site"]
     if not 0 <= site < n:
         raise ConfigError(f"initial_site {site} outside the {n}-site chain (-1 means the centre)")
     if cfg["mc_paths"] > 0 and cfg["init"] != "unit_state":
         raise ConfigError("the Monte Carlo overlay requires init=unit_state")
-    if n_steps * math.log2(params.alpha) >= 1024:  # phi and the overlay are scaled by alpha**s
-        raise ConfigError(f"alpha**n_steps overflows a float (alpha {params.alpha}, n_steps {n_steps})")
+    if n_steps * math.log2(alpha) >= 1024:  # phi and the overlay are scaled by alpha**s
+        raise ConfigError(f"alpha**n_steps overflows a float (alpha {alpha}, n_steps {n_steps})")
     # phi * alpha**s is as precise as the bare walk's phi.  From a unit state
     # the walk is exact through 58 steps; later phi, a difference of far
     # larger densities, is mostly rounding, which alpha**s would amplify.
     # From the phi point source the cone-edge cells turn subnormal after
     # 1022 steps.  The z point source has phi = 0 throughout.
     max_steps = {"unit_state": 58, "phi_point": 1022}.get(cfg["init"], n_steps)
-    if params.alpha != 1.0 and n_steps > max_steps:
+    if alpha != 1.0 and n_steps > max_steps:
         raise ConfigError(f"alpha != 1 with init={cfg['init']} allows at most {max_steps} steps, got {n_steps}")
 
     if cfg["init"] == "unit_state":
-        p = unit_state_field(params, cfg["initial_state"], site)
+        p = unit_state_field(n, cfg["initial_state"], site)
     elif cfg["init"] == "phi_point":
-        p = point_source_phi(params, site)
+        p = point_source_phi(n, site)
     else:
-        p = point_source_z(params, site)
+        p = point_source_z(n, site)
 
     snap_steps = sorted(set(range(0, n_steps + 1, every)) | {n_steps})
-    snaps = evolve_snapshots(p, params, snap_steps, cfg["stroboscopic"])
+    snaps = evolve_snapshots(p, alpha, snap_steps, cfg["stroboscopic"])
 
     mass_initial, mass_final = float(snaps[0, :4].sum()), float(snaps[-1, :4].sum())
     drift = abs(mass_final - mass_initial)
@@ -421,8 +422,8 @@ def run_lattice_evolve(cfg: dict, seed: int) -> ScenarioResult:
     metrics: dict = {
         "n_steps": n_steps,
         "site_count": n,
-        "alpha": params.alpha,
-        "epsilon": params.epsilon,
+        "alpha": alpha,
+        "epsilon": epsilon,
         "mass_initial": mass_initial,
         "mass_final": mass_final,
         "mass_drift": drift,
@@ -433,7 +434,7 @@ def run_lattice_evolve(cfg: dict, seed: int) -> ScenarioResult:
     # m * delta, so the start is first rolled to the centre of the chain,
     # where the cone cannot cross the periodic seam.
     u = np.roll(snaps[:, 4] + snaps[:, 5], n // 2 - site, axis=1)
-    variances = [(s * params.epsilon, field_variance(w, params)) for s, w in zip(snap_steps, u) if w.sum() > 0]
+    variances = [(s * epsilon, field_variance(w, delta)) for s, w in zip(snap_steps, u) if w.sum() > 0]
     if len(variances) >= 3:
         tv = np.array([v[0] for v in variances[1:]])
         var = np.array([v[1] for v in variances[1:]])
@@ -454,8 +455,8 @@ def run_lattice_evolve(cfg: dict, seed: int) -> ScenarioResult:
     }
 
     if cfg["mc_paths"] > 0:
-        est = monte_carlo_estimate(params, n_steps, cfg["mc_paths"], seed, cfg["initial_state"], site)
-        z_dev, phi_dev = band_deviations(est, snaps[-1, :4], params)
+        est = monte_carlo_estimate(n, alpha, n_steps, cfg["mc_paths"], seed, cfg["initial_state"], site)
+        z_dev, phi_dev = band_deviations(est, snaps[-1, :4], alpha)
         checks["mc_within_4se"] = bool(z_dev.max() <= 1.0 and phi_dev.max() <= 1.0)
         metrics["mc_paths"] = est.n_paths
         metrics["mc_max_z_dev_4se"] = float(z_dev.max())
@@ -496,8 +497,8 @@ def run_continuum_check(cfg: dict, seed: int) -> ScenarioResult:
     levels = study["levels"]
     # The step loop reruns the coarsest level of each study as the oracle.
     engine_dev = max(
-        engine_step_loop_deviation(levels[0]["delta"], D, levels[0]["s"], pad, "phi"),
-        engine_step_loop_deviation(diff["deltas"][0], D, diff["steps"][0], pad, "z"),
+        engine_step_loop_deviation(levels[0]["s"], pad, "phi"),
+        engine_step_loop_deviation(diff["steps"][0], pad, "z"),
     )
     raw = [lv["kernel_raw_rel"] for lv in levels]
 
@@ -544,8 +545,7 @@ def run_continuum_check(cfg: dict, seed: int) -> ScenarioResult:
 def run_spectral_check(cfg: dict, seed: int) -> ScenarioResult:
     delta, alpha = cfg["delta"], cfg["alpha"]
     exp_deltas = cfg["expansion_deltas"]
-    params = LatticeParams(delta=delta, epsilon=delta * delta, site_count=cfg["site_count"], alpha=alpha)
-    ps = momentum_grid(params)
+    ps = momentum_grid(cfg["site_count"], delta)
 
     resid, lam_mod, det = transfer_diagnostics(ps, delta, alpha)
     unit_max = float(resid.max())

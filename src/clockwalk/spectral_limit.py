@@ -1,8 +1,8 @@
 """Spectral representation of the parity block and its continuum limits.
 
 Real Fourier transform of a z or phi pair, the one-step transfer matrix
-and its exact eigenvalues, closed-form and stroboscopic matrix powers, the
-spectral evolution engine of the z and phi blocks, the continuum rotation
+and its exact eigenvalues, closed-form matrix powers, the spectral
+evolution engine of the z and phi blocks, the continuum rotation
 propagator, assembly of the two spin components, the position-space
 Fresnel kernels they converge to, and the halving-delta level studies that
 show the walk's diffusion and Schrodinger limits.
@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import numpy as np
 
-from .lattice_walk import SQRT2, LatticeParams, decompose, phi_step, point_source_phi, point_source_z, z_step
+from .lattice_walk import SQRT2, decompose, phi_step, point_source_phi, point_source_z, z_step
 from .reference_solutions import diffusion_green, fit_convergence_order
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "eigenvalue_plus",
     "eigenvalue_leading_order",
     "expansion_residuals",
-    "stroboscopic_power",
     "continuum_propagator",
     "eigenphase",
     "phi_power",
@@ -49,20 +48,19 @@ __all__ = [
 PSI_DENSITY_CALIBRATION = SQRT2
 
 
-def momentum_grid(params: LatticeParams) -> np.ndarray:
+def momentum_grid(n: int, delta: float) -> np.ndarray:
     """Momentum values p_j = 2 pi j / (N delta) for j in [-N/2, N/2).
 
     Evenly spaced and containing p = 0.  Requires even N so the grid is
     symmetric apart from the lone Nyquist point.
     """
-    n = params.site_count
     if n % 2 != 0:
         raise ValueError(f"momentum grid requires an even site count, got {n}")
     j = np.arange(-(n // 2), n // 2)
-    return 2.0 * math.pi * j / (n * params.delta)
+    return 2.0 * math.pi * j / (n * delta)
 
 
-def to_spectral(field: np.ndarray, params: LatticeParams) -> np.ndarray:
+def to_spectral(field: np.ndarray) -> np.ndarray:
     """Real transform of a real (2, N) field: values[k, j] = sum_m field[k, m] e^{-i u_j m}.
 
     u_j = 2 pi j / N = p_j delta for j = 0 .. N // 2, shape (2, N // 2 + 1).
@@ -70,9 +68,9 @@ def to_spectral(field: np.ndarray, params: LatticeParams) -> np.ndarray:
     the half spectrum loses nothing; from_spectral inverts it to rounding.
     """
     field = np.asarray(field, dtype=float)
-    n = params.site_count
+    n = field.shape[-1]
     if field.shape != (2, n):
-        raise ValueError(f"field must have shape (2, {n}), got {field.shape}")
+        raise ValueError(f"field must have shape (2, N), got {field.shape}")
     # One row at a time: a transform along axis 1 of both rows allocates a
     # work buffer for several rows at once.
     values = np.empty((2, n // 2 + 1), dtype=complex)
@@ -81,11 +79,11 @@ def to_spectral(field: np.ndarray, params: LatticeParams) -> np.ndarray:
     return values
 
 
-def from_spectral(values: np.ndarray, params: LatticeParams) -> np.ndarray:
-    """Inverse of to_spectral: the real (2, N) field, one row at a time."""
-    field = np.empty((2, params.site_count))
+def from_spectral(values: np.ndarray, n: int) -> np.ndarray:
+    """Inverse of to_spectral: the real (2, n) field, one row at a time."""
+    field = np.empty((2, n))
     for k in range(2):
-        field[k] = np.fft.irfft(values[k], params.site_count)
+        field[k] = np.fft.irfft(values[k], n)
     return field
 
 
@@ -156,27 +154,6 @@ def expansion_residuals(p: float, deltas, alpha: float) -> list[float]:
     return residuals
 
 
-def stroboscopic_power(matrix: np.ndarray, s: int) -> np.ndarray:
-    """T^s of one (2, 2) matrix for stroboscopic step counts (s a multiple of 8).
-
-    Binary exponentiation with a fixed multiply order, so repeated calls
-    are bit-identical; the test oracle of transfer_power.
-    """
-    if not (isinstance(s, int) and s >= 0):
-        raise ValueError(f"s must be a nonnegative integer, got {s}")
-    if s % 8 != 0:
-        raise ValueError(f"stroboscopic power requires s % 8 == 0, got {s}")
-    result = np.eye(2, dtype=complex)
-    base = np.array(matrix, dtype=complex)
-    k = s
-    while k:
-        if k & 1:
-            result = result @ base
-        base = base @ base
-        k >>= 1
-    return result
-
-
 def continuum_propagator(p, D: float, t: float) -> np.ndarray:
     """Continuum-limit propagator of the phi pair: rotation by p^2 D t.
 
@@ -222,18 +199,18 @@ def phi_power(u, alpha: float, s: int) -> tuple[np.ndarray, np.ndarray]:
 def transfer_power(p, delta: float, alpha: float, s: int) -> np.ndarray:
     """T^s at each momentum of p, shape p.shape + (2, 2), from phi_power.
 
-    Agrees with stroboscopic_power (repeated squaring) to rounding, for
-    any step count s.
+    Agrees to rounding, for any step count s, with repeated squaring of
+    the one-step matrix (stroboscopic_power, the tests' oracle).
     """
     c1, c0 = phi_power(np.asarray(p, dtype=float) * delta, alpha, s)
     return c1[..., None, None] * transfer_matrices(p, delta, alpha) - c0[..., None, None] * np.eye(2)
 
 
-def evolve_spectral(field: np.ndarray, params: LatticeParams, block: str, s: int) -> np.ndarray:
+def evolve_spectral(field: np.ndarray, block: str, s: int, alpha: float) -> np.ndarray:
     """A real (2, N) z or phi field after s steps of its block map.
 
     Equal, to rounding, to s calls of lattice_walk.z_step or phi_step
-    (params.alpha scales the phi block): the field is transformed once
+    (alpha scales the phi block only): the field is transformed once
     (to_spectral), multiplied by the closed-form T(u)^s at the N // 2 + 1
     momenta u = 2 pi j / N = p delta, and transformed back.  T(-u) is the
     conjugate of T(u), so the real transform loses nothing.  s = 1 is one
@@ -247,10 +224,11 @@ def evolve_spectral(field: np.ndarray, params: LatticeParams, block: str, s: int
         raise ValueError(f"block must be 'z' or 'phi', got {block!r}")
     if not (isinstance(s, int) and s >= 0):
         raise ValueError(f"s must be a nonnegative integer, got {s}")
-    f = to_spectral(field, params)
+    f = to_spectral(field)
     if s == 0:
         return np.array(field, dtype=float)
-    u = (2.0 * math.pi / params.site_count) * np.arange(f.shape[1])
+    n = field.shape[1]
+    u = (2.0 * math.pi / n) * np.arange(f.shape[1])
     # One step reads row 0 from the left neighbour and row 1 from the right.
     shift = np.exp(-1j * u)
     g1 = f[0] * shift
@@ -261,16 +239,16 @@ def evolve_spectral(field: np.ndarray, params: LatticeParams, block: str, s: int
         g1 *= 0.5 * np.cos(u) ** (s - 1)
         f[0] = g1
         f[1] = g1
-        return from_spectral(f, params)
+        return from_spectral(f, n)
     # T f = a (g1 - g2, g1 + g2) with a = alpha / 2, and T^s f = c1 T f - c0 f.
-    c1, c0 = phi_power(u, params.alpha, s)
-    c1 *= 0.5 * params.alpha
+    c1, c0 = phi_power(u, alpha, s)
+    c1 *= 0.5 * alpha
     g1 *= c1
     g2 *= c1
     f *= c0
     f[0] = g1 - g2 - f[0]
     f[1] = g1 + g2 - f[1]
-    return from_spectral(f, params)
+    return from_spectral(f, n)
 
 
 def assemble_psi(phi1, phi2):
@@ -309,8 +287,8 @@ def validate_level_sequence(deltas, D: float, t: float) -> list[int]:
     """Per-level step counts s = t/epsilon of a halving delta sequence.
 
     epsilon is fixed by delta^2 = 2 D epsilon.  Raises ValueError on fewer
-    than two levels, non-halving sequences, non-integer step counts, or
-    step counts not divisible by 8 (the stroboscopic rule).
+    than two levels, non-halving sequences, infinite or non-integer step
+    counts, or step counts not divisible by 8 (the stroboscopic rule).
     """
     deltas = list(deltas)
     if len(deltas) < 2:
@@ -326,6 +304,8 @@ def validate_level_sequence(deltas, D: float, t: float) -> list[int]:
     steps = []
     for d in deltas:
         eps = d * d / (2.0 * D)
+        if not (eps > 0 and t / eps < math.inf):
+            raise ValueError(f"epsilon = delta^2 / (2 D) = {eps} leaves t/epsilon infinite at delta={d}")
         s_float = t / eps
         s = int(round(s_float))
         if abs(s_float - s) > 1e-6 or s <= 0:
@@ -336,11 +316,11 @@ def validate_level_sequence(deltas, D: float, t: float) -> list[int]:
     return steps
 
 
-def _level_params(delta: float, D: float, s: int, pad: int, alpha: float) -> LatticeParams:
+def _level_sites(s: int, pad: int) -> int:
     n = 2 * s + pad
     if n % 2:
         n += 1
-    return LatticeParams(delta=delta, epsilon=delta * delta / (2.0 * D), site_count=n, alpha=alpha)
+    return n
 
 
 def schrodinger_level(
@@ -361,14 +341,13 @@ def schrodinger_level(
     p; the even part isolates the kernel comparison the continuum limit
     actually controls at second order.  Both are returned.
     """
-    params = _level_params(delta, D, s, pad, SQRT2)
-    n = params.site_count
+    n = _level_sites(s, pad)
     m0 = n // 2
 
     # rotation-angle (eigenphase) error over the in-window momentum grid;
     # the eigenvalue modulus is 1 at alpha = sqrt(2).  Only the window is
     # kept, so the full grid is not held through the evolution below.
-    pw = momentum_grid(params)
+    pw = momentum_grid(n, delta)
     pw = pw[np.abs(pw) <= p_window]
     lam_s = np.exp(1j * s * eigenphase(pw * delta))
     rot_err = float(np.sqrt(np.mean(np.abs(lam_s - np.exp(1j * pw * pw * D * t)) ** 2)))
@@ -378,7 +357,7 @@ def schrodinger_level(
     matrix_err = float(np.sqrt(np.mean(np.square(frob))))
 
     # evolution of the phi point source
-    phi = evolve_spectral(decompose(point_source_phi(params, m0))[1], params, "phi", s)
+    phi = evolve_spectral(decompose(point_source_phi(n, m0))[1], "phi", s, SQRT2)
     psi_plus, _ = assemble_psi(phi[0], phi[1])
 
     # sample the populated sublattice and convert to a density
@@ -432,9 +411,9 @@ def diffusion_levels(deltas, D: float, t: float, pad: int = 64) -> dict:
     steps = validate_level_sequence(deltas, D, t)
     errors = []
     for delta, s in zip(deltas, steps):
-        params = _level_params(delta, D, s, pad, 1.0)
-        m0 = params.site_count // 2
-        z = evolve_spectral(decompose(point_source_z(params, m0))[0], params, "z", s)
+        n = _level_sites(s, pad)
+        m0 = n // 2
+        z = evolve_spectral(decompose(point_source_z(n, m0))[0], "z", s, 1.0)
         kmax = s // 2
         kk = np.arange(-kmax, kmax + 1)
         x = 2.0 * kk * delta
@@ -444,17 +423,18 @@ def diffusion_levels(deltas, D: float, t: float, pad: int = 64) -> dict:
     return {"deltas": list(deltas), "steps": steps, "l1_rel": errors}
 
 
-def engine_step_loop_deviation(delta: float, D: float, s: int, pad: int, block: str) -> float:
-    """max |spectral engine - step loop| / max |step loop| for one level's point source.
+def engine_step_loop_deviation(s: int, pad: int, block: str) -> float:
+    """max |spectral engine - step loop| / max |step loop| for one s-step level's point source.
 
-    The per-step maps phi_step (alpha = sqrt(2)) and z_step are the oracle
-    that the spectral engine of the level studies is checked against.
+    The per-step maps phi_step (alpha = sqrt(2)) and z_step, looked up at
+    call time so that a replaced map is the one checked, are the oracle of
+    the level studies' spectral engine.
     """
-    alpha, source, step = (SQRT2, point_source_phi, phi_step) if block == "phi" else (1.0, point_source_z, z_step)
-    params = _level_params(delta, D, s, pad, alpha)
-    z, phi = decompose(source(params, params.site_count // 2))
+    alpha, source = (SQRT2, point_source_phi) if block == "phi" else (1.0, point_source_z)
+    n = _level_sites(s, pad)
+    z, phi = decompose(source(n, n // 2))
     start = phi if block == "phi" else z
     loop = start
     for _ in range(s):
-        loop = step(loop, params)
-    return float(np.max(np.abs(evolve_spectral(start, params, block, s) - loop)) / np.max(np.abs(loop)))
+        loop = phi_step(loop, alpha) if block == "phi" else z_step(loop)
+    return float(np.max(np.abs(evolve_spectral(start, block, s, alpha) - loop)) / np.max(np.abs(loop)))

@@ -11,13 +11,12 @@ import math
 from pathlib import Path
 
 import numpy as np
-from conftest import record_acceptance
+from conftest import record_acceptance, stroboscopic_power
 
 from clockwalk.experiments_cli import EXIT_OK, main
 from clockwalk.kinematics import UnitsConfig
 from clockwalk.lattice_walk import (
     SQRT2,
-    LatticeParams,
     decompose,
     deposit_standard_errors,
     evolve,
@@ -45,7 +44,6 @@ from clockwalk.spectral_limit import (
     evolve_spectral,
     momentum_grid,
     schrodinger_levels,
-    stroboscopic_power,
     transfer_matrices,
 )
 
@@ -61,8 +59,7 @@ def announce(number: int, name: str, ok: bool, detail: str) -> bool:
 def test_01_transfer_matrix_constants():
     """Unitarity, unimodular determinant, and constant eigenvalue modulus
     at alpha = sqrt(2), plus the eight-step identity at p = 0."""
-    params = LatticeParams(delta=0.1, epsilon=0.01, site_count=1024, alpha=SQRT2)
-    ps = momentum_grid(params)
+    ps = momentum_grid(1024, 0.1)
     eye = np.eye(2)
     unit_max = det_max = mod_max = 0.0
     for pv in ps:
@@ -105,17 +102,16 @@ def test_02_eigenvalue_expansion_order():
 def test_03_block_diagonalization():
     """The (z, phi) change of variables commutes with the walk step on 100
     random fields, both blocks within 1e-12."""
-    params = LatticeParams(delta=0.1, epsilon=0.01, site_count=64, alpha=1.0)
     rng = np.random.default_rng(12345)
     worst = 0.0
     for _ in range(100):
         p = rng.random((4, 64)) - 0.5
         z, phi = decompose(p)
-        z_stepped, phi_stepped = decompose(step_four_state(p, params))
+        z_stepped, phi_stepped = decompose(step_four_state(p))
         worst = max(
             worst,
-            float(np.max(np.abs(z_step(z, params) - z_stepped))),
-            float(np.max(np.abs(phi_step(phi, params) - phi_stepped))),
+            float(np.max(np.abs(z_step(z) - z_stepped))),
+            float(np.max(np.abs(phi_step(phi, 1.0) - phi_stepped))),
         )
     ok = worst <= 1e-12
     assert announce(
@@ -135,15 +131,15 @@ def test_04_diffusion_limit():
     l1 = levels["l1_rel"]
     monotone = l1[0] > l1[1] > l1[2]
 
-    params = LatticeParams(delta=0.05, epsilon=0.0025, site_count=928, alpha=1.0)
-    z, _ = decompose(point_source_z(params, 464))
+    delta, epsilon = 0.05, 0.0025  # delta^2 = 2 D epsilon
+    z, _ = decompose(point_source_z(928, 464))
     ts, variances = [], []
     for s in range(0, 401, 50):
-        ts.append(s * params.epsilon)
-        variances.append(field_variance(z[0] + z[1], params))
+        ts.append(s * epsilon)
+        variances.append(field_variance(z[0] + z[1], delta))
         if s < 400:
             for _ in range(50):
-                z = z_step(z, params)
+                z = z_step(z)
     slope = float(np.polyfit(ts, variances, 1)[0])
     slope_rel = abs(slope - 2.0 * D) / (2.0 * D)
 
@@ -182,24 +178,22 @@ def test_05_schrodinger_limit_orders():
 def test_06_norm_conservation_and_decay():
     """L2 norm drifts below 1e-10 over 1024 steps at alpha = sqrt(2); at
     alpha = 1 every step scales the norm by 1/sqrt(2) within 1e-12."""
-    params = LatticeParams(delta=0.1, epsilon=0.01, site_count=256, alpha=SQRT2)
     rng = np.random.default_rng(99)
     field = rng.random((2, 256)) - 0.5
     norm0 = np.linalg.norm(field)
     stepped = field
     for _ in range(1024):
-        stepped = evolve_spectral(stepped, params, "phi", 1)
+        stepped = evolve_spectral(stepped, "phi", 1, SQRT2)
     # 1024 single steps and one 1024-step power
     drift = max(
-        abs(np.linalg.norm(out) - norm0) / norm0 for out in (stepped, evolve_spectral(field, params, "phi", 1024))
+        abs(np.linalg.norm(out) - norm0) / norm0 for out in (stepped, evolve_spectral(field, "phi", 1024, SQRT2))
     )
 
-    decaying = LatticeParams(delta=0.1, epsilon=0.01, site_count=256, alpha=1.0)
     field = rng.random((2, 256)) - 0.5
     worst_ratio = 0.0
     for _ in range(64):
         before = np.linalg.norm(field)
-        field = evolve_spectral(field, decaying, "phi", 1)
+        field = evolve_spectral(field, "phi", 1, 1.0)
         worst_ratio = max(worst_ratio, abs(np.linalg.norm(field) / before - 1.0 / SQRT2))
 
     ok = drift <= 1e-10 and worst_ratio <= 1e-12
@@ -220,13 +214,12 @@ def test_07_monte_carlo_consistency():
     exact sampling SE (from the deterministic field): the estimated SE
     collapses at a tail site whose count fluctuates low, which would
     turn an ordinary ~2 sigma fluctuation into a spurious failure."""
-    params = LatticeParams(delta=0.1, epsilon=0.01, site_count=192, alpha=SQRT2)
     n_steps, site = 64, 96
-    z, phi = decompose(evolve(unit_state_field(params, 1, site), params, n_steps))
+    z, phi = decompose(evolve(unit_state_field(192, 1, site), n_steps))
     scale = SQRT2**n_steps
 
-    est = monte_carlo_estimate(params, n_steps, 100_000, seed=2024, initial_state=1, initial_site=site)
-    z_true_se, phi_true_se = deposit_standard_errors(z, phi, params, n_steps, est.n_paths)
+    est = monte_carlo_estimate(192, SQRT2, n_steps, 100_000, seed=2024, initial_state=1, initial_site=site)
+    z_true_se, phi_true_se = deposit_standard_errors(z, phi, SQRT2, n_steps, est.n_paths)
     z_floor = 0.5 / est.n_paths
     z_band = 4.0 * np.maximum.reduce([est.z_stderr, z_true_se, np.full_like(z_true_se, z_floor)])
     phi_band = 4.0 * np.maximum.reduce(
@@ -238,7 +231,7 @@ def test_07_monte_carlo_consistency():
     counts = [1_000, 10_000, 100_000, 1_000_000]
     errs = []
     for i, n in enumerate(counts):
-        e = monte_carlo_estimate(params, n_steps, n, seed=3000 + i, initial_state=1, initial_site=site)
+        e = monte_carlo_estimate(192, SQRT2, n_steps, n, seed=3000 + i, initial_state=1, initial_site=site)
         errs.append(float(np.sqrt(np.mean((e.z_hat - z) ** 2))))
     slope = float(np.polyfit(np.log(counts), np.log(errs), 1)[0])
 

@@ -5,7 +5,6 @@ import os
 import shutil
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -240,6 +239,11 @@ class TestConfigErrors:
         assert run("continuum-check", out, "--set", "t=0.6") == EXIT_CONFIG
         assert not out.exists()
 
+    def test_spectral_check_runs_at_tiny_delta(self, tmp_path):
+        # spectral-check has no time step, so no epsilon rule applies to it.
+        out = tmp_path / "x"
+        assert run("spectral-check", out, "--set", "delta=1e-200", "--set", "site_count=64") == EXIT_OK
+
     @pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**70)])
     def test_seed_outside_uint64(self, tmp_path, capsys, seed):
         out = tmp_path / "x"
@@ -303,10 +307,11 @@ class TestConfigErrors:
     @pytest.mark.parametrize(
         "scenario,entry",
         [
-            ("clock-pattern", "compton_period=0"),  # UnitsConfig
+            ("clock-pattern", "compton_period=0"),  # its schema parser
             ("double-slit", "source_to_slit_time=1"),  # SlitGeometry
             ("double-slit", "half_separation=0"),  # node spacing divides by it
-            ("lattice-evolve", "alpha=-1"),  # LatticeParams
+            ("lattice-evolve", "alpha=-1"),  # its schema parser
+            ("lattice-evolve", "delta=1e-200"),  # epsilon = delta^2 / (2 diffusion) underflows to 0
             ("lattice-evolve", "initial_site=-5"),  # only -1 means the centre
             ("spectral-check", "expansion_deltas=0.1"),  # a fit needs two deltas
             ("spectral-check", "expansion_deltas=0.1,0.1"),  # ... two distinct ones
@@ -317,6 +322,9 @@ class TestConfigErrors:
             ("propagator-compare", "x_window=inf"),
             ("continuum-check", "x_window=-1"),
             ("continuum-check", "diffusion=inf"),
+            ("continuum-check", "deltas=1e-200,5e-201,2.5e-201"),  # epsilon underflows to 0
+            ("continuum-check", "diffusion_deltas=1e-200,5e-201,2.5e-201"),
+            ("continuum-check", "deltas=1e-160,5e-161,2.5e-161"),  # t/epsilon overflows
             ("lattice-evolve", "mc_paths=-3"),
             ("lattice-evolve", "alpha=1e5"),  # alpha**64 overflows a float
             ("continuum-check", "l1_threshold=nan"),
@@ -361,10 +369,9 @@ class TestCheckFailure:
         "name, mutant",
         [
             # phi_step with alpha scaled by 1 + 1e-9: every other check passes.
-            ("phi_step", lambda phi, params: lattice_walk.phi_step(
-                phi, replace(params, alpha=params.alpha * (1 + 1e-9)))),
+            ("phi_step", lambda phi, alpha: lattice_walk.phi_step(phi, alpha * (1 + 1e-9))),
             # z_step that loses 1e-6 of the field per step.
-            ("z_step", lambda z, params: lattice_walk.z_step(z, params) * (1 - 1e-6)),
+            ("z_step", lambda z: lattice_walk.z_step(z) * (1 - 1e-6)),
         ],
     )
     def test_wrong_step_map_fails_engine_check(self, tmp_path, monkeypatch, name, mutant):

@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from conftest import stroboscopic_power
 
 from clockwalk.lattice_walk import (
     SQRT2,
-    LatticeParams,
     decompose,
     phi_step,
     point_source_phi,
@@ -23,17 +23,12 @@ from clockwalk.spectral_limit import (
     fresnel_kernel,
     from_spectral,
     momentum_grid,
-    stroboscopic_power,
     to_spectral,
     transfer_diagnostics,
     transfer_matrices,
     transfer_power,
 )
 from clockwalk.reference_solutions import fit_convergence_order
-
-
-def params_for(n=64, delta=0.1, alpha=1.0):
-    return LatticeParams(delta=delta, epsilon=delta * delta, site_count=n, alpha=alpha)
 
 
 def half_grid(n):
@@ -43,8 +38,7 @@ def half_grid(n):
 
 class TestMomentumGrid:
     def test_structure(self):
-        params = params_for(n=8, delta=0.1)
-        p = momentum_grid(params)
+        p = momentum_grid(8, 0.1)
         assert p.shape == (8,)
         assert 0.0 in p
         spacing = 2.0 * math.pi / (8 * 0.1)
@@ -53,42 +47,38 @@ class TestMomentumGrid:
 
     def test_rejects_odd(self):
         with pytest.raises(ValueError):
-            momentum_grid(LatticeParams(0.1, 0.01, 7))
+            momentum_grid(7, 0.1)
 
 
 class TestTransforms:
     def test_delta_at_origin_is_flat(self):
-        params = params_for(n=16)
         phi = np.zeros((2, 16))
         phi[1, 0] = 1.0
-        values = to_spectral(phi, params)
+        values = to_spectral(phi)
         assert values.shape == (2, 9)
         np.testing.assert_allclose(values[0], 0.0, atol=0)
         np.testing.assert_allclose(values[1], 1.0, rtol=0, atol=1e-14)
 
     def test_uniform_concentrates_at_zero_momentum(self):
-        params = params_for(n=16)
         phi = np.zeros((2, 16))
         phi[0] = 1.0
-        values = to_spectral(phi, params)
+        values = to_spectral(phi)
         assert abs(values[0, 0] - 16.0) < 1e-12
         assert np.max(np.abs(values[0, 1:])) < 1e-12
 
     def test_roundtrip(self):
         rng = np.random.default_rng(0)
         for n in (31, 32):
-            params = params_for(n=n)
             phi = rng.random((2, n)) - 0.5
-            back = from_spectral(to_spectral(phi, params), params)
+            back = from_spectral(to_spectral(phi), n)
             assert back.shape == (2, n)
             np.testing.assert_allclose(back, phi, rtol=0, atol=1e-12)
 
     def test_matches_explicit_dft(self):
         """Brute-force O(N^2) transform with the same sign convention."""
-        params = params_for(n=16, delta=0.3)
         rng = np.random.default_rng(1)
         phi = rng.random((2, 16)) - 0.5
-        values = to_spectral(phi, params)
+        values = to_spectral(phi)
         m = np.arange(16)
         for row in range(2):
             for j, uj in enumerate(half_grid(16)):
@@ -97,44 +87,40 @@ class TestTransforms:
 
     def test_real_field_has_hermitian_spectrum(self):
         """The half spectrum holds the full one: -p carries the conjugate of p."""
-        params = params_for(n=16)
         rng = np.random.default_rng(2)
         phi = rng.random((2, 16)) - 0.5
-        values = to_spectral(phi, params)
+        values = to_spectral(phi)
         full = np.fft.fft(phi, axis=1)
         np.testing.assert_allclose(full[:, :9], values, rtol=0, atol=1e-12)
         for j in range(1, 8):
             np.testing.assert_allclose(full[:, 16 - j], np.conj(values[:, j]), rtol=0, atol=1e-12)
 
     def test_rejects_wrong_shape(self):
-        params = params_for(n=16)
         with pytest.raises(ValueError):
-            to_spectral(np.zeros((2, 8)), params)
+            to_spectral(np.zeros(16))
         with pytest.raises(ValueError):
-            to_spectral(np.zeros((3, 16)), params)
+            to_spectral(np.zeros((3, 16)))
 
 
 class TestTransferMatrix:
     def test_step_commutes_with_transform(self):
         """One position step then transform equals transform then matrix step."""
         for alpha in (1.0, SQRT2):
-            params = params_for(n=32, alpha=alpha)
             rng = np.random.default_rng(3)
             phi = rng.random((2, 32)) - 0.5
-            lhs = to_spectral(phi_step(phi, params), params)
-            m = transfer_matrices(half_grid(32) / params.delta, params.delta, alpha)
-            rhs = np.einsum("jab,bj->aj", m, to_spectral(phi, params))
+            lhs = to_spectral(phi_step(phi, alpha))
+            m = transfer_matrices(half_grid(32) / 0.1, 0.1, alpha)
+            rhs = np.einsum("jab,bj->aj", m, to_spectral(phi))
             np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-12)
 
     def test_matrix_matches_vectorized_step(self):
         """One step of the engine is the transfer matrix at every momentum."""
-        params = params_for(n=16, alpha=SQRT2)
         rng = np.random.default_rng(4)
         field = rng.random((2, 16)) - 0.5
-        values = to_spectral(field, params)
-        stepped = to_spectral(evolve_spectral(field, params, "phi", 1), params)
+        values = to_spectral(field)
+        stepped = to_spectral(evolve_spectral(field, "phi", 1, SQRT2))
         for j, uj in enumerate(half_grid(16)):
-            tm = transfer_matrices(float(uj) / params.delta, params.delta, SQRT2)
+            tm = transfer_matrices(float(uj) / 0.1, 0.1, SQRT2)
             np.testing.assert_allclose(tm @ values[:, j], stepped[:, j], rtol=0, atol=1e-13)
 
     def test_zero_momentum_is_eighth_root(self):
@@ -152,7 +138,7 @@ class TestTransferMatrix:
 
     @pytest.mark.parametrize("alpha", [1.0, SQRT2, 0.7])
     def test_diagnostics_per_momentum(self, alpha):
-        p = momentum_grid(params_for(n=64, delta=0.1))
+        p = momentum_grid(64, 0.1)
         resid, modulus, det = transfer_diagnostics(p, 0.1, alpha)
         assert resid.shape == modulus.shape == det.shape == (64,)
         for j, pv in enumerate(p.tolist()):
@@ -257,7 +243,7 @@ class TestClosedFormPower:
                 assert abs(lam_m - alpha / SQRT2 * np.exp(-1j * theta)) <= 1e-15
 
     def test_batched_matrices_match_single(self):
-        p = momentum_grid(params_for(n=256, delta=0.1))
+        p = momentum_grid(256, 0.1)
         for alpha in (1.0, SQRT2):
             single = np.stack([transfer_matrices(pv, 0.1, alpha) for pv in p.tolist()])
             assert np.array_equal(transfer_matrices(p, 0.1, alpha), single)
@@ -286,40 +272,37 @@ class TestSpectralEngine:
     @pytest.mark.parametrize("alpha", [1.0, SQRT2])
     @pytest.mark.parametrize("block", ["phi", "z"])
     def test_matches_step_loop_on_random_fields(self, block, alpha, n):
-        params = params_for(n=n, alpha=alpha)
-        step = phi_step if block == "phi" else z_step
+        step = (lambda f: phi_step(f, alpha)) if block == "phi" else z_step
         rng = np.random.default_rng(n + 10 * int(alpha == SQRT2) + 100 * (block == "z"))
         field = rng.random((2, n)) - 0.5
         loop = field.copy()
         done = 0
         for s in (0, 1, 7, 8, 256):
             for _ in range(s - done):
-                loop = step(loop, params)
+                loop = step(loop)
             done = s
-            got = evolve_spectral(field, params, block, s)
+            got = evolve_spectral(field, block, s, alpha)
             assert got.shape == (2, n) and got.dtype == np.float64
             assert np.max(np.abs(got - loop)) <= 1e-12 * np.max(np.abs(loop))
 
     def test_leaves_input_unchanged(self):
-        params = params_for(n=32, alpha=SQRT2)
         field = np.random.default_rng(5).random((2, 32))
         before = field.copy()
         for block in ("phi", "z"):
             for s in (0, 9):
-                out = evolve_spectral(field, params, block, s)
+                out = evolve_spectral(field, block, s, SQRT2)
                 assert out is not field
         assert np.array_equal(field, before)
 
     def test_validates(self):
-        params = params_for(n=16)
         field = np.zeros((2, 16))
         with pytest.raises(ValueError):
-            evolve_spectral(field, params, "psi", 8)
+            evolve_spectral(field, "psi", 8, 1.0)
         for s in (-1, 8.0):
             with pytest.raises(ValueError):
-                evolve_spectral(field, params, "phi", s)
+                evolve_spectral(field, "phi", s, 1.0)
         with pytest.raises(ValueError):
-            evolve_spectral(np.zeros((2, 15)), params, "z", 8)
+            evolve_spectral(np.zeros((3, 16)), "z", 8, 1.0)
 
 
 class TestStroboscopicPower:
@@ -390,10 +373,9 @@ class TestAssemblePsi:
     def test_calibration_constant_matches_point_source_sum(self):
         """Sum of psi+ is 1/sqrt(2) for the unit source and is preserved
         at stroboscopic times, which fixes the density calibration."""
-        params = params_for(n=64, alpha=SQRT2)
-        _, phi = decompose(point_source_phi(params, 32))
+        _, phi = decompose(point_source_phi(64, 32))
         for _ in range(16):
-            phi = phi_step(phi, params)
+            phi = phi_step(phi, SQRT2)
         plus, _ = assemble_psi(phi[0], phi[1])
         assert abs(plus.sum() - 1.0 / SQRT2) < 1e-12
         assert abs(PSI_DENSITY_CALIBRATION - SQRT2) == 0.0
@@ -428,32 +410,29 @@ class TestFresnelKernel:
 class TestNormBehaviour:
     def test_norm_invariant_at_sqrt2(self):
         """L2 drift below 1e-10 over 1024 steps of the rotating branch."""
-        params = params_for(n=256, delta=0.1, alpha=SQRT2)
         rng = np.random.default_rng(6)
         field = rng.random((2, 256)) - 0.5
         norm0 = np.linalg.norm(field)
         stepped = field
         for _ in range(1024):
-            stepped = evolve_spectral(stepped, params, "phi", 1)
-        for out in (stepped, evolve_spectral(field, params, "phi", 1024)):
+            stepped = evolve_spectral(stepped, "phi", 1, SQRT2)
+        for out in (stepped, evolve_spectral(field, "phi", 1024, SQRT2)):
             assert abs(np.linalg.norm(out) - norm0) <= 1e-10 * norm0
 
     def test_per_step_decay_at_alpha_one(self):
         """Each bare-walk step scales the L2 norm by exactly 1/sqrt(2)."""
-        params = params_for(n=128, delta=0.1, alpha=1.0)
         rng = np.random.default_rng(7)
         field = rng.random((2, 128)) - 0.5
         for _ in range(50):
             before = np.linalg.norm(field)
-            field = evolve_spectral(field, params, "phi", 1)
+            field = evolve_spectral(field, "phi", 1, 1.0)
             ratio = np.linalg.norm(field) / before
             assert abs(ratio - 1.0 / SQRT2) <= 1e-12
 
     def test_position_and_spectral_evolution_agree(self):
-        params = params_for(n=128, delta=0.1, alpha=SQRT2)
         rng = np.random.default_rng(8)
         phi = rng.random((2, 128)) - 0.5
         pos = phi
         for _ in range(256):
-            pos = phi_step(pos, params)
-        assert np.max(np.abs(evolve_spectral(phi, params, "phi", 256) - pos)) <= 1e-10
+            pos = phi_step(pos, SQRT2)
+        assert np.max(np.abs(evolve_spectral(phi, "phi", 256, SQRT2) - pos)) <= 1e-10

@@ -13,7 +13,9 @@ in exit code, data or report, 0 otherwise.
 The list covers the six scenarios at their desk defaults in CSV and JSON,
 every invocation of the benchmark's workloads, taken from
 perfbench/run.py's WORKLOADS (walk-snapshots at seeds 0 and 63, the two
-ends of its site range), and the off-default lattice-evolve configs.
+ends of its site range), the off-default lattice-evolve configs, an odd
+continuum-check pad (the level size rounds up to even) and spectral-check
+at alpha = 1 (the non-unitary branch).
 """
 
 from __future__ import annotations
@@ -55,6 +57,9 @@ INVOCATIONS: list[tuple[str, Op]] = [
     ("lattice-evolve phi_point alpha=sqrt2", lattice("init=phi_point", "alpha=sqrt2")),
     ("lattice-evolve z_point alpha=sqrt2", lattice("init=z_point", "alpha=sqrt2")),
     ("lattice-evolve monte carlo alpha=sqrt2", lattice("n_steps=16", "mc_paths=2000", "alpha=sqrt2")),
+    ("lattice-evolve odd chain monte carlo", lattice("site_count=301", "n_steps=100", "mc_paths=500")),
+    ("continuum-check odd pad", Op("continuum-check", (("pad", "65"),))),
+    ("spectral-check alpha=1", Op("spectral-check", (("alpha", "1.0"),))),
 ]
 
 
