@@ -244,6 +244,28 @@ class TestConfigErrors:
         out = tmp_path / "x"
         assert run("spectral-check", out, "--set", "delta=1e-200", "--set", "site_count=64") == EXIT_OK
 
+    @pytest.mark.parametrize(
+        "scenario,entry",
+        [
+            ("lattice-evolve", "delta=0"),
+            ("lattice-evolve", "delta=-0.1"),
+            ("lattice-evolve", "alpha=0"),
+            ("lattice-evolve", "site_count=-4"),
+            ("lattice-evolve", "site_count=128"),  # 2 n_steps sites: the walk would wrap
+            ("spectral-check", "delta=0"),
+            ("spectral-check", "alpha=-1"),
+            ("spectral-check", "site_count=0"),
+            ("spectral-check", "site_count=7"),
+        ],
+    )
+    def test_lattice_values_rejected_before_the_walk(self, tmp_path, capsys, scenario, entry):
+        # The walk and spectral functions read N from their arrays and do not
+        # check delta, alpha or the site count: the runners' parsers and rules do.
+        out = tmp_path / "x"
+        assert run(scenario, out, "--set", entry) == EXIT_CONFIG
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**70)])
     def test_seed_outside_uint64(self, tmp_path, capsys, seed):
         out = tmp_path / "x"
