@@ -96,6 +96,14 @@ def point_source_z(n: int, site: int) -> np.ndarray:
     return compose(z, phi)
 
 
+def _move(a: np.ndarray) -> np.ndarray:
+    """Even rows one site right, odd rows one site left (periodic chain)."""
+    out = np.empty_like(a)
+    out[::2, 1:], out[::2, :1] = a[::2, :-1], a[::2, -1:]
+    out[1::2, :-1], out[1::2, -1:] = a[1::2, 1:], a[1::2, :1]
+    return out
+
+
 def step_four_state(p: np.ndarray) -> np.ndarray:
     """One step of the four-state walk (periodic chain).
 
@@ -103,17 +111,8 @@ def step_four_state(p: np.ndarray) -> np.ndarray:
     advances to the next state in the cycle.  Total mass is conserved
     exactly up to rounding.
     """
-    p1, p2, p3, p4 = p
-    r1 = np.roll(p1, 1)   # p1(m-1)
-    r2 = np.roll(p2, -1)  # p2(m+1)
-    r3 = np.roll(p3, 1)
-    r4 = np.roll(p4, -1)
-    new = np.empty_like(p)
-    new[0] = 0.5 * r1 + 0.5 * r4
-    new[1] = 0.5 * r2 + 0.5 * r1
-    new[2] = 0.5 * r3 + 0.5 * r2
-    new[3] = 0.5 * r4 + 0.5 * r3
-    return new
+    h = _move(0.5 * p)
+    return h + h[[3, 0, 1, 2]]
 
 
 def decompose(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -142,7 +141,8 @@ def z_step(z: np.ndarray) -> np.ndarray:
     z1'(m) = z2'(m) = (z1(m-1) + z2(m+1)) / 2, so after one step the two
     rows coincide and their sum performs a simple symmetric walk.
     """
-    avg = 0.5 * (np.roll(z[0], 1) + np.roll(z[1], -1))
+    f1, f2 = _move(z)
+    avg = 0.5 * (f1 + f2)
     return np.stack([avg, avg.copy()])
 
 
@@ -153,8 +153,7 @@ def phi_step(phi: np.ndarray, alpha: float) -> np.ndarray:
     phi2'(m) = (alpha/2) (phi1(m-1) + phi2(m+1))
     """
     a = 0.5 * alpha
-    f1 = np.roll(phi[0], 1)
-    f2 = np.roll(phi[1], -1)
+    f1, f2 = _move(phi)
     return np.stack([a * (f1 - f2), a * (f1 + f2)])
 
 
@@ -188,11 +187,6 @@ def evolve_snapshots(p: np.ndarray, alpha: float, steps, stroboscopic: bool = Fa
     return rows
 
 
-# States 1..4 mapped to internal 0..3: direction +1 for even rows (states
-# 1, 3), -1 for odd rows; parity +1 for rows 0, 1 (states 1, 2).
-_DIRECTIONS = np.array([1, -1, 1, -1], dtype=np.int64)
-
-
 def monte_carlo_estimate(
     n: int,
     alpha: float,
@@ -213,10 +207,11 @@ def monte_carlo_estimate(
     unit-state field, and the phi block is scaled by alpha**n_steps
     afterwards (exact, since the phi map is linear in alpha).
 
-    Reproducibility contract: uniforms come from a counter-based generator
-    keyed by seed, with the draw for (step, path) at stream position
-    step * n_paths + path; results are a pure function of (seed, n_paths,
-    n_steps) and independent of how the work is scheduled.
+    Reproducibility contract: the coins are the bits of the raw 64-bit
+    words of Philox(key=seed).random_raw.  The coin for (step, path) is bit
+    path % 64 (least significant first) of word step * ceil(n_paths / 64)
+    + path // 64, and the walker advances when it is 1.  Results are a pure
+    function of (seed, n_paths, n_steps).
     """
     if initial_state not in (1, 2, 3, 4):
         raise ValueError(f"initial_state must be 1..4, got {initial_state}")
@@ -225,13 +220,23 @@ def monte_carlo_estimate(
     if not (isinstance(n_steps, int) and n_steps >= 0):
         raise ValueError(f"n_steps must be >= 0, got {n_steps}")
 
-    gen = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    pos = np.full(n_paths, initial_site % n, dtype=np.int64)
-    state = np.full(n_paths, initial_state - 1, dtype=np.int64)
-    for _ in range(n_steps):
-        pos += _DIRECTIONS[state]
-        state = (state + (gen.random(n_paths) < 0.5)) & 3
-    pos %= n
+    # States 1..4 are 0..3: even states move right, odd ones left, so the
+    # final site follows from the count of left moves.  state counts the
+    # advances mod 256, a multiple of 4, and each block of at most 255 steps
+    # counts its left moves in uint8, so the loop runs on bytes.
+    bits = np.random.Philox(key=np.uint64(seed))
+    words = -(-n_paths // 64)
+    state = np.full(n_paths, initial_state - 1, dtype=np.uint8)
+    left = np.zeros(n_paths, dtype=np.int64)
+    for start in range(0, n_steps, 255):
+        block = np.zeros(n_paths, dtype=np.uint8)
+        for _ in range(start, min(start + 255, n_steps)):
+            block += state & 1
+            coins = np.unpackbits(bits.random_raw(words).astype("<u8", copy=False).view(np.uint8), bitorder="little")
+            state += coins[:n_paths]
+        left += block
+    state &= 3
+    pos = (initial_site + n_steps - 2 * left) % n
 
     parity = np.where(state < 2, 1.0, -1.0)
     right = (state & 1) == 0

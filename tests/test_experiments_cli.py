@@ -702,12 +702,12 @@ class TestDeterminism:
             (
                 "lattice-evolve",
                 ["--set", "n_steps=16", "--set", "mc_paths=2000", "--seed", "11"],
-                "856f1959212527153ba7ead9baa7343c2bb20f96721a97c13af2d8f81192361c",
+                "4f87ac35388fc41be6206b3bdf53b287d8bb54e33c037a2ffe2ada262deec0b2",
             ),
             (
                 "lattice-evolve",
                 ["--set", "n_steps=16", "--set", "mc_paths=2000", "--seed", "11", "--format", "json"],
-                "cbb190d47a6f64b6b559662a52a6a40ad90544e585301631b816f0cbe8318f1b",
+                "849590bd197ff669cc28f15820dac535c54b4949cbaa43618b70b1c4e6771262",
             ),
             # A point source at alpha = sqrt2: p is the bare walk, phi is
             # scaled by alpha**s.

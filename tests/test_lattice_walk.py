@@ -1,8 +1,11 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from clockwalk.lattice_walk import (
     SQRT2,
+    McEstimate,
     band_deviations,
     compose,
     decompose,
@@ -43,6 +46,54 @@ def random_four_state(n, seed=0, nonnegative=True):
     return p
 
 
+# The np.roll forms of the three per-step maps, kept as the oracle of the
+# slice shifts that replaced them.
+def roll_step_four_state(p):
+    r1, r2, r3, r4 = np.roll(p[0], 1), np.roll(p[1], -1), np.roll(p[2], 1), np.roll(p[3], -1)
+    return np.stack([0.5 * r1 + 0.5 * r4, 0.5 * r2 + 0.5 * r1, 0.5 * r3 + 0.5 * r2, 0.5 * r4 + 0.5 * r3])
+
+
+def roll_z_step(z):
+    avg = 0.5 * (np.roll(z[0], 1) + np.roll(z[1], -1))
+    return np.stack([avg, avg])
+
+
+def roll_phi_step(phi, alpha):
+    f1, f2 = np.roll(phi[0], 1), np.roll(phi[1], -1)
+    return np.stack([0.5 * alpha * (f1 - f2), 0.5 * alpha * (f1 + f2)])
+
+
+def reference_sampler(n, alpha, n_steps, n_paths, seed, initial_state, initial_site):
+    """monte_carlo_estimate one walker and one step at a time, from its documented coin layout.
+
+    The coin for (step, path) is bit path % 64, least significant first, of
+    raw Philox word step * ceil(n_paths / 64) + path // 64; the walker moves
+    first and advances its state when the coin is 1.
+    """
+    per_step = -(-n_paths // 64)
+    words = [int(w) for w in np.random.Philox(key=np.uint64(seed)).random_raw(n_steps * per_step)]
+    counts, signed = np.zeros((2, n)), np.zeros((2, n))
+    for path in range(n_paths):
+        state, site = initial_state - 1, initial_site % n
+        for step in range(n_steps):
+            site = (site + (1 if state % 2 == 0 else -1)) % n
+            state = (state + (words[step * per_step + path // 64] >> (path % 64) & 1)) % 4
+        counts[state % 2, site] += 1
+        signed[state % 2, site] += 1 if state < 2 else -1
+    z_hat, phi_hat = 0.5 * counts / n_paths, 0.5 * signed / n_paths
+    second = 0.25 * counts / n_paths
+    scale = alpha**n_steps
+    return McEstimate(
+        z_hat=z_hat,
+        phi_hat=phi_hat * scale,
+        z_stderr=np.sqrt(np.maximum(second - z_hat**2, 0.0) / n_paths),
+        phi_stderr=np.sqrt(np.maximum(second - phi_hat**2, 0.0) / n_paths) * scale,
+        n_paths=n_paths,
+        n_steps=n_steps,
+        deposit_quantum=0.5 * scale / n_paths,
+    )
+
+
 class TestStepFourState:
     def test_right_mover_splits_forward(self):
         """A state-1 walker moves right, then half advances to state 2."""
@@ -80,6 +131,19 @@ class TestStepFourState:
     def test_periodic_boundary(self):
         f = step_four_state(unit_state_field(8, 1, 7))
         assert f[0, 0] == 0.5 and f[1, 0] == 0.5
+
+
+class TestShiftOracle:
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 1088])
+    def test_maps_match_roll_forms(self, n):
+        rng = np.random.default_rng(n)
+        p, z, phi = rng.standard_normal((4, n)), rng.standard_normal((2, n)), rng.standard_normal((2, n))
+        for _ in range(5):
+            assert np.array_equal(step_four_state(p), roll_step_four_state(p))
+            assert np.array_equal(z_step(z), roll_z_step(z))
+            for alpha in (1.0, SQRT2):
+                assert np.array_equal(phi_step(phi, alpha), roll_phi_step(phi, alpha))
+            p, z, phi = roll_step_four_state(p), rng.standard_normal((2, n)), roll_phi_step(phi, SQRT2)
 
 
 class TestDecomposition:
@@ -397,6 +461,15 @@ class TestMonteCarlo:
         # direction-summed mass 1/2; every path deposits exactly that
         est = monte_carlo_estimate(32, 1.0, 9, 3000, seed=5, initial_state=3, initial_site=16)
         assert abs(est.z_hat.sum() - 0.5) < 1e-12
+
+    @pytest.mark.parametrize("n_steps", [9, 520])
+    @pytest.mark.parametrize("n_paths", [1, 63, 64, 65, 200])
+    def test_matches_per_path_reference(self, n_paths, n_steps):
+        # 520 steps cross two 255-step blocks and wrap the 16-site chain.
+        args = (16, SQRT2, n_steps, n_paths, 13, 2, 15)
+        got, expect = monte_carlo_estimate(*args), reference_sampler(*args)
+        for f in fields(McEstimate):
+            assert np.array_equal(getattr(got, f.name), getattr(expect, f.name)), f.name
 
     def test_validates_arguments(self):
         with pytest.raises(ValueError):
