@@ -153,16 +153,13 @@ def _matched_spacing_error(ca: np.ndarray, cb: np.ndarray):
     return float(rel.max()), int(sel.sum())
 
 
-def compare(a: SampledSignal, b: SampledSignal, mode: str = "aligned") -> ComparisonReport:
+def compare(a: SampledSignal, b: SampledSignal) -> ComparisonReport:
     """Compare two signals sampled on the identical grid.
 
-    mode selects sign-agreement handling: "aligned" scores agreement after
-    an optional global sign flip of b (the flip maximizing agreement),
-    "raw" scores the signals as given.  Resampling onto a shared grid is
-    the caller's job.
+    Sign agreement is scored after an optional global sign flip of b, the
+    flip maximizing agreement.  Resampling onto a shared grid is the
+    caller's job.
     """
-    if mode not in ("aligned", "raw"):
-        raise ValueError(f"mode must be 'aligned' or 'raw', got {mode!r}")
     if a.x.shape != b.x.shape or not np.array_equal(a.x, b.x):
         raise ValueError("signals must share an identical grid")
 
@@ -172,9 +169,7 @@ def compare(a: SampledSignal, b: SampledSignal, mode: str = "aligned") -> Compar
     linf = float(np.max(np.abs(diff))) if diff.size else 0.0
 
     sa, sb = np.sign(a.values), np.sign(b.values)
-    agree = float(np.mean(sa == sb)) if sa.size else 1.0
-    if mode == "aligned":
-        agree = max(agree, float(np.mean(sa == -sb)) if sa.size else 1.0)
+    agree = max(float(np.mean(sa == sb)), float(np.mean(sa == -sb))) if sa.size else 1.0
 
     ca = zero_crossings(a)
     cb = zero_crossings(b)

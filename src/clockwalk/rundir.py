@@ -21,7 +21,7 @@ except ImportError:  # not available on Windows
 
 import numpy as np
 
-__all__ = ["ConfigError", "ScenarioResult", "table", "check_replaceable", "write_run", "verify_manifest"]
+__all__ = ["ConfigError", "ScenarioResult", "check", "table", "check_replaceable", "write_run", "verify_manifest"]
 
 
 class ConfigError(ValueError):
@@ -32,7 +32,18 @@ class ConfigError(ValueError):
 class ScenarioResult:
     tables: dict[str, tuple[list[str], np.ndarray]]
     metrics: dict
-    checks: dict[str, bool]
+    checks: dict[str, dict]
+
+
+def check(value, rule: str, threshold) -> dict:
+    """A check record {"passed", "value", "threshold", "rule"} in plain JSON types.
+
+    rule is "<=" or ">=": value must not exceed, or not fall below,
+    threshold.  A value of None means there was nothing to measure, and passes.
+    """
+    value, threshold = (v.item() if isinstance(v, np.generic) else v for v in (value, threshold))
+    passed = value is None or (value <= threshold if rule == "<=" else value >= threshold)
+    return {"passed": passed, "value": value, "threshold": threshold, "rule": rule}
 
 
 def table(**columns) -> tuple[list[str], np.ndarray]:
@@ -153,9 +164,9 @@ def write_run(out: Path, result: ScenarioResult, fmt: str, *, timings: dict, man
     """Write result at out: each table as NAME.FMT (fmt is csv or json), then report.json.
 
     report.json, unlike the data files, is not byte-stable: it holds the
-    metrics, the checks, the timings plus write_s and peak_rss_mb, and the
-    manifest (the given keys, the checks, the duration as the sum of the
-    timings, each data file's SHA-256 and the digest over them).  The run
+    metrics, the check records, the timings plus write_s and peak_rss_mb, and
+    the manifest (the given keys, the duration as the sum of the timings,
+    each data file's SHA-256 and the digest over them).  The run
     is written into a temporary sibling of out and renamed into place, so
     out holds a whole run or none; a previous run is restored if that fails.
     """
@@ -170,7 +181,6 @@ def write_run(out: Path, result: ScenarioResult, fmt: str, *, timings: dict, man
         timings = {**timings, "write_s": time.perf_counter() - began}
         manifest = {
             **manifest,
-            "checks": result.checks,
             "duration_seconds": sum(timings.values()),
             "files": files,
             "digest": _manifest_digest(files),

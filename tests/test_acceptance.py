@@ -254,14 +254,14 @@ def test_08_pattern_vs_propagator():
     xs = np.arange(-4.0, 4.0 + 1e-9, 0.01)
     pattern = plane_pattern(t, xs, UNITS).value.astype(float)
     re_k = np.real(feynman_free(xs, t, UNITS))
-    rep = compare(SampledSignal(xs, pattern), SampledSignal(xs, re_k), mode="aligned")
+    rep = compare(SampledSignal(xs, pattern), SampledSignal(xs, re_k))
     primary_spacing_ok = rep.insufficient_crossings or rep.crossing_spacing_error <= 0.10
 
     t2 = 2001.0
     xs2 = np.arange(50.0, 400.0 + 1e-9, 0.25)
     pattern2 = plane_pattern(t2, xs2, UNITS).value.astype(float)
     re_k2 = np.real(feynman_free(xs2, t2, UNITS))
-    rep2 = compare(SampledSignal(xs2, pattern2), SampledSignal(xs2, re_k2), mode="aligned")
+    rep2 = compare(SampledSignal(xs2, pattern2), SampledSignal(xs2, re_k2))
 
     ok = (
         rep.sign_agreement_fraction >= 0.95

@@ -220,18 +220,10 @@ class TestCompare:
         assert rep.sign_agreement_fraction == 1.0
         assert rep.crossing_spacing_error == 0.0
 
-    def test_global_flip_modes(self):
+    def test_sign_agreement_after_global_flip(self):
         x = self.grid()
         v = np.sin(x)
-        aligned = compare(SampledSignal(x, v), SampledSignal(x, -v), mode="aligned")
-        raw = compare(SampledSignal(x, v), SampledSignal(x, -v), mode="raw")
-        assert aligned.sign_agreement_fraction == 1.0
-        assert raw.sign_agreement_fraction < 0.05
-
-    def test_rejects_unknown_mode(self):
-        x = self.grid()
-        with pytest.raises(ValueError):
-            compare(SampledSignal(x, x), SampledSignal(x, x), mode="best")
+        assert compare(SampledSignal(x, v), SampledSignal(x, -v)).sign_agreement_fraction == 1.0
 
     def test_rejects_different_grids(self):
         x = self.grid()

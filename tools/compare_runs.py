@@ -7,15 +7,17 @@ with DIR/src on PYTHONPATH, into a fresh run directory per side.  For each
 invocation the script prints both exit codes and every data file whose
 SHA-256 differs between the sides or that only one side wrote.  report.json
 is compared too, without its wall-clock fields (`timings` and
-`manifest.duration_seconds`).  The exit code is 1 if any invocation differs
-in exit code, data or report, 0 otherwise.
+`manifest.duration_seconds`), and each key that differs is printed as a
+dotted path such as `checks.unitarity`.  The exit code is 1 if any
+invocation differs in exit code, data or report, 0 otherwise.
 
 The list covers the six scenarios at their desk defaults in CSV and JSON,
 every invocation of the benchmark's workloads, taken from
 perfbench/run.py's WORKLOADS (walk-snapshots at seeds 0 and 63, the two
 ends of its site range), the off-default lattice-evolve configs, an odd
-continuum-check pad (the level size rounds up to even) and spectral-check
-at alpha = 1 (the non-unitary branch).
+continuum-check pad (the level size rounds up to even), spectral-check
+at alpha = 1 (the non-unitary branch) and the clock-pattern config whose
+crossings_bracketed check fails on correct code.
 """
 
 from __future__ import annotations
@@ -60,6 +62,7 @@ INVOCATIONS: list[tuple[str, Op]] = [
     ("lattice-evolve odd chain monte carlo", lattice("site_count=301", "n_steps=100", "mc_paths=500")),
     ("continuum-check odd pad", Op("continuum-check", (("pad", "65"),))),
     ("spectral-check alpha=1", Op("spectral-check", (("alpha", "1.0"),))),
+    ("clock-pattern crowded crossings", Op("clock-pattern", (("compton_period", "0.7"), ("t", "7.35")))),
 ]
 
 
@@ -82,6 +85,22 @@ def run(root: Path, op: Op, out: Path) -> tuple[int, dict[str, str], dict | None
     return proc.returncode, files, report
 
 
+MISSING = object()
+
+
+def differing_keys(a, b, prefix: str = "") -> list[str]:
+    """Dotted paths of the keys whose values differ between two JSON objects, or that one side lacks.
+
+    A list counts as one value; a key one side lacks is named once, not each key below it.
+    """
+    if not (isinstance(a, dict) and isinstance(b, dict)):
+        return [] if a == b else [prefix or "."]
+    paths = []
+    for key in sorted(a.keys() | b.keys()):
+        paths += differing_keys(a.get(key, MISSING), b.get(key, MISSING), f"{prefix}.{key}" if prefix else key)
+    return paths
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True)
@@ -99,7 +118,7 @@ def main(argv=None) -> int:
             for f in changed:
                 print(f"        {f}: {files_a.get(f, 'missing')[:12]} -> {files_b.get(f, 'missing')[:12]}")
             if report_a != report_b:
-                print("        report.json differs")
+                print("        report.json differs: " + ", ".join(differing_keys(report_a, report_b)))
     print(f"{len(INVOCATIONS) - differs} of {len(INVOCATIONS)} invocations identical")
     return 1 if differs else 0
 
