@@ -333,6 +333,11 @@ def run_double_slit(cfg: dict, seed: int) -> ScenarioResult:
     gaps = gap_intervals(phi)
     expected_spacing = math.pi * t2 / (units.mass * a)
     nodes, node_dev = node_spacing_deviation(xs, fey, expected_spacing)
+    if nodes.size < 2:
+        raise ValueError(
+            f"the window [{cfg['x_min']}, {cfg['x_max']}] holds {nodes.size} intensity node(s); measuring their "
+            f"spacing pi t / (m a) = {expected_spacing:.6g} needs at least two"
+        )
 
     return ScenarioResult(
         tables={

@@ -61,32 +61,40 @@ def table(**columns) -> tuple[list[str], np.ndarray]:
 
 # Rows per write: bounds the text of one table held in memory at a time.
 CHUNK_ROWS = 8192
-# Rows per dedupe: each distinct value of a column is formatted once per
-# block.  The raster's x comes back only every t-count rows (5001 at the
-# benchmark size), so a block of one chunk still formats most cells; one
-# block per table raises the peak memory of the largest table by 13 MB.
+# Rows per dedupe: each distinct value of a dtype's columns is formatted
+# once per block.  The raster's x comes back only every t-count rows (5001
+# at the benchmark size), so a block of one chunk still formats most cells;
+# one block per table raises the peak memory of the largest table by 8 MB.
 BLOCK_ROWS = 65536
 
 
-def _distinct_text(col: np.ndarray, fmt: str) -> tuple[np.ndarray, np.ndarray]:
-    """(text of each distinct value, index of each cell into that text).
+def _block_text(block: np.ndarray, header: list[str], fmt: str) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per column of block: (text of each distinct value, index of each cell into that text).
 
-    Values are keyed on their bit pattern, not compared as numbers: -0.0
-    equals 0.0 but is written differently.  The text is chosen once by
-    dtype kind: bools are 1/0 in CSV and true/false in JSON; numbers are
-    their repr, which round-trips a float.  JSON has no literal for a
-    non-finite float, so there it is its repr in quotes.
+    The columns of one dtype are deduped together, so a value in several
+    of them is formatted once.  Values are keyed on their bit pattern, not
+    compared as numbers: -0.0 equals 0.0 but is written differently.  Bools
+    are 1/0 in CSV and true/false in JSON; numbers are their repr, which
+    round-trips a float.  JSON has no literal for a non-finite float, so
+    there it is its repr in quotes.
     """
-    keys, index = np.unique(col.view(f"u{col.itemsize}"), return_inverse=True)
-    values = keys.view(col.dtype)
-    if col.dtype.kind == "b":
-        true, false = ("1", "0") if fmt == "csv" else ("true", "false")
-        text = [true if v else false for v in values.tolist()]
-    else:
-        text = list(map(repr, values.tolist()))
-        if fmt == "json" and not np.isfinite(values).all():
-            text = [f'"{s}"' if s in ("nan", "inf", "-inf") else s for s in text]
-    return np.array(text, dtype=object), index
+    cells = {}
+    for dtype in dict.fromkeys(block.dtype[name] for name in header):
+        names = [name for name in header if block.dtype[name] == dtype]
+        keys = np.stack([block[name] for name in names]).view(f"u{dtype.itemsize}")
+        distinct = np.sort(keys, axis=None)
+        distinct = distinct[np.insert(distinct[1:] != distinct[:-1], 0, True)]
+        values = distinct.view(dtype)
+        if dtype.kind == "b":
+            true, false = ("1", "0") if fmt == "csv" else ("true", "false")
+            text = [true if v else false for v in values.tolist()]
+        else:
+            text = list(map(repr, values.tolist()))
+            if fmt == "json" and not np.isfinite(values).all():
+                text = [f'"{s}"' if s in ("nan", "inf", "-inf") else s for s in text]
+        text = np.array(text, dtype=object)
+        cells.update(zip(names, ((text, index) for index in np.searchsorted(distinct, keys))))
+    return [cells[name] for name in header]
 
 
 def _write_table(path: Path, header: list[str], rows: np.ndarray, fmt: str) -> str:
@@ -94,7 +102,8 @@ def _write_table(path: Path, header: list[str], rows: np.ndarray, fmt: str) -> s
 
     CSV is a header line and one line per row.  JSON is the object
     {"header": [...], "rows": [[...], ...]} with sorted keys and no spaces.
-    Each column's distinct values are formatted once per BLOCK_ROWS rows.
+    The distinct values of each dtype's columns are formatted once per
+    BLOCK_ROWS rows.
     """
     if fmt == "csv":
         start, open_row, close_row, between, end = ",".join(header) + "\n", "", "\n", "", ""
@@ -112,7 +121,7 @@ def _write_table(path: Path, header: list[str], rows: np.ndarray, fmt: str) -> s
         put(start)
         for block_lo in range(0, len(rows), BLOCK_ROWS):
             block = rows[block_lo : block_lo + BLOCK_ROWS]
-            columns = [_distinct_text(block[name], fmt) for name in header]
+            columns = _block_text(block, header, fmt)
             for lo in range(0, len(block), CHUNK_ROWS):
                 cells = zip(*(text[index[lo : lo + CHUNK_ROWS]].tolist() for text, index in columns))
                 lines = (close_row + between + open_row).join(map(",".join, cells))

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from clockwalk import experiments_cli, lattice_walk, rundir, spectral_limit
 from clockwalk.experiments_cli import EXIT_CHECK, EXIT_CONFIG, EXIT_IO, EXIT_OK, main
@@ -336,6 +337,15 @@ class TestConfigErrors:
         out = tmp_path / "x"
         assert run("lattice-evolve", out, "--set", "stroboscopic=true", "--set", entry) == EXIT_CONFIG
         assert capsys.readouterr().err.rstrip().endswith(f" {step}")
+        assert not out.exists()
+
+    def test_double_slit_window_without_two_nodes(self, tmp_path, capsys):
+        # No node spacing to measure: a configuration error, not a check
+        # record whose value is not a number.
+        out = tmp_path / "x"
+        assert run("double-slit", out, "--set", "x_min=-1", "--set", "x_max=1") == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "[-1.0, 1.0]" in err and "pi t / (m a) = 20" in err
         assert not out.exists()
 
     def test_malformed_set_entry(self, tmp_path):
@@ -807,7 +817,10 @@ def oracle_table_bytes(header, rows, fmt):
 
 
 # Every column repeats values, so a table deduplicates within a block, and
-# 0.0 sits beside -0.0: equal as numbers, different as text.
+# 0.0 sits beside -0.0: equal as numbers, different as text.  Columns of one
+# dtype share values, as mirror columns do, and are deduplicated together:
+# y has 0.0 where x has -0.0, and bits has the bit patterns of the bools
+# but is written as numbers, so dtype groups must stay apart.
 EDGE_COLUMNS = {
     "flag": np.array([True, False, False, True, True, False, True, False, True, True, False, False, True, False]),
     "small": np.array([-128, 127, 0, -1, -128, 5, 0, 1, -7, 5, 127, -1, 0, -7], dtype=np.int8),
@@ -815,6 +828,10 @@ EDGE_COLUMNS = {
         [-(2**63), 2**63 - 1, 0, 1, -(2**63), 10**15, 0, -1, 3, 10**15, 2**63 - 1, 1, 3, -1], dtype=np.int64
     ),
     "x": np.array([-0.0, 0.0, 5e-324, math.nan, -0.0, 0.1, 0.0, math.inf, -math.inf, 0.1, 1e16, math.nan, -0.0, 1e16]),
+    "y": np.array([0.0, 1e16, math.nan, 5e-324, 0.0, math.inf, 2.5, 5e-324, 0.0, -2.5, math.nan, math.inf, 0.0, 0.1]),
+    "big2": np.array([1, -(2**63), 3, 10**15, 7, 0, -1, 7, 2**63 - 1, 0, 42, 3, 1, 10**15], dtype=np.int64),
+    "flag2": np.array([False, False, True, True, False, True, False, True, True, False, False, True, True, False]),
+    "bits": np.array([1, 0, 1, 1, 0, 0, 1, 2, 0, 1, 1, 0, 0, 1], dtype=np.int8),
 }
 
 
@@ -833,6 +850,28 @@ class TestWriter:
             digest = rundir._write_table(path, header, rows, fmt)
             assert path.read_bytes() == expected, f"BLOCK_ROWS={block_rows}"
             assert digest == hashlib.sha256(expected).hexdigest()
+
+    @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_shared_dtype_columns_match_oracle(self, tmp_path, monkeypatch, data):
+        # The columns of one dtype draw their cells from one small pool, so
+        # values recur within a column and across the columns of its dtype.
+        n_rows = data.draw(st.integers(0, 40))
+        columns = {}
+        strategies = {np.float64: st.floats(), np.int64: st.integers(-(2**63), 2**63 - 1), bool: st.booleans()}
+        for dtype, values in strategies.items():
+            pool = data.draw(st.lists(values, min_size=1, max_size=6))
+            for j in range(data.draw(st.integers(1, 3))):
+                cells = data.draw(st.lists(st.sampled_from(pool), min_size=n_rows, max_size=n_rows))
+                columns[f"{np.dtype(dtype).kind}{j}"] = np.array(cells, dtype=dtype)
+        header, rows = rundir.table(**columns)
+        monkeypatch.setattr(rundir, "BLOCK_ROWS", data.draw(st.integers(1, 7)))
+        monkeypatch.setattr(rundir, "CHUNK_ROWS", data.draw(st.integers(1, 7)))
+        for fmt in ("csv", "json"):
+            expected = oracle_table_bytes(header, [tuple(row) for row in rows], fmt)
+            path = tmp_path / f"t.{fmt}"
+            assert rundir._write_table(path, header, rows, fmt) == hashlib.sha256(expected).hexdigest()
+            assert path.read_bytes() == expected
 
     @pytest.mark.parametrize(
         "scenario,args",

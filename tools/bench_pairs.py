@@ -9,12 +9,14 @@ with the side that goes first alternating from pair to pair.  One
 `--trace 1` run per side and workload follows the pairs, for the
 per-layer metrics.  Every run's JSON result goes into the file as soon as it ends,
 with a summary per workload and end-to-end metric: each side's median and
-quartiles, and how many pairs the change won.
+quartiles, and how many pairs the change won.  Under "trees" it names
+the code each side ran: a SHA-256 over its `src/` files (see tree_digest).
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -48,6 +50,16 @@ def machine() -> dict:
         "platform": platform.platform(),
         "python": platform.python_version(),
     }
+
+
+def tree_digest(root: Path) -> str:
+    """SHA-256 over the sorted "path:sha256" lines of the files under root/src,
+    paths relative to src/, skipping __pycache__."""
+    src = root / "src"
+    files = sorted(p.relative_to(src).as_posix() for p in src.rglob("*")
+                   if p.is_file() and "__pycache__" not in p.parts)
+    lines = "".join(f"{name}:{hashlib.sha256((src / name).read_bytes()).hexdigest()}\n" for name in files)
+    return hashlib.sha256(lines.encode("utf-8")).hexdigest()
 
 
 def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
@@ -84,7 +96,8 @@ def main(argv=None) -> int:
     bench = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     workloads = [w["name"] for w in bench["workloads"]]
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    doc = {"machine": machine(), "run_seconds": bench["run_seconds"], "workloads": workloads, "runs": [], "summary": {}}
+    doc = {"machine": machine(), "trees": {side: tree_digest(root) for side, root in sides.items()},
+           "run_seconds": bench["run_seconds"], "workloads": workloads, "runs": [], "summary": {}}
 
     def record(workload: str, pair: int, side: str, trace: int) -> None:
         start = time.time()
