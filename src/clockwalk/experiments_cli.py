@@ -71,15 +71,6 @@ EXIT_IO = 4
 # config plumbing
 
 
-def _parse_bool(s: str) -> bool:
-    v = s.strip().lower()
-    if v in ("1", "true", "yes", "on"):
-        return True
-    if v in ("0", "false", "no", "off"):
-        return False
-    raise ValueError("expected a boolean")
-
-
 def _parse_choice(*choices: str):
     def parse(s: str) -> str:
         if s not in choices:
@@ -286,7 +277,7 @@ def run_propagator_compare(cfg: dict, seed: int) -> ScenarioResult:
     xs = _grid(-w, w, cfg["x_step"])
 
     pattern = plane_pattern(cfg["t"], xs, units).value.astype(float)
-    re_k = np.real(feynman_free(xs, cfg["t"], units))
+    re_k = np.real(feynman_free(xs, cfg["t"], units.mass))
     rep = compare(SampledSignal(xs, pattern), SampledSignal(xs, re_k))
     return ScenarioResult(
         tables={"compare": table(x=xs, clock_parity=pattern, re_feynman=re_k, sign_re_feynman=np.sign(re_k))},
@@ -375,7 +366,6 @@ def run_double_slit(cfg: dict, seed: int) -> ScenarioResult:
     init=(_parse_choice("unit_state", "phi_point", "z_point"), "unit_state"),
     initial_state=(_constrained(int, "1, 2, 3 or 4", lambda v: 1 <= v <= 4), "1"),
     initial_site=(int, "-1"),
-    stroboscopic=(_parse_bool, "false"),
     mc_paths=(_int_at_least(0), "0"),  # 0: no Monte Carlo overlay
 )
 def run_lattice_evolve(cfg: dict, seed: int) -> ScenarioResult:
@@ -411,7 +401,7 @@ def run_lattice_evolve(cfg: dict, seed: int) -> ScenarioResult:
         p = point_source_z(n, site)
 
     snap_steps = sorted(set(range(0, n_steps + 1, every)) | {n_steps})
-    snaps = evolve_snapshots(p, alpha, snap_steps, cfg["stroboscopic"])
+    snaps = evolve_snapshots(p, alpha, snap_steps)
 
     mass_initial, mass_final = float(snaps[0, :4].sum()), float(snaps[-1, :4].sum())
     drift = abs(mass_final - mass_initial)
@@ -477,21 +467,18 @@ def run_lattice_evolve(cfg: dict, seed: int) -> ScenarioResult:
     deltas=(_positive_list(3, halving=True), "0.2,0.1,0.05,0.025"),
     diffusion=(_positive, "0.5"),
     t=(_positive, "2.56"),
-    p_window=(_positive, "2.0"),
-    x_window=(_positive, "5.0"),
     diffusion_deltas=(_positive_list(3, halving=True), "0.05,0.025,0.0125"),
     diffusion_t=(_positive, "1.0"),
-    pad=(_int_at_least(2), "64"),
 )
 def run_continuum_check(cfg: dict, seed: int) -> ScenarioResult:
-    D, pad = cfg["diffusion"], cfg["pad"]
-    study = schrodinger_levels(cfg["deltas"], D, cfg["t"], cfg["p_window"], cfg["x_window"], pad)
-    diff = diffusion_levels(cfg["diffusion_deltas"], D, cfg["diffusion_t"], pad)
+    D = cfg["diffusion"]
+    study = schrodinger_levels(cfg["deltas"], D, cfg["t"])
+    diff = diffusion_levels(cfg["diffusion_deltas"], D, cfg["diffusion_t"])
     levels = study["levels"]
     # The step loop reruns the coarsest level of each study as the oracle.
     engine_dev = max(
-        engine_step_loop_deviation(levels[0]["s"], pad, "phi"),
-        engine_step_loop_deviation(diff["steps"][0], pad, "z"),
+        engine_step_loop_deviation(levels[0]["s"], "phi"),
+        engine_step_loop_deviation(diff["steps"][0], "z"),
     )
     raw = [lv["kernel_raw_rel"] for lv in levels]
     checks = {
@@ -525,7 +512,6 @@ def run_continuum_check(cfg: dict, seed: int) -> ScenarioResult:
     delta=(_positive, "0.1"),
     site_count=(_even_count, "1024"),
     alpha=(_parse_alpha, "sqrt2"),
-    expansion_p=(_finite, "1.0"),
     expansion_deltas=(_positive_list(2), "0.2,0.1,0.05"),
 )
 def run_spectral_check(cfg: dict, seed: int) -> ScenarioResult:
@@ -538,7 +524,7 @@ def run_spectral_check(cfg: dict, seed: int) -> ScenarioResult:
     lam_dev = float(np.abs(lam_mod - alpha / SQRT2).max())
     det_dev = float(np.hypot(det.real - 0.5 * alpha * alpha, det.imag).max())
 
-    exp_errors = expansion_residuals(cfg["expansion_p"], exp_deltas, alpha)
+    exp_errors = expansion_residuals(1.0, exp_deltas, alpha)  # at momentum p = 1
     exp_order = fit_convergence_order(exp_deltas, exp_errors)
 
     checks = {

@@ -166,17 +166,12 @@ def evolve(p: np.ndarray, n_steps: int) -> np.ndarray:
     return p
 
 
-def evolve_snapshots(p: np.ndarray, alpha: float, steps, stroboscopic: bool = False) -> np.ndarray:
+def evolve_snapshots(p: np.ndarray, alpha: float, steps) -> np.ndarray:
     """The walk at each of the increasing step counts in steps, by the step loop.
 
     Returns rows (len(steps), 8, N) of p1..p4, z1, z2, phi1, phi2: p and z
     of the bare walk, phi scaled by alpha**s as in monte_carlo_estimate.
-    Stroboscopic mode rejects, by name, the first step count that is not a
-    multiple of 8 (the state cycle's return scale) rather than rounding it.
     """
-    bad = [s for s in steps if s % 8] if stroboscopic else []
-    if bad:
-        raise ValueError(f"stroboscopic snapshots require step counts divisible by 8, got {bad[0]}")
     rows = np.empty((len(steps), 8, p.shape[1]))
     done = 0
     for k, s in enumerate(steps):

@@ -55,8 +55,8 @@ class ComparisonReport:
     l1/l2/linf are plain vector norms of the difference (symmetric in the
     two inputs); relative versions are the caller's business.
     crossing_spacing_error is the max relative difference of matched
-    zero-crossing spacings, or None with insufficient_crossings set when
-    either signal offers fewer than two crossings (no spacing to match).
+    zero-crossing spacings, or None when either signal offers fewer than
+    two crossings (no spacing to match).
     """
 
     l1: float
@@ -67,18 +67,19 @@ class ComparisonReport:
     zero_crossings_b: np.ndarray
     crossing_spacing_error: float | None
     n_spacing_pairs: int
-    insufficient_crossings: bool
 
 
-def feynman_free(x, t: float, units: UnitsConfig):
+def feynman_free(x, t: float, m: float):
     """Free-particle propagator from the origin, exp(i m x^2 / 2t) / sqrt(2 pi i t / m).
 
     Principal branch, sqrt(i) = exp(i pi/4); |K| = sqrt(m / 2 pi t)
-    independent of x.
+    independent of x.  At m = 1/(2D) it is the kernel
+    exp(i x^2 / 4Dt) / sqrt(4 pi i D t) of the walk's Schrodinger limit.
     """
     if not (t > 0.0):
         raise ValueError(f"t must be positive, got {t}")
-    m = units.mass
+    if not (0.0 < m < math.inf):
+        raise ValueError(f"m must be positive and finite, got {m}")
     x = np.asarray(x, dtype=float)
     phase = m * x * x / (2.0 * t) - 0.25 * math.pi
     return np.exp(1j * phase) / math.sqrt(2.0 * math.pi * t / m)
@@ -102,7 +103,7 @@ def two_source_superposition(x, t: float, a: float, units: UnitsConfig):
     equally spaced with spacing pi t / (m a).
     """
     x = np.asarray(x, dtype=float)
-    amp = feynman_free(x - a, t, units) + feynman_free(x + a, t, units)
+    amp = feynman_free(x - a, t, units.mass) + feynman_free(x + a, t, units.mass)
     return amp, np.abs(amp) ** 2
 
 
@@ -184,7 +185,6 @@ def compare(a: SampledSignal, b: SampledSignal) -> ComparisonReport:
         zero_crossings_b=cb,
         crossing_spacing_error=spacing_err,
         n_spacing_pairs=n_pairs,
-        insufficient_crossings=spacing_err is None,
     )
 
 

@@ -3,9 +3,8 @@
 Real Fourier transform of a z or phi pair, the one-step transfer matrix
 and its exact eigenvalues, closed-form matrix powers, the spectral
 evolution engine of the z and phi blocks, the continuum rotation
-propagator, assembly of the two spin components, the position-space
-Fresnel kernels they converge to, and the halving-delta level studies that
-show the walk's diffusion and Schrodinger limits.
+propagator, assembly of the two spin components, and the halving-delta
+level studies that show the walk's diffusion and Schrodinger limits.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ import math
 import numpy as np
 
 from .lattice_walk import SQRT2, decompose, phi_step, point_source_phi, point_source_z, z_step
-from .reference_solutions import diffusion_green, fit_convergence_order
+from .reference_solutions import diffusion_green, feynman_free, fit_convergence_order
 
 __all__ = [
     "PSI_DENSITY_CALIBRATION",
@@ -32,7 +31,6 @@ __all__ = [
     "transfer_power",
     "evolve_spectral",
     "assemble_psi",
-    "fresnel_kernel",
     "validate_level_sequence",
     "schrodinger_level",
     "schrodinger_levels",
@@ -60,6 +58,15 @@ def momentum_grid(n: int, delta: float) -> np.ndarray:
     return 2.0 * math.pi * j / (n * delta)
 
 
+def _pair_field(field) -> np.ndarray:
+    """field as a float array, which must have shape (2, N)."""
+    field = np.asarray(field, dtype=float)
+    n = field.shape[-1]
+    if field.shape != (2, n):
+        raise ValueError(f"field must have shape (2, N), got {field.shape}")
+    return field
+
+
 def to_spectral(field: np.ndarray) -> np.ndarray:
     """Real transform of a real (2, N) field: values[k, j] = sum_m field[k, m] e^{-i u_j m}.
 
@@ -67,10 +74,8 @@ def to_spectral(field: np.ndarray) -> np.ndarray:
     The field is real, so the momenta -p_j carry the complex conjugates and
     the half spectrum loses nothing; from_spectral inverts it to rounding.
     """
-    field = np.asarray(field, dtype=float)
-    n = field.shape[-1]
-    if field.shape != (2, n):
-        raise ValueError(f"field must have shape (2, N), got {field.shape}")
+    field = _pair_field(field)
+    n = field.shape[1]
     # One row at a time: a transform along axis 1 of both rows allocates a
     # work buffer for several rows at once.
     values = np.empty((2, n // 2 + 1), dtype=complex)
@@ -224,9 +229,10 @@ def evolve_spectral(field: np.ndarray, block: str, s: int, alpha: float) -> np.n
         raise ValueError(f"block must be 'z' or 'phi', got {block!r}")
     if not (isinstance(s, int) and s >= 0):
         raise ValueError(f"s must be a nonnegative integer, got {s}")
-    f = to_spectral(field)
+    field = _pair_field(field)
     if s == 0:
-        return np.array(field, dtype=float)
+        return field.copy()
+    f = to_spectral(field)
     n = field.shape[1]
     u = (2.0 * math.pi / n) * np.arange(f.shape[1])
     # One step reads row 0 from the left neighbour and row 1 from the right.
@@ -259,24 +265,6 @@ def assemble_psi(phi1, phi2):
     phi1 = np.asarray(phi1)
     phi2 = np.asarray(phi2)
     return 0.5 * (1j * phi1 + phi2), 0.5 * (-1j * phi1 + phi2)
-
-
-def fresnel_kernel(x, t: float, D: float, branch: str = "+"):
-    """Free-particle kernel e^{i x^2 / 4Dt} / sqrt(4 pi i D t), or its conjugate.
-
-    Principal branch sqrt(i) = e^{i pi/4}, which makes branch "-" the exact
-    complex conjugate of branch "+".  Constant modulus 1/sqrt(4 pi D t).
-    """
-    if branch not in ("+", "-"):
-        raise ValueError(f"branch must be '+' or '-', got {branch!r}")
-    if not (t > 0.0):
-        raise ValueError(f"t must be positive, got {t}")
-    if not (D > 0.0):
-        raise ValueError(f"D must be positive, got {D}")
-    x = np.asarray(x, dtype=float)
-    phase = x * x / (4.0 * D * t) - 0.25 * math.pi
-    value = np.exp(1j * phase) / math.sqrt(4.0 * math.pi * D * t)
-    return np.conj(value) if branch == "-" else value
 
 
 # ---------------------------------------------------------------------------
@@ -316,39 +304,44 @@ def validate_level_sequence(deltas, D: float, t: float) -> list[int]:
     return steps
 
 
-def _level_sites(s: int, pad: int) -> int:
-    n = 2 * s + pad
-    if n % 2:
-        n += 1
-    return n
+# Fixed, as the checks' thresholds are, so that no option changes what a
+# continuum-check gate measures: the momentum window of the rotation errors,
+# the position window of the kernel errors, and the sites added to the 2 s
+# an s-step walk reaches (even, as momentum_grid needs an even chain).
+P_WINDOW = 2.0
+X_WINDOW = 5.0
+PAD = 64
 
 
-def schrodinger_level(
-    delta: float, s: int, D: float, t: float, p_window: float, x_window: float, pad: int = 64
-) -> dict:
+def _level_sites(s: int) -> int:
+    return 2 * s + PAD
+
+
+def schrodinger_level(delta: float, s: int, D: float, t: float) -> dict:
     """One level of the norm-preserving continuum study, s = t/epsilon steps.
 
     Evolves the phi point source s steps with the spectral engine,
     assembles psi+, and measures: the rotation-angle error (exact
     eigenvalue phase to the s-th power against the continuum rotation
-    phase, rms over the momentum grid inside the window), the full-matrix
+    phase, rms over the momentum grid inside P_WINDOW), the full-matrix
     error (T^s against the rotation matrix, same window, reported), the
-    kernel errors (sampled psi+ density against the Fresnel kernel: raw,
-    even part, odd fraction), and the p = 0 eight-step identity residual.
+    kernel errors (sampled psi+ density against feynman_free at mass
+    m = 1/(2D), over |x| <= X_WINDOW: raw, even part, odd fraction), and
+    the p = 0 eight-step identity residual.
 
     The raw kernel error carries an O(delta) odd-in-x component from the
     eigenvector (branch) admixture of the transfer matrix, which is odd in
     p; the even part isolates the kernel comparison the continuum limit
     actually controls at second order.  Both are returned.
     """
-    n = _level_sites(s, pad)
+    n = _level_sites(s)
     m0 = n // 2
 
     # rotation-angle (eigenphase) error over the in-window momentum grid;
     # the eigenvalue modulus is 1 at alpha = sqrt(2).  Only the window is
     # kept, so the full grid is not held through the evolution below.
     pw = momentum_grid(n, delta)
-    pw = pw[np.abs(pw) <= p_window]
+    pw = pw[np.abs(pw) <= P_WINDOW]
     lam_s = np.exp(1j * s * eigenphase(pw * delta))
     rot_err = float(np.sqrt(np.mean(np.abs(lam_s - np.exp(1j * pw * pw * D * t)) ** 2)))
 
@@ -361,11 +354,11 @@ def schrodinger_level(
     psi_plus, _ = assemble_psi(phi[0], phi[1])
 
     # sample the populated sublattice and convert to a density
-    kmax = int(math.floor(x_window / (2.0 * delta)))
+    kmax = int(math.floor(X_WINDOW / (2.0 * delta)))
     kk = np.arange(-kmax, kmax + 1)
     x = 2.0 * kk * delta
     est = psi_plus[m0 + 2 * kk] * PSI_DENSITY_CALIBRATION / (2.0 * delta)
-    ker = fresnel_kernel(x, t, D)
+    ker = feynman_free(x, t, 1.0 / (2.0 * D))
     ker_norm = float(np.linalg.norm(ker))
     raw = float(np.linalg.norm(est - ker)) / ker_norm
     est_even = 0.5 * (est + est[::-1])
@@ -388,10 +381,10 @@ def schrodinger_level(
     }
 
 
-def schrodinger_levels(deltas, D: float, t: float, p_window: float, x_window: float, pad: int = 64) -> dict:
+def schrodinger_levels(deltas, D: float, t: float) -> dict:
     """Halving-delta convergence study of the norm-preserving branch."""
     steps = validate_level_sequence(deltas, D, t)
-    levels = [schrodinger_level(d, s, D, t, p_window, x_window, pad) for d, s in zip(deltas, steps)]
+    levels = [schrodinger_level(d, s, D, t) for d, s in zip(deltas, steps)]
     ds = [lv["delta"] for lv in levels]
     return {
         "levels": levels,
@@ -402,7 +395,7 @@ def schrodinger_levels(deltas, D: float, t: float, p_window: float, x_window: fl
     }
 
 
-def diffusion_levels(deltas, D: float, t: float, pad: int = 64) -> dict:
+def diffusion_levels(deltas, D: float, t: float) -> dict:
     """Bare-walk (alpha = 1) z-field against the heat kernel, per level.
 
     The point source's direction-summed density on the populated
@@ -411,7 +404,7 @@ def diffusion_levels(deltas, D: float, t: float, pad: int = 64) -> dict:
     steps = validate_level_sequence(deltas, D, t)
     errors = []
     for delta, s in zip(deltas, steps):
-        n = _level_sites(s, pad)
+        n = _level_sites(s)
         m0 = n // 2
         z = evolve_spectral(decompose(point_source_z(n, m0))[0], "z", s, 1.0)
         kmax = s // 2
@@ -423,7 +416,7 @@ def diffusion_levels(deltas, D: float, t: float, pad: int = 64) -> dict:
     return {"deltas": list(deltas), "steps": steps, "l1_rel": errors}
 
 
-def engine_step_loop_deviation(s: int, pad: int, block: str) -> float:
+def engine_step_loop_deviation(s: int, block: str) -> float:
     """max |spectral engine - step loop| / max |step loop| for one s-step level's point source.
 
     The per-step maps phi_step (alpha = sqrt(2)) and z_step, looked up at
@@ -431,7 +424,7 @@ def engine_step_loop_deviation(s: int, pad: int, block: str) -> float:
     the level studies' spectral engine.
     """
     alpha, source = (SQRT2, point_source_phi) if block == "phi" else (1.0, point_source_z)
-    n = _level_sites(s, pad)
+    n = _level_sites(s)
     z, phi = decompose(source(n, n // 2))
     start = phi if block == "phi" else z
     loop = start

@@ -234,10 +234,16 @@ class TestConfigErrors:
             ("continuum-check", "order_threshold=1.8"),
             ("continuum-check", "l1_threshold=1"),
             ("spectral-check", "unitarity_tol=1"),
+            ("continuum-check", "p_window=0.05"),
+            ("continuum-check", "x_window=0.01"),
+            ("continuum-check", "pad=65"),
+            ("spectral-check", "expansion_p=2"),
+            ("lattice-evolve", "stroboscopic=true"),
         ],
     )
     def test_thresholds_are_not_config_keys(self, tmp_path, capsys, scenario, entry):
-        # A check's threshold is fixed at the check: no key loosens a gate.
+        # What a check measures is fixed at the check, like its threshold:
+        # no key loosens a gate or moves the window or momentum it reads.
         out = tmp_path / "x"
         assert run(scenario, out, "--set", entry) == EXIT_CONFIG
         assert "unknown config key" in capsys.readouterr().err
@@ -330,15 +336,6 @@ class TestConfigErrors:
         assert code == EXIT_CONFIG
         assert not out.exists()
 
-    @pytest.mark.parametrize("entry,step", [("n_steps=60", 60), ("snapshot_every=4", 4)])
-    def test_stroboscopic_names_the_step_count_set(self, tmp_path, capsys, entry, step):
-        # The first snapshot step count off the 8-step period is the one the
-        # user set, not the length of the segment that reaches it.
-        out = tmp_path / "x"
-        assert run("lattice-evolve", out, "--set", "stroboscopic=true", "--set", entry) == EXIT_CONFIG
-        assert capsys.readouterr().err.rstrip().endswith(f" {step}")
-        assert not out.exists()
-
     def test_double_slit_window_without_two_nodes(self, tmp_path, capsys):
         # No node spacing to measure: a configuration error, not a check
         # record whose value is not a number.
@@ -371,7 +368,6 @@ class TestConfigErrors:
             ("clock-pattern", "raster_t_max=inf"),
             ("clock-pattern", "x_max=inf"),
             ("propagator-compare", "x_window=inf"),
-            ("continuum-check", "x_window=-1"),
             ("continuum-check", "diffusion=inf"),
             ("continuum-check", "deltas=1e-200,5e-201,2.5e-201"),  # epsilon underflows to 0
             ("continuum-check", "diffusion_deltas=1e-200,5e-201,2.5e-201"),
@@ -648,6 +644,25 @@ class TestVerifyCommand:
 
 
 class TestConfigResolution:
+    def test_schema_keys_pinned(self):
+        # Every key is a way to change a run; a new one shows up here.
+        assert {name: list(schema) for name, schema in experiments_cli.SCHEMAS.items()} == {
+            "clock-pattern": [
+                "t", "compton_period", "x_min", "x_max", "x_step", "raster_t_min", "raster_t_max", "raster_t_step",
+            ],
+            "propagator-compare": ["t", "compton_period", "x_window", "x_step"],
+            "double-slit": [
+                "half_separation", "source_to_slit_time", "slit_to_screen_time", "compton_period",
+                "x_min", "x_max", "x_step", "node_tolerance",
+            ],
+            "lattice-evolve": [
+                "delta", "diffusion", "alpha", "n_steps", "snapshot_every", "site_count",
+                "init", "initial_state", "initial_site", "mc_paths",
+            ],
+            "continuum-check": ["deltas", "diffusion", "t", "diffusion_deltas", "diffusion_t"],
+            "spectral-check": ["delta", "site_count", "alpha", "expansion_deltas"],
+        }
+
     def test_file_then_flag_precedence(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("t = 10.0\nx_window = 3.0  # comment\n\n")
@@ -774,7 +789,7 @@ class TestDeterminism:
             ),
             (
                 "lattice-evolve",
-                ["--set", "init=z_point", "--set", "stroboscopic=true"],
+                ["--set", "init=z_point"],
                 "aa2b4be3eead01f5db40eea3401b598e31f5ea81dbbafe2aa447a0a743901ce3",
             ),
         ],

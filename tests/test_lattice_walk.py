@@ -305,16 +305,6 @@ class TestEvolveSnapshots:
         p = step_four_state(rows[0, :4])
         assert np.abs(p[p != 0]).min() < tiny
 
-    @pytest.mark.parametrize("steps,named", [([0, 8, 16, 20], 20), ([0, 4, 8], 4), ([0, 12, 16], 12), ([12], 12)])
-    def test_stroboscopic_names_first_bad_step_count(self, steps, named):
-        with pytest.raises(ValueError, match=f"got {named}$"):
-            evolve_snapshots(point_source_z(64, 32), 1.0, steps, stroboscopic=True)
-
-    @pytest.mark.parametrize("steps", [[16], [0, 64]])
-    def test_stroboscopic_accepts_multiples_of_eight(self, steps):
-        rows = evolve_snapshots(point_source_z(64, 32), 1.0, steps, stroboscopic=True)
-        assert rows.shape == (len(steps), 8, 64)
-
 
 class TestMirror:
     def test_fourth_power_is_identity(self):

@@ -20,7 +20,6 @@ from clockwalk.spectral_limit import (
     eigenvalue_plus,
     evolve_spectral,
     expansion_residuals,
-    fresnel_kernel,
     from_spectral,
     momentum_grid,
     to_spectral,
@@ -301,8 +300,9 @@ class TestSpectralEngine:
         for s in (-1, 8.0):
             with pytest.raises(ValueError):
                 evolve_spectral(field, "phi", s, 1.0)
-        with pytest.raises(ValueError):
-            evolve_spectral(np.zeros((3, 16)), "z", 8, 1.0)
+        for s in (8, 0):
+            with pytest.raises(ValueError):
+                evolve_spectral(np.zeros((3, 16)), "z", s, 1.0)
 
 
 class TestStroboscopicPower:
@@ -379,32 +379,6 @@ class TestAssemblePsi:
         plus, _ = assemble_psi(phi[0], phi[1])
         assert abs(plus.sum() - 1.0 / SQRT2) < 1e-12
         assert abs(PSI_DENSITY_CALIBRATION - SQRT2) == 0.0
-
-
-class TestFresnelKernel:
-    def test_constant_modulus(self):
-        x = np.linspace(-10, 10, 201)
-        k = fresnel_kernel(x, 2.0, 0.5)
-        np.testing.assert_allclose(np.abs(k), 1.0 / math.sqrt(4.0 * math.pi), rtol=1e-14)
-
-    def test_branches_conjugate(self):
-        x = np.linspace(-5, 5, 101)
-        np.testing.assert_allclose(
-            fresnel_kernel(x, 1.5, 0.3, "-"), np.conj(fresnel_kernel(x, 1.5, 0.3, "+")), rtol=0, atol=0
-        )
-
-    def test_origin_phase(self):
-        k = fresnel_kernel(np.array([0.0]), 1.0, 0.25)
-        expect = np.exp(-1j * math.pi / 4.0) / math.sqrt(math.pi)
-        assert abs(k[0] - expect) < 1e-15
-
-    def test_validates(self):
-        with pytest.raises(ValueError):
-            fresnel_kernel([0.0], 0.0, 0.5)
-        with pytest.raises(ValueError):
-            fresnel_kernel([0.0], 1.0, -0.5)
-        with pytest.raises(ValueError):
-            fresnel_kernel([0.0], 1.0, 0.5, branch="x")
 
 
 class TestNormBehaviour:

@@ -14,10 +14,11 @@ invocation differs in exit code, data or report, 0 otherwise.
 The list covers the six scenarios at their desk defaults in CSV and JSON,
 every invocation of the benchmark's workloads, taken from
 perfbench/run.py's WORKLOADS (walk-snapshots at seeds 0 and 63, the two
-ends of its site range), the off-default lattice-evolve configs, an odd
-continuum-check pad (the level size rounds up to even), spectral-check
-at alpha = 1 (the non-unitary branch) and the clock-pattern config whose
-crossings_bracketed check fails on correct code.
+ends of its site range), the off-default lattice-evolve configs,
+continuum-check at diffusion 0.25 (a second D, so mass m = 1/(2D) = 2, for
+the continuum kernel), spectral-check at alpha = 1 (the non-unitary
+branch) and the clock-pattern config whose crossings_bracketed check fails
+on correct code.
 """
 
 from __future__ import annotations
@@ -51,8 +52,6 @@ INVOCATIONS: list[tuple[str, Op]] = [
     ),
     ("lattice-evolve phi_point", lattice("init=phi_point")),
     ("lattice-evolve z_point", lattice("init=z_point")),
-    ("lattice-evolve stroboscopic", lattice("stroboscopic=true")),
-    ("lattice-evolve z_point stroboscopic", lattice("init=z_point", "stroboscopic=true")),
     ("lattice-evolve monte carlo", lattice("n_steps=16", "mc_paths=2000")),
     ("lattice-evolve alpha=sqrt2", lattice("alpha=sqrt2")),
     ("lattice-evolve alpha=sqrt2 58 steps", lattice("alpha=sqrt2", "n_steps=58")),
@@ -60,7 +59,7 @@ INVOCATIONS: list[tuple[str, Op]] = [
     ("lattice-evolve z_point alpha=sqrt2", lattice("init=z_point", "alpha=sqrt2")),
     ("lattice-evolve monte carlo alpha=sqrt2", lattice("n_steps=16", "mc_paths=2000", "alpha=sqrt2")),
     ("lattice-evolve odd chain monte carlo", lattice("site_count=301", "n_steps=100", "mc_paths=500")),
-    ("continuum-check odd pad", Op("continuum-check", (("pad", "65"),))),
+    ("continuum-check diffusion=0.25", Op("continuum-check", (("diffusion", "0.25"),))),
     ("spectral-check alpha=1", Op("spectral-check", (("alpha", "1.0"),))),
     ("clock-pattern crowded crossings", Op("clock-pattern", (("compton_period", "0.7"), ("t", "7.35")))),
 ]
