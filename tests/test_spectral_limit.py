@@ -26,6 +26,7 @@ from clockwalk.spectral_limit import (
     transfer_diagnostics,
     transfer_matrices,
     transfer_power,
+    validate_level_sequence,
 )
 from clockwalk.reference_solutions import fit_convergence_order
 
@@ -410,3 +411,39 @@ class TestNormBehaviour:
         for _ in range(256):
             pos = phi_step(pos, SQRT2)
         assert np.max(np.abs(evolve_spectral(phi, "phi", 256, SQRT2) - pos)) <= 1e-10
+
+
+class TestLevelSequence:
+    """Step counts s = t / epsilon, epsilon = delta^2 / (2 D), of a level study."""
+
+    def test_step_counts(self):
+        assert validate_level_sequence([0.2, 0.1, 0.05], 0.5, 2.56) == [64, 256, 1024]
+
+    @pytest.mark.parametrize(
+        "deltas,t,delta,s",
+        [
+            ([0.2, 0.1], 0.16, 0.2, 4),
+            ([0.2, 0.1], 0.08, 0.2, 2),
+            ([0.4, 0.2, 0.1], 0.16, 0.4, 1),
+            ([0.4, 0.2, 0.1], 0.48, 0.4, 3),
+        ],
+    )
+    def test_names_first_level_off_the_mod_8_rule(self, deltas, t, delta, s):
+        with pytest.raises(ValueError, match=rf"level delta={delta} gives s={s}, violating the mod-8 rule"):
+            validate_level_sequence(deltas, 0.5, t)
+
+    @pytest.mark.parametrize(
+        "deltas,D,t",
+        [
+            ([0.1], 0.5, 2.56),
+            ([0.2, 0.12], 0.5, 2.56),
+            ([0.0, 0.0], 0.5, 2.56),
+            ([0.2, 0.1], 0.0, 2.56),
+            ([0.2, 0.1], 0.5, math.inf),
+            ([0.2, 0.1], 0.5, 2.5),
+        ],
+        ids=["one-level", "not-halving", "zero-delta", "zero-D", "infinite-t", "non-integer-s"],
+    )
+    def test_rejects(self, deltas, D, t):
+        with pytest.raises(ValueError):
+            validate_level_sequence(deltas, D, t)
