@@ -28,6 +28,7 @@ __all__ = [
     "SlitGeometry",
     "parity_of_proper_time",
     "plane_pattern",
+    "parity_crossings",
     "lorentz_filter",
     "double_slit_phi",
     "gap_intervals",
@@ -101,6 +102,19 @@ def plane_pattern(t: float, x, units: UnitsConfig) -> Pattern:
     value = np.zeros(x.shape, dtype=int)
     value[in_cone] = parity_of_proper_time(proper_time(t, x[in_cone, None]), units)
     return Pattern(x, value, in_cone)
+
+
+def parity_crossings(t: float, units: UnitsConfig) -> np.ndarray:
+    """Sorted positions inside the open cone where plane_pattern(t, ., units) flips parity.
+
+    The straight-line proper time sqrt(t^2 - x^2) hits the half-period
+    boundary k T/2 at x = +/- sqrt(t^2 - (k T/2)^2): the same hyperbola with
+    x and tau swapped.  A boundary at tau = t gives the one position x = 0.
+    """
+    taus = units.half_period * np.arange(1.0, t / units.half_period + 1.0)
+    xk = proper_time(t, taus[taus <= t, None])
+    xk = xk[xk < t]
+    return np.sort(np.concatenate([xk, -xk[xk > 0.0]]))
 
 
 def lorentz_filter(pa, pb) -> np.ndarray:

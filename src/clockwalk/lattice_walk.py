@@ -11,7 +11,8 @@ after s steps is scaled by alpha**s (alpha = sqrt(2) preserves the norm).
 A signed-path Monte Carlo sampler provides an independent oracle.
 
 Callers must keep the walk's light cone from wrapping the chain (the
-periodic chain is then indistinguishable from the infinite one).
+periodic chain is then indistinguishable from the infinite one); an
+s-step walk does not wrap a chain of chain_sites(s) sites.
 """
 
 from __future__ import annotations
@@ -23,7 +24,9 @@ import numpy as np
 
 __all__ = [
     "SQRT2",
+    "PAD",
     "McEstimate",
+    "chain_sites",
     "unit_state_field",
     "point_source_phi",
     "point_source_z",
@@ -40,6 +43,10 @@ __all__ = [
 ]
 
 SQRT2 = math.sqrt(2.0)
+
+# Sites added to the 2 s an s-step walk reaches; even, as
+# spectral_limit.momentum_grid needs an even chain.
+PAD = 64
 
 
 @dataclass
@@ -60,6 +67,11 @@ class McEstimate:
     n_paths: int
     n_steps: int
     deposit_quantum: float
+
+
+def chain_sites(s: int) -> int:
+    """Sites of the chain an s-step walk runs on by default: the 2 s its cone reaches plus PAD."""
+    return 2 * s + PAD
 
 
 def unit_state_field(n: int, state: int, site: int) -> np.ndarray:
@@ -238,27 +250,18 @@ def monte_carlo_estimate(
 
     z_hat = np.zeros((2, n))
     phi_hat = np.zeros((2, n))
-    z_sqsum = np.zeros((2, n))
     for row, mask in ((0, right), (1, ~right)):
-        counts = np.bincount(pos[mask], minlength=n).astype(float)
-        signed = np.bincount(pos[mask], weights=parity[mask], minlength=n)
-        z_hat[row] = 0.5 * counts / n_paths
-        phi_hat[row] = 0.5 * signed / n_paths
-        z_sqsum[row] = 0.25 * counts / n_paths
+        z_hat[row] = 0.5 * np.bincount(pos[mask], minlength=n).astype(float) / n_paths
+        phi_hat[row] = 0.5 * np.bincount(pos[mask], weights=parity[mask], minlength=n) / n_paths
 
-    # Per-site deposit variance: deposits are 0 or +/-1/2, so the second
-    # moment is 0.25 * hit fraction for both blocks.
-    z_var = np.maximum(z_sqsum - z_hat**2, 0.0)
-    phi_var = np.maximum(z_sqsum - phi_hat**2, 0.0)
-    z_stderr = np.sqrt(z_var / n_paths)
-    phi_stderr = np.sqrt(phi_var / n_paths)
-
+    # The exact standard errors, evaluated at the estimates.
+    z_stderr, phi_stderr = deposit_standard_errors(z_hat, phi_hat, alpha, n_steps, n_paths)
     scale = alpha**n_steps
     return McEstimate(
         z_hat=z_hat,
         phi_hat=phi_hat * scale,
         z_stderr=z_stderr,
-        phi_stderr=phi_stderr * scale,
+        phi_stderr=phi_stderr,
         n_paths=n_paths,
         n_steps=n_steps,
         deposit_quantum=0.5 * scale / n_paths,

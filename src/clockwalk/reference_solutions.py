@@ -1,8 +1,8 @@
 """Analytic reference signals and the comparison metrics used by acceptance tests.
 
 Free-particle propagator, diffusion Green's function, two-source
-superposition, sampled-signal comparison (error norms, sign agreement,
-zero-crossing spacings), and convergence-order fitting.
+superposition, sampled-signal comparison (sign agreement, zero-crossing
+spacings), and convergence-order fitting.
 """
 
 from __future__ import annotations
@@ -50,18 +50,13 @@ class SampledSignal:
 
 @dataclass
 class ComparisonReport:
-    """Error metrics between two sampled signals on a shared grid.
+    """Sign and zero-crossing agreement between two sampled signals on a shared grid.
 
-    l1/l2/linf are plain vector norms of the difference (symmetric in the
-    two inputs); relative versions are the caller's business.
     crossing_spacing_error is the max relative difference of matched
     zero-crossing spacings, or None when either signal offers fewer than
     two crossings (no spacing to match).
     """
 
-    l1: float
-    l2: float
-    linf: float
     sign_agreement_fraction: float
     zero_crossings_a: np.ndarray
     zero_crossings_b: np.ndarray
@@ -164,11 +159,6 @@ def compare(a: SampledSignal, b: SampledSignal) -> ComparisonReport:
     if a.x.shape != b.x.shape or not np.array_equal(a.x, b.x):
         raise ValueError("signals must share an identical grid")
 
-    diff = a.values - b.values
-    l1 = float(np.sum(np.abs(diff)))
-    l2 = float(np.sqrt(np.sum(diff * diff)))
-    linf = float(np.max(np.abs(diff))) if diff.size else 0.0
-
     sa, sb = np.sign(a.values), np.sign(b.values)
     agree = max(float(np.mean(sa == sb)), float(np.mean(sa == -sb))) if sa.size else 1.0
 
@@ -177,9 +167,6 @@ def compare(a: SampledSignal, b: SampledSignal) -> ComparisonReport:
     spacing_err, n_pairs = _matched_spacing_error(ca, cb)
 
     return ComparisonReport(
-        l1=l1,
-        l2=l2,
-        linf=linf,
         sign_agreement_fraction=agree,
         zero_crossings_a=ca,
         zero_crossings_b=cb,
@@ -213,10 +200,17 @@ def local_minima(x, v) -> np.ndarray:
 
 def node_spacing_deviation(x, intensity, spacing: float) -> tuple[np.ndarray, float]:
     """The nodes (local_minima) of a sampled intensity, and the largest
-    relative deviation of their spacings from spacing; inf with fewer than
-    two nodes.
+    relative deviation of their spacings from spacing, the pi t / (m a) of
+    two_source_superposition.
+
+    Raises ValueError when the grid holds fewer than two nodes or spans less
+    than one spacing; a window that short cannot hold two true nodes, so any
+    minima in it are rounding.
     """
     nodes = local_minima(x, intensity)
-    if nodes.size < 2:
-        return nodes, math.inf
+    if nodes.size < 2 or not x[-1] - x[0] >= spacing:
+        raise ValueError(
+            f"the window [{float(x[0])}, {float(x[-1])}] holds {nodes.size} intensity node(s); measuring their "
+            f"spacing pi t / (m a) = {spacing:.6g} needs at least two, and a window at least that wide"
+        )
     return nodes, float(np.max(np.abs(np.diff(nodes) - spacing)) / spacing)

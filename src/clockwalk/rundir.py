@@ -174,10 +174,10 @@ def write_run(out: Path, result: ScenarioResult, fmt: str, *, timings: dict, man
 
     report.json, unlike the data files, is not byte-stable: it holds the
     metrics, the check records, the timings plus write_s and peak_rss_mb, and
-    the manifest (the given keys, the duration as the sum of the timings,
-    each data file's SHA-256 and the digest over them).  The run
-    is written into a temporary sibling of out and renamed into place, so
-    out holds a whole run or none; a previous run is restored if that fails.
+    the manifest (the given keys, each data file's SHA-256 and the digest
+    over them).  The run is written into a temporary sibling of out and
+    renamed into place, so out holds a whole run or none; a previous run is
+    restored if that fails.
     """
     began = time.perf_counter()
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -188,12 +188,7 @@ def write_run(out: Path, result: ScenarioResult, fmt: str, *, timings: dict, man
         tables = result.tables
         files = {f"{name}.{fmt}": _write_table(tmp / f"{name}.{fmt}", *tables[name], fmt) for name in sorted(tables)}
         timings = {**timings, "write_s": time.perf_counter() - began}
-        manifest = {
-            **manifest,
-            "duration_seconds": sum(timings.values()),
-            "files": files,
-            "digest": _manifest_digest(files),
-        }
+        manifest = {**manifest, "files": files, "digest": _manifest_digest(files)}
         # ru_maxrss is in KiB on Linux
         timings["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024 if resource else None
         report = _json_safe({**result.metrics, "checks": result.checks, "timings": timings, "manifest": manifest})

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import numpy as np
 
-from .lattice_walk import SQRT2, decompose, phi_step, point_source_phi, point_source_z, z_step
+from .lattice_walk import SQRT2, chain_sites, decompose, phi_step, point_source_phi, point_source_z, z_step
 from .reference_solutions import diffusion_green, feynman_free, fit_convergence_order
 
 __all__ = [
@@ -50,10 +50,13 @@ def momentum_grid(n: int, delta: float) -> np.ndarray:
     """Momentum values p_j = 2 pi j / (N delta) for j in [-N/2, N/2).
 
     Evenly spaced and containing p = 0.  Requires even N so the grid is
-    symmetric apart from the lone Nyquist point.
+    symmetric apart from the lone Nyquist point, and delta > 0 with the
+    largest |p|, pi / delta at j = -N/2, finite.
     """
     if n % 2 != 0:
         raise ValueError(f"momentum grid requires an even site count, got {n}")
+    if n and not (delta > 0.0 and 2.0 * math.pi * (n // 2) / (n * delta) < math.inf):
+        raise ValueError(f"momentum grid requires delta > 0 with pi / delta finite, got delta = {delta}")
     j = np.arange(-(n // 2), n // 2)
     return 2.0 * math.pi * j / (n * delta)
 
@@ -305,16 +308,11 @@ def validate_level_sequence(deltas, D: float, t: float) -> list[int]:
 
 
 # Fixed, as the checks' thresholds are, so that no option changes what a
-# continuum-check gate measures: the momentum window of the rotation errors,
-# the position window of the kernel errors, and the sites added to the 2 s
-# an s-step walk reaches (even, as momentum_grid needs an even chain).
+# continuum-check gate measures: the momentum window of the rotation errors
+# and the position window of the kernel errors.  Each level runs on
+# lattice_walk.chain_sites(s) sites.
 P_WINDOW = 2.0
 X_WINDOW = 5.0
-PAD = 64
-
-
-def _level_sites(s: int) -> int:
-    return 2 * s + PAD
 
 
 def schrodinger_level(delta: float, s: int, D: float, t: float) -> dict:
@@ -334,7 +332,7 @@ def schrodinger_level(delta: float, s: int, D: float, t: float) -> dict:
     p; the even part isolates the kernel comparison the continuum limit
     actually controls at second order.  Both are returned.
     """
-    n = _level_sites(s)
+    n = chain_sites(s)
     m0 = n // 2
 
     # rotation-angle (eigenphase) error over the in-window momentum grid;
@@ -404,7 +402,7 @@ def diffusion_levels(deltas, D: float, t: float) -> dict:
     steps = validate_level_sequence(deltas, D, t)
     errors = []
     for delta, s in zip(deltas, steps):
-        n = _level_sites(s)
+        n = chain_sites(s)
         m0 = n // 2
         z = evolve_spectral(decompose(point_source_z(n, m0))[0], "z", s, 1.0)
         kmax = s // 2
@@ -424,7 +422,7 @@ def engine_step_loop_deviation(s: int, block: str) -> float:
     the level studies' spectral engine.
     """
     alpha, source = (SQRT2, point_source_phi) if block == "phi" else (1.0, point_source_z)
-    n = _level_sites(s)
+    n = chain_sites(s)
     z, phi = decompose(source(n, n // 2))
     start = phi if block == "phi" else z
     loop = start

@@ -12,6 +12,7 @@ from clockwalk.clock_signal import (
     double_slit_phi,
     gap_intervals,
     lorentz_filter,
+    parity_crossings,
     parity_of_proper_time,
     plane_pattern,
 )
@@ -128,6 +129,21 @@ class TestPlanePattern:
             left, right = plane_pattern(t, [x_star - 1e-9, x_star + 1e-9], UNITS).value
             assert left == -right
             assert left != 0 and right != 0
+
+    @pytest.mark.parametrize("period,t", [(4.0, 20.0), (0.7, 7.35)])  # the default and a crowded cone
+    def test_parity_crossings_are_the_sampled_sign_changes(self, period, t):
+        units = UnitsConfig(period)
+        crossings = parity_crossings(t, units)
+        assert np.all(np.diff(crossings) > 0) and np.all(np.abs(crossings) < t)
+        # Both t are whole numbers of half periods, so x = 0 is a one-point
+        # parity spike; a grid that skips x = 0, as this even one does, sees
+        # no sign change there.
+        assert 0.0 in crossings
+        x = np.linspace(-t, t, 400_000)[1:-1]
+        value = plane_pattern(t, x, units).value
+        changed = np.nonzero(value[:-1] != value[1:])[0]
+        cells = np.searchsorted(x, crossings[crossings != 0.0]) - 1
+        assert np.array_equal(cells, changed)
 
     def test_preserved_under_time_refinement(self):
         # the x = 12 sample sits at tau = 16, two full periods exactly

@@ -93,7 +93,7 @@ class TestScenarioRuns:
         assert rep["checks"]["phi_squared_binary"]["passed"]
         assert rep["checks"]["classical_control_gap_free"]["passed"]
         assert rep["checks"]["node_spacing"]["passed"]
-        assert rep["n_gaps"] > 0
+        assert len(rep["gap_intervals"]) > 0
         assert verify_manifest(out)
 
     def test_lattice_evolve_with_mc(self, tmp_path):
@@ -374,6 +374,8 @@ class TestConfigErrors:
             ("continuum-check", "deltas=1e-160,5e-161,2.5e-161"),  # t/epsilon overflows
             ("lattice-evolve", "mc_paths=-3"),
             ("lattice-evolve", "alpha=1e5"),  # alpha**64 overflows a float
+            ("spectral-check", "delta=1e-308"),  # the momentum grid's pi / delta overflows
+            ("double-slit", "half_separation=1e-300"),  # a window shorter than one node spacing
         ],
     )
     def test_library_rejections_are_config_errors(self, tmp_path, capsys, scenario, entry):
@@ -661,6 +663,28 @@ class TestConfigResolution:
             ],
             "continuum-check": ["deltas", "diffusion", "t", "diffusion_deltas", "diffusion_t"],
             "spectral-check": ["delta", "site_count", "alpha", "expansion_deltas"],
+        }
+
+    def test_report_keys_pinned(self, tmp_path):
+        # Each top-level key states a number that the config, the tables and
+        # the other keys do not; a key that restates one shows up here.
+        extra = {"lattice-evolve": ["--set", "mc_paths=200"], "continuum-check": FAST_CONTINUUM}
+        keys = {}
+        for name in experiments_cli.SCHEMAS:
+            assert run(name, tmp_path / name, *extra.get(name, [])) == EXIT_OK
+            keys[name] = sorted(report(tmp_path / name))
+        assert keys == {
+            "clock-pattern": ["checks", "manifest", "predicted_crossings", "sampled_crossings", "timings"],
+            "propagator-compare": [
+                "checks", "manifest", "n_crossings_pattern", "n_crossings_re_feynman", "n_spacing_pairs", "timings",
+            ],
+            "double-slit": ["checks", "expected_node_spacing", "gap_intervals", "manifest", "node_positions", "timings"],
+            "lattice-evolve": [
+                "checks", "epsilon", "manifest", "mass_final", "mass_initial", "mc_max_phi_dev_4se",
+                "mc_max_z_dev_4se", "site_count", "timings", "variance_slope",
+            ],
+            "continuum-check": ["checks", "kernel_raw_order", "manifest", "matrix_order", "timings"],
+            "spectral-check": ["checks", "manifest", "timings", "unitarity_max_residual"],
         }
 
     def test_file_then_flag_precedence(self, tmp_path):

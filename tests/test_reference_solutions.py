@@ -142,7 +142,11 @@ class TestTwoSourceSuperposition:
         found, dev = node_spacing_deviation(x, inten, spacing)
         assert np.array_equal(found, nodes) and dev <= 1e-9
         assert node_spacing_deviation(x, inten, 0.9 * spacing)[1] == pytest.approx(1 / 0.9 - 1, rel=1e-8)
-        assert node_spacing_deviation(x[:200], inten[:200], spacing)[1] == math.inf
+        with pytest.raises(ValueError, match="holds 0 intensity node"):
+            node_spacing_deviation(x[:200], inten[:200], spacing)
+        # two nodes, but a window narrower than the spacing asked for
+        with pytest.raises(ValueError, match="holds 2 intensity node"):
+            node_spacing_deviation(x, inten, 61.0)
 
     def test_even_in_x(self):
         x = np.linspace(-25, 25, 501)
@@ -226,7 +230,6 @@ class TestCompare:
         x = self.grid()
         v = np.sin(x)
         rep = compare(SampledSignal(x, v), SampledSignal(x, v.copy()))
-        assert rep.l1 == 0.0 and rep.l2 == 0.0 and rep.linf == 0.0
         assert rep.sign_agreement_fraction == 1.0
         assert rep.crossing_spacing_error == 0.0
 
@@ -239,14 +242,6 @@ class TestCompare:
         x = self.grid()
         with pytest.raises(ValueError):
             compare(SampledSignal(x, x), SampledSignal(x + 1.0, x))
-
-    def test_norms_are_symmetric(self):
-        x = self.grid()
-        rng = np.random.default_rng(0)
-        a = SampledSignal(x, rng.random(x.size))
-        b = SampledSignal(x, rng.random(x.size))
-        ra, rb = compare(a, b), compare(b, a)
-        assert ra.l1 == rb.l1 and ra.l2 == rb.l2 and ra.linf == rb.linf
 
     def test_spacing_ignores_constant_phase_offset(self):
         """Equal local frequency at 50% phase shift: spacing error ~ 0."""

@@ -6,10 +6,11 @@ DIR is the root of a checkout; each invocation runs `python -m clockwalk`
 with DIR/src on PYTHONPATH, into a fresh run directory per side.  For each
 invocation the script prints both exit codes and every data file whose
 SHA-256 differs between the sides or that only one side wrote.  report.json
-is compared too, without its wall-clock fields (`timings` and
-`manifest.duration_seconds`), and each key that differs is printed as a
-dotted path such as `checks.unitarity`.  The exit code is 1 if any
-invocation differs in exit code, data or report, 0 otherwise.
+is compared too, without its wall-clock fields (`timings`, and the
+`manifest.duration_seconds` that older checkouts write), and each key that
+differs is printed as a dotted path such as `checks.unitarity`.  The exit
+code is 1 if any invocation differs in exit code, data or report, 0
+otherwise.
 
 The list covers the six scenarios at their desk defaults in CSV and JSON,
 every invocation of the benchmark's workloads, taken from
@@ -17,8 +18,10 @@ perfbench/run.py's WORKLOADS (walk-snapshots at seeds 0 and 63, the two
 ends of its site range), the off-default lattice-evolve configs,
 continuum-check at diffusion 0.25 (a second D, so mass m = 1/(2D) = 2, for
 the continuum kernel), spectral-check at alpha = 1 (the non-unitary
-branch) and the clock-pattern config whose crossings_bracketed check fails
-on correct code.
+branch), the clock-pattern config whose crossings_bracketed check fails
+on correct code, and two configs the library refuses: a spectral-check delta
+whose momentum grid overflows and a double-slit window shorter than one node
+spacing.
 """
 
 from __future__ import annotations
@@ -62,6 +65,8 @@ INVOCATIONS: list[tuple[str, Op]] = [
     ("continuum-check diffusion=0.25", Op("continuum-check", (("diffusion", "0.25"),))),
     ("spectral-check alpha=1", Op("spectral-check", (("alpha", "1.0"),))),
     ("clock-pattern crowded crossings", Op("clock-pattern", (("compton_period", "0.7"), ("t", "7.35")))),
+    ("spectral-check momentum grid overflow", Op("spectral-check", (("delta", "1e-308"), ("site_count", "64")))),
+    ("double-slit window under one node spacing", Op("double-slit", (("half_separation", "1e-300"),))),
 ]
 
 
@@ -80,7 +85,8 @@ def run(root: Path, op: Op, out: Path) -> tuple[int, dict[str, str], dict | None
                 files[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
             else:
                 report = json.loads(path.read_text(encoding="utf-8"))
-                del report["timings"], report["manifest"]["duration_seconds"]
+                del report["timings"]
+                report["manifest"].pop("duration_seconds", None)
     return proc.returncode, files, report
 
 
