@@ -108,13 +108,13 @@ def parity_crossings(t: float, units: UnitsConfig) -> np.ndarray:
     """Sorted positions inside the open cone where plane_pattern(t, ., units) flips parity.
 
     The straight-line proper time sqrt(t^2 - x^2) hits the half-period
-    boundary k T/2 at x = +/- sqrt(t^2 - (k T/2)^2): the same hyperbola with
-    x and tau swapped.  A boundary at tau = t gives the one position x = 0.
+    boundary k T/2 at x = +/- sqrt(t^2 - (k T/2)^2).  A boundary at tau = t
+    gives x = 0 twice, as the parity there is a one-point spike: two flips.
     """
     taus = units.half_period * np.arange(1.0, t / units.half_period + 1.0)
     xk = proper_time(t, taus[taus <= t, None])
     xk = xk[xk < t]
-    return np.sort(np.concatenate([xk, -xk[xk > 0.0]]))
+    return np.sort(np.concatenate([-xk, xk]))
 
 
 def lorentz_filter(pa, pb) -> np.ndarray:

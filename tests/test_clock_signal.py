@@ -134,11 +134,12 @@ class TestPlanePattern:
     def test_parity_crossings_are_the_sampled_sign_changes(self, period, t):
         units = UnitsConfig(period)
         crossings = parity_crossings(t, units)
-        assert np.all(np.diff(crossings) > 0) and np.all(np.abs(crossings) < t)
+        assert np.all(np.diff(crossings) >= 0) and np.all(np.abs(crossings) < t)
+        assert np.array_equal(crossings, -crossings[::-1])
         # Both t are whole numbers of half periods, so x = 0 is a one-point
-        # parity spike; a grid that skips x = 0, as this even one does, sees
-        # no sign change there.
-        assert 0.0 in crossings
+        # parity spike, two flips; a grid that skips x = 0, as this even one
+        # does, sees no sign change there.
+        assert np.count_nonzero(crossings == 0.0) == 2
         x = np.linspace(-t, t, 400_000)[1:-1]
         value = plane_pattern(t, x, units).value
         changed = np.nonzero(value[:-1] != value[1:])[0]

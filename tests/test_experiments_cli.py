@@ -12,7 +12,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from clockwalk import experiments_cli, lattice_walk, rundir, spectral_limit
+from clockwalk.clock_signal import Pattern, plane_pattern
 from clockwalk.experiments_cli import EXIT_CHECK, EXIT_CONFIG, EXIT_IO, EXIT_OK, main
+from clockwalk.kinematics import UnitsConfig
 from clockwalk.rundir import verify_manifest
 
 # Trimmed level sequences keep the full pipeline honest but quick: the
@@ -103,7 +105,7 @@ class TestScenarioRuns:
         ) == EXIT_OK
         rep = report(out)
         assert rep["checks"]["conservation"]["passed"]
-        assert rep["checks"]["variance_slope"]["passed"]
+        assert rep["checks"]["variance_law"]["passed"]
         assert rep["checks"]["mc_within_4se"]["passed"]
         assert (out / "mc_overlay.csv").exists()
         assert verify_manifest(out)
@@ -119,13 +121,12 @@ class TestScenarioRuns:
         ],
     )
     def test_variance_fit_near_the_seam(self, tmp_path, args):
-        # A cone that crosses the periodic seam is fitted as if it were
-        # centred on the chain.
+        # A cone that crosses the periodic seam is measured as if it were
+        # centred on the chain, and meets the exact law s - 1.
         out = tmp_path / "lat"
         assert run("lattice-evolve", out, *args) == EXIT_OK
-        rep = report(out)
-        slope = rep["checks"]["variance_slope"]
-        assert slope["passed"] and slope["value"] <= 0.02
+        law = report(out)["checks"]["variance_law"]
+        assert law["passed"] and law["value"] <= 1e-12
 
     def test_alpha_scales_only_the_phi_columns(self, tmp_path):
         # p and z are the bare walk at every alpha; phi carries alpha**s,
@@ -148,7 +149,7 @@ class TestScenarioRuns:
             expect = phi_bare * np.array([lattice_walk.SQRT2**int(s) for s in step])
             assert np.array_equal(phi_scaled.view(np.uint64), expect.view(np.uint64))
         checks = report(scaled)["checks"]
-        assert all(checks[name]["passed"] for name in ("conservation", "variance_slope", "mc_within_4se"))
+        assert all(checks[name]["passed"] for name in ("conservation", "variance_law", "mc_within_4se"))
 
     def test_continuum_check(self, tmp_path):
         out = tmp_path / "cont"
@@ -330,6 +331,26 @@ class TestConfigErrors:
         assert "initial_state" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--set", "alpha=1e-6", "--set", "n_steps=58", "--set", "mc_paths=100"],  # alpha**58 underflows to 0
+            ["--set", "init=phi_point", "--set", "alpha=0.25", "--set", "n_steps=512"],  # 2**-1024 is subnormal
+        ],
+    )
+    def test_alpha_power_must_be_a_normal_float(self, tmp_path, capsys, args):
+        # phi and the overlay are scaled by alpha**n_steps; a power that
+        # underflowed to 0 made the phi band 0/0 and wrote "nan" as a check value.
+        out = tmp_path / "x"
+        assert run("lattice-evolve", out, *args, "--set", "snapshot_every=64") == EXIT_CONFIG
+        assert "is not a normal float" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_smallest_normal_alpha_power_runs(self, tmp_path):
+        # 0.25**511 = 2**-1022, the smallest normal float
+        args = ["--set", "init=phi_point", "--set", "alpha=0.25", "--set", "n_steps=511", "--set", "snapshot_every=511"]
+        assert run("lattice-evolve", tmp_path / "x", *args) == EXIT_OK
+
     def test_mc_requires_unit_state(self, tmp_path):
         out = tmp_path / "x"
         code = run("lattice-evolve", out, "--set", "init=phi_point", "--set", "mc_paths=100")
@@ -402,6 +423,79 @@ class TestConfigErrors:
             assert not out.exists()
 
 
+class TestExactChecks:
+    """crossings_bracketed and variance_law compare runs with exact lattice laws."""
+
+    @pytest.mark.parametrize(
+        "scenario,args,name",
+        [
+            # two or more crossings in one grid cell near the cone
+            pytest.param(
+                "clock-pattern", ["--set", "compton_period=0.7", "--set", "t=7.35"], "crossings_bracketed",
+                id="crowded-crossings",
+            ),
+            # t = 20 is ten half periods: a parity spike at x = 0, which this grid skips
+            pytest.param(
+                "clock-pattern", ["--set", "x_min=-25.025", "--set", "x_max=25.025"], "crossings_bracketed",
+                id="grid-skips-spike",
+            ),
+            # variances of order 1e300 in position units
+            pytest.param("lattice-evolve", ["--set", "delta=1e150"], "variance_law", id="delta=1e150"),
+            pytest.param("lattice-evolve", ["--set", "diffusion=1e-300"], "variance_law", id="diffusion=1e-300"),
+        ],
+    )
+    def test_correct_runs_pass(self, tmp_path, scenario, args, name):
+        out = tmp_path / "run"
+        assert run(scenario, out, *args) == EXIT_OK
+        assert report(out)["checks"][name]["passed"]
+
+    def test_random_slices_have_no_mismatched_cells(self):
+        xs = experiments_cli._grid(-25.0, 25.0, 0.05)
+        configs = np.round(np.random.default_rng(0).uniform([0.3, 1.0], [5.0, 24.0], size=(300, 2)), 3)
+        for period, t in configs.tolist():
+            units = UnitsConfig(period)
+            record, _ = experiments_cli._pattern_crossing_check(t, units, plane_pattern(t, xs, units))
+            assert record["value"] == 0, (period, t)
+
+    @pytest.mark.parametrize("end", ["first", "last"])
+    def test_flipped_in_cone_sample_fails(self, tmp_path, monkeypatch, end):
+        def flipped(t, x, units):
+            pattern = plane_pattern(t, x, units)
+            inside = np.nonzero(pattern.in_cone)[0]
+            value = pattern.value.copy()
+            k = inside[0] if end == "first" else inside[-1]
+            value[k] = -value[k]
+            return Pattern(pattern.x, value, pattern.in_cone)
+
+        monkeypatch.setattr(experiments_cli, "plane_pattern", flipped)
+        out = tmp_path / "run"
+        assert run("clock-pattern", out) == EXIT_CHECK
+        # the sample's one cell with both ends in the cone disagrees
+        assert report(out)["checks"]["crossings_bracketed"] == {"passed": False, "value": 1, "threshold": 0, "rule": "<="}
+
+    @pytest.mark.parametrize("q", [0.4999, 0.5001])
+    def test_biased_walk_fails_variance_law(self, tmp_path, monkeypatch, q):
+        # States advance with probability q instead of 1/2.
+        def biased(p):
+            h = lattice_walk._move(p)
+            return (1 - q) * h + q * h[[3, 0, 1, 2]]
+
+        monkeypatch.setattr(lattice_walk, "step_four_state", biased)
+        out = tmp_path / "lat"
+        assert run("lattice-evolve", out) == EXIT_CHECK
+        record = report(out)["checks"]["variance_law"]
+        assert record["passed"] is False and record["value"] > 1e-4
+
+    @pytest.mark.parametrize("init", ["unit_state", "z_point", "phi_point"])
+    def test_variance_law_on_two_snapshots(self, tmp_path, init):
+        # Every run with z mass is checked, however few its snapshots.
+        out = tmp_path / "lat"
+        args = ["--set", f"init={init}", "--set", "n_steps=16", "--set", "snapshot_every=16"]
+        assert run("lattice-evolve", out, *args) == EXIT_OK
+        checks = report(out)["checks"]
+        assert ("variance_law" in checks) == (init != "phi_point")
+
+
 class TestCheckFailure:
     def test_impossible_tolerance_exits_three(self, tmp_path, monkeypatch):
         # A transfer matrix ten times further from unitary than the fixed 1e-14.
@@ -423,7 +517,7 @@ class TestCheckFailure:
         "scenario,args",
         [
             *(pytest.param(name, [], id=name) for name in experiments_cli.SCHEMAS),
-            # crossings crowded near the cone, which crossings_bracketed flags: exit 3
+            # crossings crowded near the cone, two or more to a cell: exit 0
             pytest.param("clock-pattern", ["--set", "compton_period=0.7", "--set", "t=7.35"], id="crowded-crossings"),
         ],
     )
@@ -674,14 +768,14 @@ class TestConfigResolution:
             assert run(name, tmp_path / name, *extra.get(name, [])) == EXIT_OK
             keys[name] = sorted(report(tmp_path / name))
         assert keys == {
-            "clock-pattern": ["checks", "manifest", "predicted_crossings", "sampled_crossings", "timings"],
+            "clock-pattern": ["checks", "manifest", "predicted_crossings", "timings"],
             "propagator-compare": [
                 "checks", "manifest", "n_crossings_pattern", "n_crossings_re_feynman", "n_spacing_pairs", "timings",
             ],
             "double-slit": ["checks", "expected_node_spacing", "gap_intervals", "manifest", "node_positions", "timings"],
             "lattice-evolve": [
                 "checks", "epsilon", "manifest", "mass_final", "mass_initial", "mc_max_phi_dev_4se",
-                "mc_max_z_dev_4se", "site_count", "timings", "variance_slope",
+                "mc_max_z_dev_4se", "site_count", "timings",
             ],
             "continuum-check": ["checks", "kernel_raw_order", "manifest", "matrix_order", "timings"],
             "spectral-check": ["checks", "manifest", "timings", "unitarity_max_residual"],

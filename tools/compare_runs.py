@@ -18,10 +18,13 @@ perfbench/run.py's WORKLOADS (walk-snapshots at seeds 0 and 63, the two
 ends of its site range), the off-default lattice-evolve configs,
 continuum-check at diffusion 0.25 (a second D, so mass m = 1/(2D) = 2, for
 the continuum kernel), spectral-check at alpha = 1 (the non-unitary
-branch), the clock-pattern config whose crossings_bracketed check fails
-on correct code, and two configs the library refuses: a spectral-check delta
-whose momentum grid overflows and a double-slit window shorter than one node
-spacing.
+branch), the clock-pattern configs that once failed crossings_bracketed
+on correct code (crossings crowded two to a cell near the cone, and a grid
+that skips the parity spike at x = 0), the lattice-evolve configs whose
+variances in position units reach 1e300 (delta = 1e150, diffusion =
+1e-300), and three configs the runner or library refuses: an alpha whose
+alpha**n_steps underflows, a spectral-check delta whose momentum grid
+overflows and a double-slit window shorter than one node spacing.
 """
 
 from __future__ import annotations
@@ -65,6 +68,10 @@ INVOCATIONS: list[tuple[str, Op]] = [
     ("continuum-check diffusion=0.25", Op("continuum-check", (("diffusion", "0.25"),))),
     ("spectral-check alpha=1", Op("spectral-check", (("alpha", "1.0"),))),
     ("clock-pattern crowded crossings", Op("clock-pattern", (("compton_period", "0.7"), ("t", "7.35")))),
+    ("clock-pattern grid skipping x = 0", Op("clock-pattern", (("x_min", "-25.025"), ("x_max", "25.025")))),
+    ("lattice-evolve delta=1e150", lattice("delta=1e150")),
+    ("lattice-evolve diffusion=1e-300", lattice("diffusion=1e-300")),
+    ("lattice-evolve alpha**n_steps underflow", lattice("alpha=1e-6", "n_steps=58", "mc_paths=100")),
     ("spectral-check momentum grid overflow", Op("spectral-check", (("delta", "1e-308"), ("site_count", "64")))),
     ("double-slit window under one node spacing", Op("double-slit", (("half_separation", "1e-300"),))),
 ]
