@@ -84,28 +84,26 @@ def unit_state_field(n: int, state: int, site: int) -> np.ndarray:
 
 
 def point_source_phi(n: int, site: int) -> np.ndarray:
-    """Point source in the phi sector: (phi1, phi2) = (0, sqrt(2)) at one site.
+    """Point source of the phi block, shape (2, N): (phi1, phi2) = (0, sqrt(2)) at one site.
 
     The amplitude sqrt(2) makes both assembled spin components start at
     1/sqrt(2), the initial condition whose continuum limit is the
     free-particle kernel with unit total mass.
     """
-    z = np.zeros((2, n))
     phi = np.zeros((2, n))
     phi[1, site % n] = SQRT2
-    return compose(z, phi)
+    return phi
 
 
 def point_source_z(n: int, site: int) -> np.ndarray:
-    """Point source in the z sector with unit direction-summed mass.
+    """Point source of the z block, shape (2, N), with unit direction-summed mass.
 
     (z1, z2) = (1/2, 1/2) at one site is an eigenvector of the one-step z
     map, so the diffusive comparison starts with no directional transient.
     """
     z = np.zeros((2, n))
-    phi = np.zeros((2, n))
     z[:, site % n] = 0.5
-    return compose(z, phi)
+    return z
 
 
 def _move(a: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import numpy as np
 
-from .lattice_walk import SQRT2, chain_sites, decompose, phi_step, point_source_phi, point_source_z, z_step
+from .lattice_walk import SQRT2, chain_sites, phi_step, point_source_phi, point_source_z, z_step
 from .reference_solutions import diffusion_green, feynman_free, fit_convergence_order
 
 __all__ = [
@@ -309,36 +309,58 @@ def validate_level_sequence(deltas, D: float, t: float) -> list[int]:
 
 # Fixed, as the checks' thresholds are, so that no option changes what a
 # continuum-check gate measures: the momentum window of the rotation errors
-# and the position window of the kernel errors.  Each level runs on
-# lattice_walk.chain_sites(s) sites.
+# and the position window of the kernel errors.
 P_WINDOW = 2.0
 X_WINDOW = 5.0
+
+# Each studied block's per-step normalization and point source: phi on the
+# norm-preserving branch, z of the bare walk.
+_BLOCKS = {"phi": (SQRT2, point_source_phi), "z": (1.0, point_source_z)}
+
+
+def _level_samples(block: str, delta: float, s: int, kmax: int) -> tuple[np.ndarray, np.ndarray]:
+    """x = 2 k delta, |k| <= kmax, and both rows of the block's point source after s steps at m0 + 2k.
+
+    The source sits at the centre m0 of chain_sites(s) sites and is evolved
+    by evolve_spectral; a window as wide as the chain's half is refused.
+    """
+    n = chain_sites(s)
+    m0 = n // 2
+    if 2 * kmax >= m0:
+        raise ValueError(
+            f"level delta={delta}, s={s}: its {n}-site chain, half-width {m0 * delta:g}, "
+            f"is not wider than the sampled window |x| <= {2 * kmax * delta:g}"
+        )
+    alpha, source = _BLOCKS[block]
+    k = np.arange(-kmax, kmax + 1)
+    return 2.0 * k * delta, evolve_spectral(source(n, m0), block, s, alpha)[:, m0 + 2 * k]
 
 
 def schrodinger_level(delta: float, s: int, D: float, t: float) -> dict:
     """One level of the norm-preserving continuum study, s = t/epsilon steps.
 
-    Evolves the phi point source s steps with the spectral engine,
-    assembles psi+, and measures: the rotation-angle error (exact
-    eigenvalue phase to the s-th power against the continuum rotation
-    phase, rms over the momentum grid inside P_WINDOW), the full-matrix
-    error (T^s against the rotation matrix, same window, reported), the
-    kernel errors (sampled psi+ density against feynman_free at mass
-    m = 1/(2D), over |x| <= X_WINDOW: raw, even part, odd fraction), and
-    the p = 0 eight-step identity residual.
+    Samples the phi point source after s steps (_level_samples), assembles
+    psi+ on those samples alone, and measures: the rotation-angle error
+    (exact eigenvalue phase to the s-th power against the continuum
+    rotation phase, rms over the momentum grid inside P_WINDOW), the
+    full-matrix error (T^s against the rotation matrix, same window,
+    reported), the kernel errors (sampled psi+ density against
+    feynman_free at mass m = 1/(2D), over |x| <= X_WINDOW: raw, even part,
+    odd fraction), and the p = 0 eight-step identity residual.
 
     The raw kernel error carries an O(delta) odd-in-x component from the
     eigenvector (branch) admixture of the transfer matrix, which is odd in
     p; the even part isolates the kernel comparison the continuum limit
     actually controls at second order.  Both are returned.
     """
-    n = chain_sites(s)
-    m0 = n // 2
+    # psi+ on the populated sublattice within X_WINDOW, as a density
+    x, phi = _level_samples("phi", delta, s, int(math.floor(X_WINDOW / (2.0 * delta))))
+    psi_plus, _ = assemble_psi(phi[0], phi[1])
+    est = psi_plus * PSI_DENSITY_CALIBRATION / (2.0 * delta)
 
     # rotation-angle (eigenphase) error over the in-window momentum grid;
-    # the eigenvalue modulus is 1 at alpha = sqrt(2).  Only the window is
-    # kept, so the full grid is not held through the evolution below.
-    pw = momentum_grid(n, delta)
+    # the eigenvalue modulus is 1 at alpha = sqrt(2).
+    pw = momentum_grid(chain_sites(s), delta)
     pw = pw[np.abs(pw) <= P_WINDOW]
     lam_s = np.exp(1j * s * eigenphase(pw * delta))
     rot_err = float(np.sqrt(np.mean(np.abs(lam_s - np.exp(1j * pw * pw * D * t)) ** 2)))
@@ -347,15 +369,6 @@ def schrodinger_level(delta: float, s: int, D: float, t: float) -> dict:
     frob = np.linalg.norm(transfer_power(pw, delta, SQRT2, s) - continuum_propagator(pw, D, t), axis=(-2, -1))
     matrix_err = float(np.sqrt(np.mean(np.square(frob))))
 
-    # evolution of the phi point source
-    phi = evolve_spectral(decompose(point_source_phi(n, m0))[1], "phi", s, SQRT2)
-    psi_plus, _ = assemble_psi(phi[0], phi[1])
-
-    # sample the populated sublattice and convert to a density
-    kmax = int(math.floor(X_WINDOW / (2.0 * delta)))
-    kk = np.arange(-kmax, kmax + 1)
-    x = 2.0 * kk * delta
-    est = psi_plus[m0 + 2 * kk] * PSI_DENSITY_CALIBRATION / (2.0 * delta)
     ker = feynman_free(x, t, 1.0 / (2.0 * D))
     ker_norm = float(np.linalg.norm(ker))
     raw = float(np.linalg.norm(est - ker)) / ker_norm
@@ -402,15 +415,9 @@ def diffusion_levels(deltas, D: float, t: float) -> dict:
     steps = validate_level_sequence(deltas, D, t)
     errors = []
     for delta, s in zip(deltas, steps):
-        n = chain_sites(s)
-        m0 = n // 2
-        z = evolve_spectral(decompose(point_source_z(n, m0))[0], "z", s, 1.0)
-        kmax = s // 2
-        kk = np.arange(-kmax, kmax + 1)
-        x = 2.0 * kk * delta
-        dens = (z[0] + z[1])[m0 + 2 * kk] / (2.0 * delta)
-        g = diffusion_green(x, t, D)
-        errors.append(float(np.sum(np.abs(dens - g)) * 2.0 * delta))
+        x, z = _level_samples("z", delta, s, s // 2)
+        dens = (z[0] + z[1]) / (2.0 * delta)
+        errors.append(float(np.sum(np.abs(dens - diffusion_green(x, t, D))) * 2.0 * delta))
     return {"deltas": list(deltas), "steps": steps, "l1_rel": errors}
 
 
@@ -421,11 +428,9 @@ def engine_step_loop_deviation(s: int, block: str) -> float:
     call time so that a replaced map is the one checked, are the oracle of
     the level studies' spectral engine.
     """
-    alpha, source = (SQRT2, point_source_phi) if block == "phi" else (1.0, point_source_z)
+    alpha, source = _BLOCKS[block]
     n = chain_sites(s)
-    z, phi = decompose(source(n, n // 2))
-    start = phi if block == "phi" else z
-    loop = start
+    start = loop = source(n, n // 2)
     for _ in range(s):
         loop = phi_step(loop, alpha) if block == "phi" else z_step(loop)
     return float(np.max(np.abs(evolve_spectral(start, block, s, alpha) - loop)) / np.max(np.abs(loop)))

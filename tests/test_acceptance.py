@@ -132,7 +132,7 @@ def test_04_diffusion_limit():
     monotone = l1[0] > l1[1] > l1[2]
 
     delta, epsilon = 0.05, 0.0025  # delta^2 = 2 D epsilon
-    z, _ = decompose(point_source_z(928, 464))
+    z = point_source_z(928, 464)
     ts, variances = [], []
     for s in range(0, 401, 50):
         ts.append(s * epsilon)

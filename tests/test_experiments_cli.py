@@ -397,11 +397,12 @@ class TestConfigErrors:
             ("lattice-evolve", "alpha=1e5"),  # alpha**64 overflows a float
             ("spectral-check", "delta=1e-308"),  # the momentum grid's pi / delta overflows
             ("double-slit", "half_separation=1e-300"),  # a window shorter than one node spacing
+            ("continuum-check", "deltas=0.1,0.05,0.025 t=0.08"),  # a chain narrower than the kernel window
         ],
     )
     def test_library_rejections_are_config_errors(self, tmp_path, capsys, scenario, entry):
         out = tmp_path / "x"
-        assert run(scenario, out, "--set", entry) == EXIT_CONFIG
+        assert run(scenario, out, *(arg for e in entry.split() for arg in ("--set", e))) == EXIT_CONFIG
         assert "configuration error" in capsys.readouterr().err
         assert not out.exists()
 

@@ -265,8 +265,8 @@ class TestEvolveSnapshots:
     def test_point_source_phi_follows_the_block_map(self):
         # The phi rows of the alpha-normalised walk track phi_step's
         # per-step normalisation to rounding.
-        rows = evolve_snapshots(point_source_phi(64, 32), SQRT2, self.STEPS)
-        _, phi = decompose(point_source_phi(64, 32))
+        phi = point_source_phi(64, 32)
+        rows = evolve_snapshots(compose(np.zeros_like(phi), phi), SQRT2, self.STEPS)
         done = 0
         for k, s in enumerate(self.STEPS):
             for _ in range(s - done):
@@ -293,9 +293,8 @@ class TestEvolveSnapshots:
         # Every nonzero cell of the bare walk stays a normal float through
         # step 1022, so phi * alpha**s keeps phi_step's precision there;
         # at step 1023 the cone edge turns subnormal.
-        source = point_source_phi(2 * 1022 + 64, 1022 + 32)
-        rows = evolve_snapshots(source, SQRT2, [1022])
-        phi = decompose(source)[1]
+        phi = point_source_phi(2 * 1022 + 64, 1022 + 32)
+        rows = evolve_snapshots(compose(np.zeros_like(phi), phi), SQRT2, [1022])
         for _ in range(1022):
             phi = phi_step(phi, SQRT2)
         assert np.array_equal(rows[0, 6:] != 0, phi != 0)
@@ -337,7 +336,7 @@ class TestVariance:
     def test_balanced_point_source_diffuses_exactly(self):
         """From the symmetric z source, var = n_steps * delta^2 exactly."""
         delta = 0.1
-        z, _ = decompose(point_source_z(512, 256))
+        z = point_source_z(512, 256)
         for s in (1, 10, 100):
             zz = z.copy()
             for _ in range(s):
@@ -352,14 +351,19 @@ class TestVariance:
 
 class TestPointSources:
     def test_phi_point_values(self):
-        p = point_source_phi(16, 5)
+        # A phi block; composed with a zero z block it is the four-state
+        # field lattice-evolve starts from, and decomposes back exactly.
+        phi = point_source_phi(16, 5)
+        assert phi.shape == (2, 16) and phi[1, 5] == SQRT2 and np.count_nonzero(phi) == 1
+        p = compose(np.zeros_like(phi), phi)
         assert p[1, 5] == SQRT2 and p[3, 5] == -SQRT2 and np.count_nonzero(p) == 2
-        z, phi = decompose(p)
-        assert phi[1, 5] == SQRT2 and np.count_nonzero(phi) == 1
-        assert not z.any()
+        z, back = decompose(p)
+        assert np.array_equal(back, phi) and not z.any()
 
     def test_z_point_is_one_step_eigenvector(self):
-        z, _ = decompose(point_source_z(16, 8))
+        z = point_source_z(16, 8)
+        assert z.shape == (2, 16) and z.sum() == 1.0 and np.count_nonzero(z) == 2
+        assert np.array_equal(decompose(compose(z, np.zeros_like(z)))[0], z)
         out = z_step(z)
         # mass splits evenly into the two neighbours, rows staying equal
         assert out[0, 7] == 0.25 and out[0, 9] == 0.25

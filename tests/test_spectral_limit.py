@@ -6,29 +6,38 @@ from conftest import stroboscopic_power
 
 from clockwalk.lattice_walk import (
     SQRT2,
+    chain_sites,
+    compose,
     decompose,
     phi_step,
     point_source_phi,
+    point_source_z,
     z_step,
 )
 from clockwalk.spectral_limit import (
+    P_WINDOW,
     PSI_DENSITY_CALIBRATION,
+    X_WINDOW,
     assemble_psi,
     continuum_propagator,
+    diffusion_levels,
     eigenphase,
     eigenvalue_leading_order,
     eigenvalue_plus,
+    engine_step_loop_deviation,
     evolve_spectral,
     expansion_residuals,
     from_spectral,
     momentum_grid,
+    schrodinger_level,
+    schrodinger_levels,
     to_spectral,
     transfer_diagnostics,
     transfer_matrices,
     transfer_power,
     validate_level_sequence,
 )
-from clockwalk.reference_solutions import fit_convergence_order
+from clockwalk.reference_solutions import diffusion_green, feynman_free, fit_convergence_order
 
 
 def half_grid(n):
@@ -374,7 +383,7 @@ class TestAssemblePsi:
     def test_calibration_constant_matches_point_source_sum(self):
         """Sum of psi+ is 1/sqrt(2) for the unit source and is preserved
         at stroboscopic times, which fixes the density calibration."""
-        _, phi = decompose(point_source_phi(64, 32))
+        phi = point_source_phi(64, 32)
         for _ in range(16):
             phi = phi_step(phi, SQRT2)
         plus, _ = assemble_psi(phi[0], phi[1])
@@ -447,3 +456,89 @@ class TestLevelSequence:
     def test_rejects(self, deltas, D, t):
         with pytest.raises(ValueError):
             validate_level_sequence(deltas, D, t)
+
+
+def four_state_block(block, n, site):
+    """The block's point source as the levels first built it: a four-state field through decompose."""
+    zero = np.zeros((2, n))
+    if block == "phi":
+        return decompose(compose(zero, point_source_phi(n, site)))[1]
+    return decompose(compose(point_source_z(n, site), zero))[0]
+
+
+def reference_schrodinger_level(delta, s, D, t):
+    """schrodinger_level as first written: psi+ assembled on the full chain, then sampled."""
+    n = chain_sites(s)
+    m0 = n // 2
+    pw = momentum_grid(n, delta)
+    pw = pw[np.abs(pw) <= P_WINDOW]
+    lam_s = np.exp(1j * s * eigenphase(pw * delta))
+    rot_err = float(np.sqrt(np.mean(np.abs(lam_s - np.exp(1j * pw * pw * D * t)) ** 2)))
+    frob = np.linalg.norm(transfer_power(pw, delta, SQRT2, s) - continuum_propagator(pw, D, t), axis=(-2, -1))
+    phi = evolve_spectral(four_state_block("phi", n, m0), "phi", s, SQRT2)
+    psi_plus, _ = assemble_psi(phi[0], phi[1])
+    kmax = int(math.floor(X_WINDOW / (2.0 * delta)))
+    kk = np.arange(-kmax, kmax + 1)
+    est = psi_plus[m0 + 2 * kk] * PSI_DENSITY_CALIBRATION / (2.0 * delta)
+    ker = feynman_free(2.0 * kk * delta, t, 1.0 / (2.0 * D))
+    ker_norm = float(np.linalg.norm(ker))
+    p0 = np.linalg.matrix_power(transfer_matrices(0.0, delta, SQRT2), 8)
+    return {
+        "delta": delta,
+        "s": s,
+        "rotation_angle_error": rot_err,
+        "matrix_error": float(np.sqrt(np.mean(np.square(frob)))),
+        "kernel_raw_rel": float(np.linalg.norm(est - ker)) / ker_norm,
+        "kernel_even_rel": float(np.linalg.norm(0.5 * (est + est[::-1]) - ker)) / ker_norm,
+        "odd_fraction": float(np.linalg.norm(0.5 * (est - est[::-1]))) / ker_norm,
+        "p0_residual": float(np.max(np.abs(p0 - np.eye(2)))),
+    }
+
+
+def reference_diffusion_l1(delta, s, D, t):
+    """One diffusion_levels error as first written: the z sum on the full chain, then sampled."""
+    n = chain_sites(s)
+    m0 = n // 2
+    z = evolve_spectral(four_state_block("z", n, m0), "z", s, 1.0)
+    kk = np.arange(-(s // 2), s // 2 + 1)
+    dens = (z[0] + z[1])[m0 + 2 * kk] / (2.0 * delta)
+    return float(np.sum(np.abs(dens - diffusion_green(2.0 * kk * delta, t, D))) * 2.0 * delta)
+
+
+class TestLevelStudies:
+    """The level studies sample only the evolved block; their rows equal the first construction exactly."""
+
+    @pytest.mark.parametrize("D", [0.5, 0.25])
+    @pytest.mark.parametrize(
+        "deltas", [[0.2, 0.1, 0.05, 0.025], [0.1, 0.05, 0.025, 0.0125]], ids=["desk", "benchmark"]
+    )
+    def test_schrodinger_rows_match_full_chain_reference(self, deltas, D):
+        steps = validate_level_sequence(deltas, D, 2.56)
+        levels = schrodinger_levels(deltas, D, 2.56)["levels"]
+        assert levels == [reference_schrodinger_level(d, s, D, 2.56) for d, s in zip(deltas, steps)]
+
+    @pytest.mark.parametrize("D", [0.5, 0.25])
+    def test_diffusion_rows_match_full_chain_reference(self, D):
+        # The desk diffusion deltas are also the benchmark's, which sets only deltas.
+        deltas = [0.05, 0.025, 0.0125]
+        study = diffusion_levels(deltas, D, 1.0)
+        assert study["l1_rel"] == [reference_diffusion_l1(d, s, D, 1.0) for d, s in zip(deltas, study["steps"])]
+
+    @pytest.mark.parametrize("block,alpha,step", [("phi", SQRT2, lambda f: phi_step(f, SQRT2)), ("z", 1.0, z_step)])
+    def test_engine_deviation_matches_four_state_start(self, block, alpha, step):
+        s = 64
+        start = loop = four_state_block(block, chain_sites(s), chain_sites(s) // 2)
+        for _ in range(s):
+            loop = step(loop)
+        expect = float(np.max(np.abs(evolve_spectral(start, block, s, alpha) - loop)) / np.max(np.abs(loop)))
+        assert engine_step_loop_deviation(s, block) == expect <= 1e-12
+
+    def test_window_wider_than_the_chain_is_refused(self):
+        # delta 0.1 samples |x| <= 5 at m0 +- 50: a chain of 2 s + 64 sites
+        # holds that from s = 19 (m0 = 51), not at s = 18 (m0 = 50).
+        assert schrodinger_level(0.1, 19, 0.5, 0.19)["s"] == 19
+        with pytest.raises(ValueError, match=r"level delta=0\.1, s=18: its 100-site chain, half-width 5,"):
+            schrodinger_level(0.1, 18, 0.5, 0.18)
+        # The repro: every level of this study is narrower than the window.
+        with pytest.raises(ValueError, match=r"level delta=0\.1, s=8: .* half-width 4, .* window \|x\| <= 5"):
+            schrodinger_levels([0.1, 0.05, 0.025], 0.5, 0.08)

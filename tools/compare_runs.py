@@ -22,9 +22,10 @@ branch), the clock-pattern configs that once failed crossings_bracketed
 on correct code (crossings crowded two to a cell near the cone, and a grid
 that skips the parity spike at x = 0), the lattice-evolve configs whose
 variances in position units reach 1e300 (delta = 1e150, diffusion =
-1e-300), and three configs the runner or library refuses: an alpha whose
+1e-300), and four configs the runner or library refuses: an alpha whose
 alpha**n_steps underflows, a spectral-check delta whose momentum grid
-overflows and a double-slit window shorter than one node spacing.
+overflows, a double-slit window shorter than one node spacing and a
+continuum-check level whose chain is narrower than the kernel window.
 """
 
 from __future__ import annotations
@@ -74,6 +75,7 @@ INVOCATIONS: list[tuple[str, Op]] = [
     ("lattice-evolve alpha**n_steps underflow", lattice("alpha=1e-6", "n_steps=58", "mc_paths=100")),
     ("spectral-check momentum grid overflow", Op("spectral-check", (("delta", "1e-308"), ("site_count", "64")))),
     ("double-slit window under one node spacing", Op("double-slit", (("half_separation", "1e-300"),))),
+    ("continuum-check chain under kernel window", Op("continuum-check", (("deltas", "0.1,0.05,0.025"), ("t", "0.08")))),
 ]
 
 
