@@ -37,7 +37,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Pattern:
-    """Pattern samples as equal-length arrays: position, signal value, cone flag.
+    """Pattern samples as equal-shape arrays: position, signal value, cone flag.
 
     value is a parity (+1/-1) or a filter value (+1/0/-1); it is 0 wherever
     in_cone is false (the signal vanishes outside the cone).  len() is the
@@ -49,7 +49,7 @@ class Pattern:
     in_cone: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.x)
+        return self.x.size
 
 
 @dataclass(frozen=True)
@@ -88,19 +88,22 @@ def parity_of_proper_time(tau, units: UnitsConfig) -> np.ndarray:
     return np.where(np.floor(tau / units.half_period) % 2, -1, 1)
 
 
-def plane_pattern(t: float, x, units: UnitsConfig) -> Pattern:
-    """Fixed-t parity slice: clocks launched from the origin toward every x.
+def plane_pattern(t, x, units: UnitsConfig) -> Pattern:
+    """Parity of clocks launched from the origin toward every x, read at time t.
 
-    Inside the open cone (|x| < t) the parity is that of the straight-line
-    proper time sqrt(t^2 - x^2); level sets are hyperbolae.  On and outside
-    the cone the signal is reported as 0 with in_cone false.
+    t and x broadcast against each other: a scalar t gives a fixed-t slice,
+    and a (k, 1) t beside an (n,) x a (k, n) raster.  Inside the open cone
+    (|x| < t) the parity is that of the straight-line proper time
+    sqrt(t^2 - x^2); level sets are hyperbolae.  On and outside the cone
+    the signal is reported as 0 with in_cone false.
     """
-    if not (t > 0.0):
-        raise ValueError(f"t must be positive, got {t}")
-    x = np.asarray(x, dtype=float)
+    t = np.asarray(t, dtype=float)
+    if not np.all(t > 0.0):
+        raise ValueError(f"t must be positive, got {t.min()}")
+    t, x = np.broadcast_arrays(t, np.asarray(x, dtype=float))
     in_cone = np.abs(x) < t
     value = np.zeros(x.shape, dtype=int)
-    value[in_cone] = parity_of_proper_time(proper_time(t, x[in_cone, None]), units)
+    value[in_cone] = parity_of_proper_time(proper_time(t[in_cone, None], x[in_cone, None]), units)
     return Pattern(x, value, in_cone)
 
 

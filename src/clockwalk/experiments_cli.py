@@ -228,19 +228,14 @@ def run_clock_pattern(cfg: dict, seed: int) -> ScenarioResult:
     ts = _grid(cfg["raster_t_min"], cfg["raster_t_max"], cfg["raster_t_step"])
 
     slice_pattern = plane_pattern(cfg["t"], xs, units)
-    raster = [plane_pattern(tv, xs, units) for tv in ts.tolist()]
-    out_of_cone = sum(np.count_nonzero(pat.value[~pat.in_cone]) for pat in [slice_pattern, *raster])
+    raster = plane_pattern(ts[:, None], xs, units)
+    out_of_cone = sum(np.count_nonzero(pat.value[~pat.in_cone]) for pat in (slice_pattern, raster))
 
     bracketed, info = _pattern_crossing_check(cfg["t"], units, slice_pattern)
     return ScenarioResult(
         tables={
             "slice": table(x=xs, t=cfg["t"], parity=slice_pattern.value, in_cone=slice_pattern.in_cone),
-            "raster": table(
-                x=np.tile(xs, ts.size),
-                t=np.repeat(ts, xs.size),
-                parity=np.concatenate([pat.value for pat in raster]),
-                in_cone=np.concatenate([pat.in_cone for pat in raster]),
-            ),
+            "raster": table(x=xs, t=ts[:, None], parity=raster.value, in_cone=raster.in_cone),
         },
         metrics=info,
         checks={"out_of_cone_zero": check(out_of_cone, "<=", 0), "crossings_bracketed": bracketed},
@@ -398,8 +393,8 @@ def run_lattice_evolve(cfg: dict, seed: int) -> ScenarioResult:
     # One row per (snapshot, site), snapshots in step order.
     sites = np.arange(n)
     xs = sites * delta
-    key = {"step": np.repeat(snap_steps, n), "m": np.tile(sites, len(snap_steps)), "x": np.tile(xs, len(snap_steps))}
-    p1, p2, p3, p4, z1, z2, phi1, phi2 = snaps.transpose(1, 0, 2).reshape(8, -1)
+    key = {"step": np.array(snap_steps)[:, None], "m": sites, "x": xs}
+    p1, p2, p3, p4, z1, z2, phi1, phi2 = snaps.transpose(1, 0, 2)
     tables = {
         "snapshots_p": table(**key, p1=p1, p2=p2, p3=p3, p4=p4),
         "snapshots_zphi": table(**key, z1=z1, z2=z2, phi1=phi1, phi2=phi2),

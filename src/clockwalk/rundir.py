@@ -28,9 +28,20 @@ class ConfigError(ValueError):
     """Raised for any invalid configuration before any file is written."""
 
 
+@dataclass(frozen=True)
+class Columns:
+    """A table's columns: arrays that broadcast to shape, whose cells in C order are the rows."""
+
+    arrays: tuple[np.ndarray, ...]
+    shape: tuple[int, ...]
+
+    def __len__(self) -> int:
+        return math.prod(self.shape)
+
+
 @dataclass
 class ScenarioResult:
-    tables: dict[str, tuple[list[str], np.ndarray]]
+    tables: dict[str, tuple[list[str], Columns]]
     metrics: dict
     checks: dict[str, dict]
 
@@ -46,30 +57,21 @@ def check(value, rule: str, threshold) -> dict:
     return {"passed": passed, "value": value, "threshold": threshold, "rule": rule}
 
 
-def table(**columns) -> tuple[list[str], np.ndarray]:
-    """A table as (header, rows): the keywords in order, and a 1-D structured
-    array with one field per column, so len(rows) is the row count.  A
-    scalar column repeats down the table.
+def table(**columns) -> tuple[list[str], Columns]:
+    """A table as (header, columns): the keywords in order, and the arrays as
+    given, not copied.  They broadcast against each other: a scalar repeats
+    down the table, and a (k, 1) column beside an (n,) one gives k * n rows.
     """
-    arrays = [np.asarray(c) for c in columns.values()]
-    shape = np.broadcast_shapes(*(a.shape for a in arrays))
-    rows = np.empty(shape, dtype=[(name, a.dtype) for name, a in zip(columns, arrays)])
-    for name, a in zip(columns, arrays):
-        rows[name] = a
-    return list(columns), rows
+    arrays = tuple(np.atleast_1d(c) for c in columns.values())
+    return list(columns), Columns(arrays, np.broadcast_shapes(*(a.shape for a in arrays)))
 
 
 # Rows per write: bounds the text of one table held in memory at a time.
 CHUNK_ROWS = 8192
-# Rows per dedupe: each distinct value of a dtype's columns is formatted
-# once per block.  The raster's x comes back only every t-count rows (5001
-# at the benchmark size), so a block of one chunk still formats most cells;
-# one block per table raises the peak memory of the largest table by 8 MB.
-BLOCK_ROWS = 65536
 
 
-def _block_text(block: np.ndarray, header: list[str], fmt: str) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per column of block: (text of each distinct value, index of each cell into that text).
+def _column_text(columns: Columns, fmt: str) -> list[np.ndarray]:
+    """The text of each column's cells, as an object array of the column's own shape.
 
     The columns of one dtype are deduped together, so a value in several
     of them is formatted once.  Values are keyed on their bit pattern, not
@@ -79,11 +81,11 @@ def _block_text(block: np.ndarray, header: list[str], fmt: str) -> list[tuple[np
     there it is its repr in quotes.
     """
     cells = {}
-    for dtype in dict.fromkeys(block.dtype[name] for name in header):
-        names = [name for name in header if block.dtype[name] == dtype]
-        keys = np.stack([block[name] for name in names]).view(f"u{dtype.itemsize}")
-        distinct = np.sort(keys, axis=None)
-        distinct = distinct[np.insert(distinct[1:] != distinct[:-1], 0, True)]
+    for dtype in dict.fromkeys(a.dtype for a in columns.arrays):
+        keys = {k: a.view(f"u{dtype.itemsize}") for k, a in enumerate(columns.arrays) if a.dtype == dtype}
+        # sort and mask: np.unique took 10x as long (4.4 ms against 0.42 ms on 90 k keys, numpy 2.4.6)
+        distinct = np.sort(np.concatenate([key.ravel() for key in keys.values()]))
+        distinct = np.concatenate((distinct[:1], distinct[1:][distinct[1:] != distinct[:-1]]))
         values = distinct.view(dtype)
         if dtype.kind == "b":
             true, false = ("1", "0") if fmt == "csv" else ("true", "false")
@@ -93,23 +95,25 @@ def _block_text(block: np.ndarray, header: list[str], fmt: str) -> list[tuple[np
             if fmt == "json" and not np.isfinite(values).all():
                 text = [f'"{s}"' if s in ("nan", "inf", "-inf") else s for s in text]
         text = np.array(text, dtype=object)
-        cells.update(zip(names, ((text, index) for index in np.searchsorted(distinct, keys))))
-    return [cells[name] for name in header]
+        cells.update((k, text[np.searchsorted(distinct, key)]) for k, key in keys.items())
+    return [cells[k] for k in range(len(columns.arrays))]
 
 
-def _write_table(path: Path, header: list[str], rows: np.ndarray, fmt: str) -> str:
-    """Write one table in chunks of CHUNK_ROWS rows; returns the SHA-256 of its bytes.
+def _write_table(path: Path, header: list[str], columns: Columns, fmt: str) -> str:
+    """Write one table in chunks of at most CHUNK_ROWS rows; returns the SHA-256 of its bytes.
 
     CSV is a header line and one line per row.  JSON is the object
     {"header": [...], "rows": [[...], ...]} with sorted keys and no spaces.
     The distinct values of each dtype's columns are formatted once per
-    BLOCK_ROWS rows.
+    table, and each column's text is broadcast to the table's shape; a
+    chunk never spans two indices of its leading axes.
     """
     if fmt == "csv":
         start, open_row, close_row, between, end = ",".join(header) + "\n", "", "\n", "", ""
     else:
         start = '{"header":' + json.dumps(header, separators=(",", ":")) + ',"rows":['
         open_row, close_row, between, end = "[", "]", ",", "]}\n"
+    cells = [np.broadcast_to(text, columns.shape) for text in _column_text(columns, fmt)]
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
 
@@ -119,13 +123,11 @@ def _write_table(path: Path, header: list[str], rows: np.ndarray, fmt: str) -> s
             fh.write(blob)
 
         put(start)
-        for block_lo in range(0, len(rows), BLOCK_ROWS):
-            block = rows[block_lo : block_lo + BLOCK_ROWS]
-            columns = _block_text(block, header, fmt)
-            for lo in range(0, len(block), CHUNK_ROWS):
-                cells = zip(*(text[index[lo : lo + CHUNK_ROWS]].tolist() for text, index in columns))
-                lines = (close_row + between + open_row).join(map(",".join, cells))
-                put((between if block_lo + lo else "") + open_row + lines + close_row)
+        for lead in np.ndindex(columns.shape[:-1]):
+            for lo in range(0, columns.shape[-1], CHUNK_ROWS):
+                rows = zip(*(c[lead][lo : lo + CHUNK_ROWS].tolist() for c in cells))
+                lines = (close_row + between + open_row).join(map(",".join, rows))
+                put((between if lo or any(lead) else "") + open_row + lines + close_row)
         put(end)
     return digest.hexdigest()
 

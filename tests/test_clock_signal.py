@@ -155,6 +155,23 @@ class TestPlanePattern:
             with pytest.raises(ValueError):
                 plane_pattern(t, [0.0], UNITS)
 
+    @pytest.mark.parametrize("bad", [0.0, -2.0, math.nan])
+    def test_rejects_any_nonpositive_entry_of_array_t(self, bad):
+        ts = np.array([0.5, 1.0, bad, 2.0])
+        with pytest.raises(ValueError):
+            plane_pattern(ts[:, None], [0.0, 1.0], UNITS)
+
+    def test_array_t_is_a_raster_of_slices(self):
+        xs = -25.0 + 0.05 * np.arange(1001)
+        ts = 0.5 + 0.5 * np.arange(50)
+        raster = plane_pattern(ts[:, None], xs, UNITS)
+        assert len(raster) == ts.size * xs.size
+        assert raster.x.shape == raster.value.shape == raster.in_cone.shape == (ts.size, xs.size)
+        for t, x, value, in_cone in zip(ts.tolist(), raster.x, raster.value, raster.in_cone):
+            row = plane_pattern(t, xs, UNITS)
+            assert np.array_equal(x, xs) and np.array_equal(value, row.value) and np.array_equal(in_cone, row.in_cone)
+            assert len(row) == xs.size
+
 
 def scalar_plane_sample(t, x, half_period):
     """Standard-library oracle for one plane-pattern sample: (value, in_cone).

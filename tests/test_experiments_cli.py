@@ -941,7 +941,12 @@ def _json_cell(v):
     return str(v)
 
 
-def oracle_table_bytes(header, rows, fmt):
+def oracle_table_bytes(columns, fmt):
+    """The bytes of a table, built cell by cell: its rows are the cells of
+    the columns broadcast to one shape, in C order."""
+    header = list(columns)
+    flat = [a.ravel() for a in np.broadcast_arrays(*map(np.asarray, columns.values()))]
+    rows = [[a[i] for a in flat] for i in range(flat[0].size)]
     if fmt == "csv":
         lines = [",".join(header)]
         lines.extend(",".join(_format_cell(v) for v in row) for row in rows)
@@ -950,11 +955,11 @@ def oracle_table_bytes(header, rows, fmt):
     return (json.dumps(payload, sort_keys=True, indent=None, separators=(",", ":")) + "\n").encode("utf-8")
 
 
-# Every column repeats values, so a table deduplicates within a block, and
-# 0.0 sits beside -0.0: equal as numbers, different as text.  Columns of one
-# dtype share values, as mirror columns do, and are deduplicated together:
-# y has 0.0 where x has -0.0, and bits has the bit patterns of the bools
-# but is written as numbers, so dtype groups must stay apart.
+# Every column repeats values, so a table deduplicates, and 0.0 sits beside
+# -0.0: equal as numbers, different as text.  Columns of one dtype share
+# values, as mirror columns do, and are deduplicated together: y has 0.0
+# where x has -0.0, and bits has the bit patterns of the bools but is
+# written as numbers, so dtype groups must stay apart.
 EDGE_COLUMNS = {
     "flag": np.array([True, False, False, True, True, False, True, False, True, True, False, False, True, False]),
     "small": np.array([-128, 127, 0, -1, -128, 5, 0, 1, -7, 5, 127, -1, 0, -7], dtype=np.int8),
@@ -969,42 +974,166 @@ EDGE_COLUMNS = {
 }
 
 
+def broadcast_edge_columns(k):
+    """EDGE_COLUMNS as a (k, 14) table: a scalar and a (k, 1) column of each
+    dtype beside the (14,) edge columns and (k, 14) rolls of them."""
+    e = EDGE_COLUMNS
+
+    def rolls(col):
+        return np.array([np.roll(col, j) for j in range(k)], dtype=col.dtype).reshape(k, col.size)
+
+    return {
+        "zero": -0.0,
+        "t": np.array([math.nan, -0.0, math.inf, 0.0, -math.inf][:k])[:, None],
+        "x": e["x"],
+        "grid": rolls(e["y"]),
+        "on": True,
+        "row_flag": np.array([False, True, True, False, True][:k])[:, None],
+        "flag": e["flag"],
+        "small": np.int8(-128),
+        "row_small": np.array([127, -128, 0, 127, -1][:k], dtype=np.int8)[:, None],
+        "bits": rolls(e["bits"]),
+        "step": np.array([2**63 - 1, 0, -(2**63), 0, 5][:k])[:, None],
+        "big": e["big"],
+        "big_grid": rolls(e["big2"]),
+    }
+
+
+def runner_tables(scenario, *sets):
+    """The tables the scenario's runner returns for its defaults overridden by sets."""
+    cfg = experiments_cli.resolve_config(scenario, {}, list(sets))
+    return experiments_cli.RUNNERS[scenario](cfg, 0).tables
+
+
+def broadcast_table(columns):
+    """{name: the column broadcast to the table's shape and flattened to one cell per row}."""
+    header, cols = columns
+    return dict(zip(header, (np.broadcast_to(a, cols.shape).ravel() for a in cols.arrays)))
+
+
+def assert_same_columns(table, old):
+    assert list(table) == list(old)
+    for name, column in table.items():
+        assert column.dtype == old[name].dtype and column.shape == old[name].shape, name
+        assert column.tobytes() == old[name].tobytes(), name
+
+
+class TestBroadcastTables:
+    """The raster and the snapshots are written from their grids; the
+    per-row constructions they replaced are kept here as their oracles."""
+
+    @pytest.mark.parametrize(
+        "sets",
+        [
+            pytest.param([], id="desk"),
+            pytest.param(["x_step=0.01", "raster_t_step=0.25"], id="benchmark"),
+            pytest.param(["compton_period=0.7", "t=7.35"], id="crowded-crossings"),
+        ],
+    )
+    def test_raster_matches_one_slice_per_time(self, sets):
+        cfg = experiments_cli.resolve_config("clock-pattern", {}, sets)
+        units = UnitsConfig(cfg["compton_period"])
+        xs = experiments_cli._grid(cfg["x_min"], cfg["x_max"], cfg["x_step"])
+        ts = experiments_cli._grid(cfg["raster_t_min"], cfg["raster_t_max"], cfg["raster_t_step"])
+        raster = [plane_pattern(tv, xs, units) for tv in ts.tolist()]
+        old = {
+            "x": np.tile(xs, ts.size),
+            "t": np.repeat(ts, xs.size),
+            "parity": np.concatenate([pat.value for pat in raster]),
+            "in_cone": np.concatenate([pat.in_cone for pat in raster]),
+        }
+        assert_same_columns(broadcast_table(runner_tables("clock-pattern", *sets)["raster"]), old)
+
+    @pytest.mark.parametrize(
+        "sets",
+        [
+            pytest.param([], id="desk"),
+            pytest.param(["n_steps=64", "snapshot_every=100"], id="two-snapshots"),
+            pytest.param(["site_count=200", "init=z_point"], id="wide-chain"),
+        ],
+    )
+    def test_snapshots_match_one_row_per_site(self, monkeypatch, sets):
+        kept = []
+
+        def keep_snapshots(p, alpha, steps):
+            kept.append((list(steps), lattice_walk.evolve_snapshots(p, alpha, steps)))
+            return kept[-1][1]
+
+        monkeypatch.setattr(experiments_cli, "evolve_snapshots", keep_snapshots)
+        tables = runner_tables("lattice-evolve", *sets)
+        ((snap_steps, snaps),) = kept
+        n, delta = snaps.shape[-1], experiments_cli.resolve_config("lattice-evolve", {}, sets)["delta"]
+        key = {
+            "step": np.repeat(snap_steps, n),
+            "m": np.tile(np.arange(n), len(snap_steps)),
+            "x": np.tile(np.arange(n) * delta, len(snap_steps)),
+        }
+        p1, p2, p3, p4, z1, z2, phi1, phi2 = snaps.transpose(1, 0, 2).reshape(8, -1)
+        assert_same_columns(broadcast_table(tables["snapshots_p"]), dict(key, p1=p1, p2=p2, p3=p3, p4=p4))
+        assert_same_columns(broadcast_table(tables["snapshots_zphi"]), dict(key, z1=z1, z2=z2, phi1=phi1, phi2=phi2))
+
+
 class TestWriter:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("n_rows", [14, 7, 0])
     @pytest.mark.parametrize("chunk_rows", [1, 3, rundir.CHUNK_ROWS])
     def test_matches_per_cell_oracle(self, tmp_path, monkeypatch, fmt, n_rows, chunk_rows):
         monkeypatch.setattr(rundir, "CHUNK_ROWS", chunk_rows)
-        header, rows = rundir.table(**{k: col[:n_rows] for k, col in EDGE_COLUMNS.items()})
-        assert len(rows) == n_rows
-        expected = oracle_table_bytes(header, [tuple(row) for row in rows], fmt)
-        for block_rows in (1, 3, rundir.BLOCK_ROWS):
-            monkeypatch.setattr(rundir, "BLOCK_ROWS", block_rows)
-            path = tmp_path / f"t{block_rows}.{fmt}"
-            digest = rundir._write_table(path, header, rows, fmt)
-            assert path.read_bytes() == expected, f"BLOCK_ROWS={block_rows}"
-            assert digest == hashlib.sha256(expected).hexdigest()
+        columns = {k: col[:n_rows] for k, col in EDGE_COLUMNS.items()}
+        header, cols = rundir.table(**columns)
+        assert len(cols) == n_rows
+        expected = oracle_table_bytes(columns, fmt)
+        path = tmp_path / f"t.{fmt}"
+        assert rundir._write_table(path, header, cols, fmt) == hashlib.sha256(expected).hexdigest()
+        assert path.read_bytes() == expected
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("k", [5, 1, 0])
+    @pytest.mark.parametrize("chunk_rows", [1, 3, rundir.CHUNK_ROWS])
+    def test_broadcast_columns_match_oracle(self, tmp_path, monkeypatch, fmt, k, chunk_rows):
+        # Scalars, (k, 1) and (14,) columns are written as the (k, 14)
+        # table they broadcast to, without being copied; k = 0 is empty.
+        monkeypatch.setattr(rundir, "CHUNK_ROWS", chunk_rows)
+        columns = broadcast_edge_columns(k)
+        header, cols = rundir.table(**columns)
+        assert header == list(columns) and cols.shape == (k, 14) and len(cols) == k * 14
+        assert cols.arrays[2] is columns["x"]
+        expected = oracle_table_bytes(columns, fmt)
+        path = tmp_path / f"t.{fmt}"
+        assert rundir._write_table(path, header, cols, fmt) == hashlib.sha256(expected).hexdigest()
+        assert path.read_bytes() == expected
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_scalar_columns_are_one_row(self, tmp_path, fmt):
+        columns = {"x": -0.0, "y": math.nan, "n": -(2**63), "b": False}
+        header, cols = rundir.table(**columns)
+        assert cols.shape == (1,) and len(cols) == 1
+        expected = oracle_table_bytes(columns, fmt)
+        path = tmp_path / f"t.{fmt}"
+        assert rundir._write_table(path, header, cols, fmt) == hashlib.sha256(expected).hexdigest()
+        assert path.read_bytes() == expected
 
     @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_shared_dtype_columns_match_oracle(self, tmp_path, monkeypatch, data):
         # The columns of one dtype draw their cells from one small pool, so
         # values recur within a column and across the columns of its dtype.
-        n_rows = data.draw(st.integers(0, 40))
+        # Each column is a scalar, a (k, 1), an (n,) or a (k, n) array.
+        k, n = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 12))
         columns = {}
         strategies = {np.float64: st.floats(), np.int64: st.integers(-(2**63), 2**63 - 1), bool: st.booleans()}
         for dtype, values in strategies.items():
             pool = data.draw(st.lists(values, min_size=1, max_size=6))
             for j in range(data.draw(st.integers(1, 3))):
-                cells = data.draw(st.lists(st.sampled_from(pool), min_size=n_rows, max_size=n_rows))
-                columns[f"{np.dtype(dtype).kind}{j}"] = np.array(cells, dtype=dtype)
-        header, rows = rundir.table(**columns)
-        monkeypatch.setattr(rundir, "BLOCK_ROWS", data.draw(st.integers(1, 7)))
+                shape = data.draw(st.sampled_from([(), (k, 1), (n,), (k, n)]))
+                cells = data.draw(st.lists(st.sampled_from(pool), min_size=math.prod(shape), max_size=math.prod(shape)))
+                columns[f"{np.dtype(dtype).kind}{j}"] = np.array(cells, dtype=dtype).reshape(shape)
+        header, cols = rundir.table(**columns)
         monkeypatch.setattr(rundir, "CHUNK_ROWS", data.draw(st.integers(1, 7)))
         for fmt in ("csv", "json"):
-            expected = oracle_table_bytes(header, [tuple(row) for row in rows], fmt)
+            expected = oracle_table_bytes(columns, fmt)
             path = tmp_path / f"t.{fmt}"
-            assert rundir._write_table(path, header, rows, fmt) == hashlib.sha256(expected).hexdigest()
+            assert rundir._write_table(path, header, cols, fmt) == hashlib.sha256(expected).hexdigest()
             assert path.read_bytes() == expected
 
     @pytest.mark.parametrize(
@@ -1020,7 +1149,7 @@ class TestWriter:
     )
     def test_tables_unpack_as_header_and_rows(self, tmp_path, monkeypatch, scenario, args):
         # The benchmark's trace hook counts sum(len(header) * len(rows))
-        # over result.tables, so len(rows) must be the row count.
+        # over result.tables, so len() of the columns must be the row count.
         results = []
         runner = experiments_cli.RUNNERS[scenario]
 
@@ -1032,7 +1161,7 @@ class TestWriter:
         out = tmp_path / "a"
         assert run(scenario, out, *args) == EXIT_OK
         assert sorted(f"{name}.csv" for name in results[0].tables) == sorted(report(out)["manifest"]["files"])
-        for name, (header, rows) in results[0].tables.items():
+        for name, (header, columns) in results[0].tables.items():
             lines = (out / f"{name}.csv").read_text().splitlines()
             assert lines[0].split(",") == header
-            assert len(rows) == len(lines) - 1 > 0
+            assert len(columns) == len(lines) - 1 > 0

@@ -20,12 +20,14 @@ continuum-check at diffusion 0.25 (a second D, so mass m = 1/(2D) = 2, for
 the continuum kernel), spectral-check at alpha = 1 (the non-unitary
 branch), the clock-pattern configs that once failed crossings_bracketed
 on correct code (crossings crowded two to a cell near the cone, and a grid
-that skips the parity spike at x = 0), the lattice-evolve configs whose
-variances in position units reach 1e300 (delta = 1e150, diffusion =
-1e-300), and four configs the runner or library refuses: an alpha whose
-alpha**n_steps underflows, a spectral-check delta whose momentum grid
-overflows, a double-slit window shorter than one node spacing and a
-continuum-check level whose chain is narrower than the kernel window.
+that skips the parity spike at x = 0), three edge shapes of the broadcast
+tables (a raster of two times, two snapshots, and a chain wider than the
+walk's own), the lattice-evolve configs whose variances in position units
+reach 1e300 (delta = 1e150, diffusion = 1e-300), and four configs the
+runner or library refuses: an alpha whose alpha**n_steps underflows, a
+spectral-check delta whose momentum grid overflows, a double-slit window
+shorter than one node spacing and a continuum-check level whose chain is
+narrower than the kernel window.
 """
 
 from __future__ import annotations
@@ -70,6 +72,9 @@ INVOCATIONS: list[tuple[str, Op]] = [
     ("spectral-check alpha=1", Op("spectral-check", (("alpha", "1.0"),))),
     ("clock-pattern crowded crossings", Op("clock-pattern", (("compton_period", "0.7"), ("t", "7.35")))),
     ("clock-pattern grid skipping x = 0", Op("clock-pattern", (("x_min", "-25.025"), ("x_max", "25.025")))),
+    ("clock-pattern raster of two times", Op("clock-pattern", (("raster_t_min", "0.5"), ("raster_t_max", "1.0")))),
+    ("lattice-evolve two snapshots", lattice("n_steps=64", "snapshot_every=100")),
+    ("lattice-evolve site_count=200", lattice("site_count=200")),
     ("lattice-evolve delta=1e150", lattice("delta=1e150")),
     ("lattice-evolve diffusion=1e-300", lattice("diffusion=1e-300")),
     ("lattice-evolve alpha**n_steps underflow", lattice("alpha=1e-6", "n_steps=58", "mc_paths=100")),
