@@ -81,11 +81,15 @@ def parity_of_proper_time(tau, units: UnitsConfig) -> np.ndarray:
     Half-open convention: parity is constant on [k*T/2, (k+1)*T/2), so it
     is right-continuous in tau and deterministic exactly on the toggle
     instants, where sign(sin) would vanish.
+
+    Raises ValueError unless 0 <= tau / (T/2) < 2**42, where one ulp of tau
+    is at most 2**-10 of a half period; by 2**52 half periods an ulp is a
+    whole half period, and the parity is no longer represented.
     """
-    tau = np.asarray(tau, dtype=float)
-    if not np.all(tau >= 0.0):
-        raise ValueError("proper time must be >= 0")
-    return np.where(np.floor(tau / units.half_period) % 2, -1, 1)
+    cells = np.asarray(tau, dtype=float) / units.half_period
+    if not np.all((cells >= 0.0) & (cells < 2.0**42)):
+        raise ValueError("proper time must be >= 0 and under 2**42 half periods")
+    return np.where(np.floor(cells) % 2, -1, 1)
 
 
 def plane_pattern(t, x, units: UnitsConfig) -> Pattern:

@@ -21,37 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .clock_signal import Pattern, SlitGeometry, double_slit_phi, gap_intervals, parity_crossings, plane_pattern
-from .kinematics import UnitsConfig
-from .lattice_walk import (
-    SQRT2,
-    band_deviations,
-    chain_sites,
-    compose,
-    evolve_snapshots,
-    field_variance,
-    monte_carlo_estimate,
-    point_source_phi,
-    point_source_z,
-    unit_state_field,
-)
-from .reference_solutions import (
-    SampledSignal,
-    compare,
-    feynman_free,
-    fit_convergence_order,
-    node_spacing_deviation,
-    two_source_superposition,
-)
 from .rundir import ConfigError, ScenarioResult, check, check_replaceable, table, verify_manifest, write_run
-from .spectral_limit import (
-    diffusion_levels,
-    engine_step_loop_deviation,
-    expansion_residuals,
-    momentum_grid,
-    schrodinger_levels,
-    transfer_diagnostics,
-)
 
 __all__ = [
     "main",
@@ -99,6 +69,8 @@ def _parse_choice(*choices: str):
 
 
 def _parse_alpha(s: str) -> float:
+    from .lattice_walk import SQRT2
+
     return SQRT2 if s.strip().lower() == "sqrt2" else _positive(s)
 
 
@@ -189,7 +161,8 @@ def _grid(x_min: float, x_max: float, step: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# scenario runners
+# scenario runners; each imports the library names it uses in its own body,
+# so that an invocation loads (and compiles) only its scenario's modules.
 
 
 def _pattern_crossing_check(t: float, units: UnitsConfig, pattern: Pattern) -> tuple[dict, dict]:
@@ -200,6 +173,8 @@ def _pattern_crossing_check(t: float, units: UnitsConfig, pattern: Pattern) -> t
     right-continuous in x for x < 0, so the list's first half counts in
     (a, b], and its second half in [a, b).  The value counts the cells that disagree.
     """
+    from .clock_signal import parity_crossings
+
     predicted = parity_crossings(t, units)
     left, right = np.split(predicted, 2)
     a, b = pattern.x[:-1], pattern.x[1:]
@@ -223,6 +198,9 @@ def _pattern_crossing_check(t: float, units: UnitsConfig, pattern: Pattern) -> t
     raster_t_step=(_positive, "0.5"),
 )
 def run_clock_pattern(cfg: dict, seed: int) -> ScenarioResult:
+    from .clock_signal import plane_pattern
+    from .kinematics import UnitsConfig
+
     units = UnitsConfig(cfg["compton_period"])
     xs = _grid(cfg["x_min"], cfg["x_max"], cfg["x_step"])
     ts = _grid(cfg["raster_t_min"], cfg["raster_t_max"], cfg["raster_t_step"])
@@ -250,6 +228,10 @@ def run_clock_pattern(cfg: dict, seed: int) -> ScenarioResult:
     x_step=(_positive, "0.01"),
 )
 def run_propagator_compare(cfg: dict, seed: int) -> ScenarioResult:
+    from .clock_signal import plane_pattern
+    from .kinematics import UnitsConfig
+    from .reference_solutions import SampledSignal, compare, feynman_free
+
     units = UnitsConfig(cfg["compton_period"])
     xs = _grid(-cfg["x_window"], cfg["x_window"], cfg["x_step"])
 
@@ -283,6 +265,10 @@ def run_propagator_compare(cfg: dict, seed: int) -> ScenarioResult:
     node_tolerance=(_non_negative, "0.01"),  # a key because perfbench/checks.py reads it from the manifest
 )
 def run_double_slit(cfg: dict, seed: int) -> ScenarioResult:
+    from .clock_signal import SlitGeometry, double_slit_phi, gap_intervals
+    from .kinematics import UnitsConfig
+    from .reference_solutions import node_spacing_deviation, two_source_superposition
+
     units = UnitsConfig(cfg["compton_period"])
     xs = _grid(cfg["x_min"], cfg["x_max"], cfg["x_step"])
     a, t2 = cfg["half_separation"], cfg["slit_to_screen_time"]
@@ -335,6 +321,9 @@ def run_double_slit(cfg: dict, seed: int) -> ScenarioResult:
     mc_paths=(_int_at_least(0), "0"),  # 0: no Monte Carlo overlay
 )
 def run_lattice_evolve(cfg: dict, seed: int) -> ScenarioResult:
+    from .lattice_walk import band_deviations, chain_sites, compose, evolve_snapshots, field_variance
+    from .lattice_walk import monte_carlo_estimate, point_source_phi, point_source_z, unit_state_field
+
     delta, D, alpha = cfg["delta"], cfg["diffusion"], cfg["alpha"]
     n_steps, every = cfg["n_steps"], cfg["snapshot_every"]
     n = cfg["site_count"] or chain_sites(n_steps)
@@ -431,6 +420,8 @@ def run_lattice_evolve(cfg: dict, seed: int) -> ScenarioResult:
     diffusion_t=(_positive, "1.0"),
 )
 def run_continuum_check(cfg: dict, seed: int) -> ScenarioResult:
+    from .spectral_limit import diffusion_levels, engine_step_loop_deviation, schrodinger_levels
+
     D = cfg["diffusion"]
     study = schrodinger_levels(cfg["deltas"], D, cfg["t"])
     diff = diffusion_levels(cfg["diffusion_deltas"], D, cfg["diffusion_t"])
@@ -470,6 +461,10 @@ def run_continuum_check(cfg: dict, seed: int) -> ScenarioResult:
     expansion_deltas=(_positive_list(2), "0.2,0.1,0.05"),
 )
 def run_spectral_check(cfg: dict, seed: int) -> ScenarioResult:
+    from .lattice_walk import SQRT2
+    from .reference_solutions import fit_convergence_order
+    from .spectral_limit import expansion_residuals, momentum_grid, transfer_diagnostics
+
     delta, alpha = cfg["delta"], cfg["alpha"]
     exp_deltas = cfg["expansion_deltas"]
     ps = momentum_grid(cfg["site_count"], delta)
@@ -516,18 +511,19 @@ def run_scenario(scenario: str, cfg: dict, out_dir: str, fmt: str, seed: int):
     """Compute a scenario and write its run directory; returns the exit code.
 
     Validation happens before any filesystem work: a ValueError from the
-    runner, which includes those the library dataclasses raise for values
-    only they check, becomes a ConfigError, as does an out_dir that may not
-    be replaced.  write_run lands the run whole or not at all; an OSError
-    propagates.
+    runner (including those the library dataclasses raise for values only
+    they check) or a floating-point overflow, invalid operation or division
+    by zero in it becomes a ConfigError, as does an out_dir that may not be
+    replaced.  write_run lands the run whole or not at all; an OSError propagates.
     """
     start = time.perf_counter()
     out = Path(os.path.abspath(out_dir))
     check_replaceable(out)
     checked = time.perf_counter()
     try:
-        result = RUNNERS[scenario](cfg, seed)
-    except ValueError as exc:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            result = RUNNERS[scenario](cfg, seed)
+    except (ValueError, FloatingPointError) as exc:
         raise ConfigError(str(exc)) from exc
     computed = time.perf_counter()
 

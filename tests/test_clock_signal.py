@@ -46,6 +46,16 @@ class TestParity:
         with pytest.raises(ValueError):
             parity_of_proper_time(-0.1, UNITS)
 
+    def test_bound_on_half_periods(self):
+        # Half periods of 2 keep tau / (T/2) exact on both sides of 2**42.
+        below = np.nextafter(2.0**42, 0.0)
+        assert parity_of_proper_time(below * UNITS.half_period, UNITS) == -1  # floor is 2**42 - 1
+        for tau in (2.0**42 * UNITS.half_period, 1e17, math.inf, math.nan):
+            with pytest.raises(ValueError, match=r"under 2\*\*42 half periods"):
+                parity_of_proper_time(tau, UNITS)
+        with pytest.raises(ValueError):
+            parity_of_proper_time([1.0, 2.0**43], UNITS)
+
     @given(tau=st.floats(0.0, 1e5))
     def test_periodic_in_full_period(self, tau):
         # stay away from cell boundaries; a shift by T moves the cell

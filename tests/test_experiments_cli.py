@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from clockwalk import experiments_cli, lattice_walk, rundir, spectral_limit
+from clockwalk import clock_signal, experiments_cli, lattice_walk, rundir, spectral_limit
 from clockwalk.clock_signal import Pattern, plane_pattern
 from clockwalk.experiments_cli import EXIT_CHECK, EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 from clockwalk.kinematics import UnitsConfig
@@ -220,6 +220,40 @@ class TestScenarioRuns:
         assert proc.returncode == 0, proc.stderr
 
 
+def loaded_modules(code):
+    """The clockwalk modules in sys.modules after a fresh interpreter runs code."""
+    probe = "import sys\n" + code + "\nprint(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'clockwalk')))\n"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=source_env())
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+class TestImportScope:
+    # Each invocation compiles every module it imports when bytecode is not
+    # cached, so the command line loads only the physics its scenario runs.
+    SHELL = {"clockwalk", "clockwalk.experiments_cli", "clockwalk.rundir"}
+    SPECTRAL = {"spectral_limit", "lattice_walk", "reference_solutions", "kinematics"}
+    # Each scenario at a tiny size, and the physics modules it loads.
+    TINY = {
+        "clock-pattern": (["--set", "x_step=0.5", "--set", "raster_t_step=5"], {"clock_signal", "kinematics"}),
+        "propagator-compare": (["--set", "x_step=0.1"], {"clock_signal", "kinematics", "reference_solutions"}),
+        "double-slit": (["--set", "x_step=0.5"], {"clock_signal", "kinematics", "reference_solutions"}),
+        "lattice-evolve": (["--set", "n_steps=8"], {"lattice_walk"}),
+        "continuum-check": (FAST_CONTINUUM, SPECTRAL),
+        "spectral-check": (["--set", "site_count=64"], SPECTRAL),
+    }
+
+    def test_cli_imports_no_physics(self):
+        assert loaded_modules("import clockwalk.experiments_cli") == self.SHELL
+
+    @pytest.mark.parametrize("scenario", list(TINY))
+    def test_scenario_loads_only_its_modules(self, tmp_path, scenario):
+        args, physics = self.TINY[scenario]
+        argv = [scenario, "--out", str(tmp_path / "run"), *args]
+        code = f"from clockwalk.experiments_cli import main\nassert main({argv!r}) == 0"
+        assert loaded_modules(code) == self.SHELL | {f"clockwalk.{name}" for name in physics}
+
+
 class TestConfigErrors:
     def test_unknown_key(self, tmp_path):
         out = tmp_path / "x"
@@ -407,6 +441,29 @@ class TestConfigErrors:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "scenario,entry",
+        [
+            # proper_time's dt * dt overflows; the parity then read NaN as -1,
+            # and every check passed on a constant pattern (exit 0).
+            pytest.param("double-slit", "source_to_slit_time=1e300", id="slit-time-overflow"),
+            pytest.param("propagator-compare", "t=1e300", id="slice-time-overflow"),
+        ],
+    )
+    def test_floating_point_faults_are_config_errors(self, tmp_path, capsys, scenario, entry):
+        out = tmp_path / "x"
+        assert run(scenario, out, "--set", entry) == EXIT_CONFIG
+        assert "overflow encountered" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_proper_time_past_the_parity_bound(self, tmp_path, capsys):
+        # 5e16 half periods, where one ulp of tau spans several half periods:
+        # the run used to exit 0 with sign_agreement 1.0 and no crossings.
+        out = tmp_path / "x"
+        assert run("propagator-compare", out, "--set", "t=1e17") == EXIT_CONFIG
+        assert "under 2**42 half periods" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "scenario,key",
         [
             (scenario, key)
@@ -468,7 +525,7 @@ class TestExactChecks:
             value[k] = -value[k]
             return Pattern(pattern.x, value, pattern.in_cone)
 
-        monkeypatch.setattr(experiments_cli, "plane_pattern", flipped)
+        monkeypatch.setattr(clock_signal, "plane_pattern", flipped)
         out = tmp_path / "run"
         assert run("clock-pattern", out) == EXIT_CHECK
         # the sample's one cell with both ends in the cone disagrees
@@ -500,13 +557,13 @@ class TestExactChecks:
 class TestCheckFailure:
     def test_impossible_tolerance_exits_three(self, tmp_path, monkeypatch):
         # A transfer matrix ten times further from unitary than the fixed 1e-14.
-        diagnostics = experiments_cli.transfer_diagnostics
+        diagnostics = spectral_limit.transfer_diagnostics
 
         def leaky(ps, delta, alpha):
             resid, lam_mod, det = diagnostics(ps, delta, alpha)
             return np.full_like(resid, 1e-13), lam_mod, det
 
-        monkeypatch.setattr(experiments_cli, "transfer_diagnostics", leaky)
+        monkeypatch.setattr(spectral_limit, "transfer_diagnostics", leaky)
         out = tmp_path / "spec"
         assert run("spectral-check", out) == EXIT_CHECK
         # artifacts and report are still written for post-mortem use
@@ -1053,13 +1110,13 @@ class TestBroadcastTables:
         ],
     )
     def test_snapshots_match_one_row_per_site(self, monkeypatch, sets):
-        kept = []
+        kept, evolve_snapshots = [], lattice_walk.evolve_snapshots
 
         def keep_snapshots(p, alpha, steps):
-            kept.append((list(steps), lattice_walk.evolve_snapshots(p, alpha, steps)))
+            kept.append((list(steps), evolve_snapshots(p, alpha, steps)))
             return kept[-1][1]
 
-        monkeypatch.setattr(experiments_cli, "evolve_snapshots", keep_snapshots)
+        monkeypatch.setattr(lattice_walk, "evolve_snapshots", keep_snapshots)
         tables = runner_tables("lattice-evolve", *sets)
         ((snap_steps, snaps),) = kept
         n, delta = snaps.shape[-1], experiments_cli.resolve_config("lattice-evolve", {}, sets)["delta"]

@@ -23,11 +23,14 @@ on correct code (crossings crowded two to a cell near the cone, and a grid
 that skips the parity spike at x = 0), three edge shapes of the broadcast
 tables (a raster of two times, two snapshots, and a chain wider than the
 walk's own), the lattice-evolve configs whose variances in position units
-reach 1e300 (delta = 1e150, diffusion = 1e-300), and four configs the
-runner or library refuses: an alpha whose alpha**n_steps underflows, a
+reach 1e300 (delta = 1e150, diffusion = 1e-300), four configs the runner
+or library refuses (an alpha whose alpha**n_steps underflows, a
 spectral-check delta whose momentum grid overflows, a double-slit window
 shorter than one node spacing and a continuum-check level whose chain is
-narrower than the kernel window.
+narrower than the kernel window), and three configs whose proper times
+the parity cannot use: two that overflow (double-slit at
+source_to_slit_time = 1e300, propagator-compare at t = 1e300) and one past
+the parity's bound on half periods (propagator-compare at t = 1e17).
 """
 
 from __future__ import annotations
@@ -81,6 +84,9 @@ INVOCATIONS: list[tuple[str, Op]] = [
     ("spectral-check momentum grid overflow", Op("spectral-check", (("delta", "1e-308"), ("site_count", "64")))),
     ("double-slit window under one node spacing", Op("double-slit", (("half_separation", "1e-300"),))),
     ("continuum-check chain under kernel window", Op("continuum-check", (("deltas", "0.1,0.05,0.025"), ("t", "0.08")))),
+    ("double-slit proper time overflow", Op("double-slit", (("source_to_slit_time", "1e300"),))),
+    ("propagator-compare proper time overflow", Op("propagator-compare", (("t", "1e300"),))),
+    ("propagator-compare past the parity bound", Op("propagator-compare", (("t", "1e17"),))),
 ]
 
 
@@ -137,7 +143,8 @@ def main(argv=None) -> int:
             for f in changed:
                 print(f"        {f}: {files_a.get(f, 'missing')[:12]} -> {files_b.get(f, 'missing')[:12]}")
             if report_a != report_b:
-                print("        report.json differs: " + ", ".join(differing_keys(report_a, report_b)))
+                keys = differing_keys(report_a, report_b) if report_a and report_b else ["missing on one side"]
+                print("        report.json differs: " + ", ".join(keys))
     print(f"{len(INVOCATIONS) - differs} of {len(INVOCATIONS)} invocations identical")
     return 1 if differs else 0
 
