@@ -68,21 +68,25 @@ def table(**columns) -> tuple[list[str], Columns]:
 
 # Rows per write: bounds the text of one table held in memory at a time.
 CHUNK_ROWS = 8192
+# A table whose mean run is at least this many rows is written run by run.
+RUN_ROWS = 4
 
 
-def _column_text(columns: Columns, fmt: str) -> list[np.ndarray]:
-    """The text of each column's cells, as an object array of the column's own shape.
+def _column_text(arrays, fmt: str) -> list[np.ndarray]:
+    """The text of each array's cells, as an object array of the array's own shape.
 
-    The columns of one dtype are deduped together, so a value in several
-    of them is formatted once.  Values are keyed on their bit pattern, not
-    compared as numbers: -0.0 equals 0.0 but is written differently.  Bools
-    are 1/0 in CSV and true/false in JSON; numbers are their repr, which
-    round-trips a float.  JSON has no literal for a non-finite float, so
-    there it is its repr in quotes.
+    The row path passes a table's columns; the run path passes the column
+    that changes most often and the other columns' values at run starts
+    only.  The arrays of one dtype are deduped together, so a value in
+    several of them is formatted once.  Values are keyed on their bit
+    pattern, not compared as numbers: -0.0 equals 0.0 but is written
+    differently.  Bools are 1/0 in CSV and true/false in JSON; numbers are
+    their repr, which round-trips a float.  JSON has no literal for a
+    non-finite float, so there it is its repr in quotes.
     """
     cells = {}
-    for dtype in dict.fromkeys(a.dtype for a in columns.arrays):
-        keys = {k: a.view(f"u{dtype.itemsize}") for k, a in enumerate(columns.arrays) if a.dtype == dtype}
+    for dtype in dict.fromkeys(a.dtype for a in arrays):
+        keys = {k: a.view(f"u{dtype.itemsize}") for k, a in enumerate(arrays) if a.dtype == dtype}
         # sort and mask: np.unique took 10x as long (4.4 ms against 0.42 ms on 90 k keys, numpy 2.4.6)
         distinct = np.sort(np.concatenate([key.ravel() for key in keys.values()]))
         distinct = np.concatenate((distinct[:1], distinct[1:][distinct[1:] != distinct[:-1]]))
@@ -96,7 +100,76 @@ def _column_text(columns: Columns, fmt: str) -> list[np.ndarray]:
                 text = [f'"{s}"' if s in ("nan", "inf", "-inf") else s for s in text]
         text = np.array(text, dtype=object)
         cells.update((k, text[np.searchsorted(distinct, key)]) for k, key in keys.items())
-    return [cells[k] for k in range(len(columns.arrays))]
+    return [cells[k] for k in range(len(arrays))]
+
+
+def _segments(columns: Columns) -> tuple[int, np.ndarray] | None:
+    """(v, starts) for a table written run by run, or None for one written row by row.
+
+    A run is a maximal stretch of rows, along the last axis and inside one
+    leading index, in which every column but v keeps its bit pattern; v is
+    the column that changes most often.  Changes are found on each column's
+    own array.  The table is written run by run when its mean run is at
+    least RUN_ROWS rows.  starts is a bool array, the table's shape with its
+    leading axes flattened, that is True where a run or a chunk of
+    CHUNK_ROWS rows begins.
+    """
+    shape, rows = columns.shape, len(columns)
+    starts = np.zeros((math.prod(shape[:-1]), shape[-1]), dtype=bool)
+    if not rows:
+        return 0, starts
+    changes, busy = [], 0
+    for a in columns.arrays:
+        a = a.reshape((1,) * (len(shape) - a.ndim) + a.shape)
+        bits = a.view(f"u{a.dtype.itemsize}")
+        flips = bits[..., 1:] != bits[..., :-1]
+        count = np.count_nonzero(flips) * (len(starts) // math.prod(a.shape[:-1]))
+        # Two columns that each leave the mean run under RUN_ROWS decide the path, whichever is v.
+        busy += RUN_ROWS * (len(starts) + count) > rows
+        if busy == 2:
+            return None
+        changes.append((count, flips))
+    v = max(range(len(changes)), key=lambda j: changes[j][0])
+    heads = starts.reshape(shape)[..., 1:]
+    for j, (count, flips) in enumerate(changes):
+        if count and j != v:
+            heads |= flips
+    if RUN_ROWS * (len(starts) + np.count_nonzero(heads)) > rows:
+        return None
+    starts[:, ::CHUNK_ROWS] = True
+    return v, starts
+
+
+def _run_chunks(columns: Columns, fmt: str, v: int, starts: np.ndarray, next_row: str):
+    """Each chunk of a table as the list of its runs' text, one join per run.
+
+    A run's rows differ only in v, so its text is one join over v's text:
+    the separator is the cells after v, next_row (which closes a row and
+    opens the next) and the cells before v.  Only v's text covers the
+    whole column; the other columns are formatted from their values at
+    run starts.
+    """
+    shape = columns.shape
+    lead, row = np.nonzero(starts)
+    at = (*np.unravel_index(lead, shape[:-1]), row) if len(shape) > 1 else (row,)
+    others = [np.broadcast_to(a, shape)[at] for j, a in enumerate(columns.arrays) if j != v]
+    v_text, *cells = _column_text([columns.arrays[v], *others], fmt)
+    cells = [c.tolist() for c in cells]
+    before = [",".join(c) + "," for c in zip(*cells[:v])] if v else [""] * row.size
+    after = ["," + ",".join(c) for c in zip(*cells[v:])] if cells[v:] else [""] * row.size
+    stops = np.append(row[1:], shape[-1])
+    stops[stops == 0] = shape[-1]  # the next run starts a leading index
+    v_text = np.broadcast_to(v_text, shape).reshape(starts.shape)
+    runs = []
+    for k, r0, r1, head, tail in zip(lead.tolist(), row.tolist(), stops.tolist(), before, after):
+        if r0 == 0:
+            texts = v_text[k].tolist()
+        if r0 % CHUNK_ROWS == 0 and runs:
+            yield runs
+            runs = []
+        runs.append(head + (tail + next_row + head).join(texts[r0:r1]) + tail)
+    if runs:
+        yield runs
 
 
 def _write_table(path: Path, header: list[str], columns: Columns, fmt: str) -> str:
@@ -104,16 +177,24 @@ def _write_table(path: Path, header: list[str], columns: Columns, fmt: str) -> s
 
     CSV is a header line and one line per row.  JSON is the object
     {"header": [...], "rows": [[...], ...]} with sorted keys and no spaces.
-    The distinct values of each dtype's columns are formatted once per
-    table, and each column's text is broadcast to the table's shape; a
-    chunk never spans two indices of its leading axes.
+    A chunk never spans two indices of the leading axes.  A table whose
+    mean run (see _segments) is at least RUN_ROWS rows takes the run path:
+    each run is one join over the text of the one column that changes in
+    it, and the other columns are formatted at run starts only.  The
+    clock raster at the benchmark size is 495 099 rows in 1 473 runs.  Any
+    other table takes the row path: the distinct values of each dtype's
+    columns are formatted once per table, each column's text is broadcast
+    to the table's shape, and each row is its own join.  Both paths write
+    the same bytes.
     """
     if fmt == "csv":
         start, open_row, close_row, between, end = ",".join(header) + "\n", "", "\n", "", ""
     else:
         start = '{"header":' + json.dumps(header, separators=(",", ":")) + ',"rows":['
         open_row, close_row, between, end = "[", "]", ",", "]}\n"
-    cells = [np.broadcast_to(text, columns.shape) for text in _column_text(columns, fmt)]
+    segments = _segments(columns)
+    if segments is None:
+        cells = [np.broadcast_to(text, columns.shape) for text in _column_text(columns.arrays, fmt)]
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
 
@@ -123,11 +204,16 @@ def _write_table(path: Path, header: list[str], columns: Columns, fmt: str) -> s
             fh.write(blob)
 
         put(start)
-        for lead in np.ndindex(columns.shape[:-1]):
-            for lo in range(0, columns.shape[-1], CHUNK_ROWS):
-                rows = zip(*(c[lead][lo : lo + CHUNK_ROWS].tolist() for c in cells))
-                lines = (close_row + between + open_row).join(map(",".join, rows))
-                put((between if lo or any(lead) else "") + open_row + lines + close_row)
+        if segments is None:
+            for lead in np.ndindex(columns.shape[:-1]):
+                for lo in range(0, columns.shape[-1], CHUNK_ROWS):
+                    rows = zip(*(c[lead][lo : lo + CHUNK_ROWS].tolist() for c in cells))
+                    lines = (close_row + between + open_row).join(map(",".join, rows))
+                    put((between if lo or any(lead) else "") + open_row + lines + close_row)
+        else:
+            next_row = close_row + between + open_row
+            for k, runs in enumerate(_run_chunks(columns, fmt, *segments, next_row)):
+                put((between if k else "") + open_row + next_row.join(runs) + close_row)
         put(end)
     return digest.hexdigest()
 

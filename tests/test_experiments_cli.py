@@ -515,6 +515,44 @@ class TestExactChecks:
             record, _ = experiments_cli._pattern_crossing_check(t, units, plane_pattern(t, xs, units))
             assert record["value"] == 0, (period, t)
 
+    def test_sample_at_rounding_distance_is_undetermined(self, tmp_path):
+        # At x = 1e-9, sqrt(t^2 - x^2) rounds to t = 0.7, two half periods, so
+        # the sample reads +1; the true tau lies 7e-19 below, where it is -1.
+        out = tmp_path / "run"
+        args = ["t=0.7", "compton_period=0.7", "x_min=1e-9", "raster_t_step=7.35"]
+        assert run("clock-pattern", out, *(a for arg in args for a in ("--set", arg))) == EXIT_OK
+        rep = report(out)
+        assert rep["checks"]["crossings_bracketed"] == {"passed": True, "value": 0, "threshold": 0, "rule": "<="}
+        assert rep["undetermined_crossing_cells"] == 1
+
+    @pytest.mark.parametrize(
+        "sets",
+        [pytest.param([], id="desk"), pytest.param(["x_step=0.01", "raster_t_step=0.25"], id="benchmark")],
+    )
+    def test_exact_boundary_samples_are_determined(self, sets):
+        # Both grids hold x = 0, +-12 and +-16, where tau is exactly 10, 8 and
+        # 6 half periods; their cells stay in the value.
+        cfg = experiments_cli.resolve_config("clock-pattern", {}, sets)
+        metrics = experiments_cli.RUNNERS["clock-pattern"](cfg, 0).metrics
+        assert metrics["undetermined_crossing_cells"] == 0
+
+    @pytest.mark.parametrize(
+        "mutant",
+        [
+            # tau shifted by T/4, half a half period
+            pytest.param(
+                lambda tau, units: np.where(np.floor(tau / units.half_period + 0.5) % 2, -1, 1), id="T/4-shift"
+            ),
+            # differs from floor only where tau is a whole number of half periods
+            pytest.param(lambda tau, units: np.where(np.ceil(tau / units.half_period) % 2, -1, 1), id="ceil"),
+        ],
+    )
+    def test_parity_mutants_fail(self, monkeypatch, mutant):
+        monkeypatch.setattr(clock_signal, "parity_of_proper_time", mutant)
+        cfg = experiments_cli.resolve_config("clock-pattern", {}, [])
+        record = experiments_cli.RUNNERS["clock-pattern"](cfg, 0).checks["crossings_bracketed"]
+        assert record["passed"] is False and record["value"] > 0
+
     @pytest.mark.parametrize("end", ["first", "last"])
     def test_flipped_in_cone_sample_fails(self, tmp_path, monkeypatch, end):
         def flipped(t, x, units):
@@ -826,7 +864,7 @@ class TestConfigResolution:
             assert run(name, tmp_path / name, *extra.get(name, [])) == EXIT_OK
             keys[name] = sorted(report(tmp_path / name))
         assert keys == {
-            "clock-pattern": ["checks", "manifest", "predicted_crossings", "timings"],
+            "clock-pattern": ["checks", "manifest", "predicted_crossings", "timings", "undetermined_crossing_cells"],
             "propagator-compare": [
                 "checks", "manifest", "n_crossings_pattern", "n_crossings_re_feynman", "n_spacing_pairs", "timings",
             ],
@@ -1130,7 +1168,99 @@ class TestBroadcastTables:
         assert_same_columns(broadcast_table(tables["snapshots_zphi"]), dict(key, z1=z1, z2=z2, phi1=phi1, phi2=phi2))
 
 
+def runs_of(*pairs, dtype=float):
+    """A column of runs: each (value, length) pair repeated length times."""
+    return np.concatenate([np.full(n, v, dtype=dtype) for v, n in pairs])
+
+
+# Two NaNs with different payloads: one text, two bit patterns.
+NAN_A, NAN_B = np.array([0x7FF8000000000000, 0x7FF8000000000001], dtype=np.uint64).view(np.float64)
+
+def threshold_table(extra):
+    """Two runs over 2 * RUN_ROWS + extra rows: a mean run of RUN_ROWS rows, or just under it."""
+    n = 2 * rundir.RUN_ROWS + extra
+    return {"parity": runs_of((1, rundir.RUN_ROWS), (-1, n - rundir.RUN_ROWS), dtype=np.int64), "x": np.arange(n) * 0.5}
+
+
+def past_the_default_chunk(n=rundir.CHUNK_ROWS + 5):
+    """A (2, n) table whose runs cross the default chunk boundary."""
+    return {
+        "t": np.array([[1.0], [2.0]]),
+        "x": np.arange(n) * 0.5,
+        "parity": np.array([runs_of((1, n - 8), (-1, 8)), runs_of((-1, 3), (1, n - 3))], dtype=np.int64),
+    }
+
+
+# {name: (columns, whether the writer takes the run path)}.  A run is a
+# stretch of rows in which every column but the one that changes most
+# often keeps its value; the run path takes tables whose mean run is at
+# least rundir.RUN_ROWS rows.
+RUN_TABLES = {
+    "v first": (lambda: {
+        "x": np.arange(20) * 0.1 - 1.0,
+        "n": runs_of((1, 10), (-1, 10), dtype=np.int64),
+        "on": runs_of((True, 7), (False, 13), dtype=bool),
+    }, True),
+    "v in the middle": (lambda: {
+        "n": runs_of((3, 6), (-(2**63), 14), dtype=np.int64),
+        "x": np.arange(20) * 0.25,
+        "on": runs_of((False, 12), (True, 8), dtype=bool),
+    }, True),
+    "v last": (lambda: {
+        "on": runs_of((True, 9), (False, 11), dtype=bool),
+        "y": runs_of((2.5, 4), (1e16, 16)),
+        "x": np.arange(20, dtype=np.int64) * 3,
+    }, True),
+    # -0.0 and 0.0 are one number but two texts; the change at row 5 is
+    # this column's alone, so only its bit patterns can end the run there.
+    "signed zeros": (lambda: {
+        "t": 0.5,
+        "z": runs_of((0.0, 5), (-0.0, 5), (0.0, 10)),
+        "x": np.arange(20) * 0.5,
+    }, True),
+    "NaN payloads": (lambda: {
+        "x": np.arange(20) * 0.5,
+        "z": runs_of((NAN_A, 5), (NAN_B, 5), (math.inf, 4), (NAN_A, 6)),
+        "n": runs_of((0, 14), (7, 6), dtype=np.int64),
+    }, True),
+    # (3, 10): t and the leading-axis runs broadcast; runs end at each row.
+    "broadcast raster": (lambda: {
+        "x": np.arange(10) * 0.5 - 2.0,
+        "t": np.array([[0.5], [-0.0], [0.0]]),
+        "parity": np.array([runs_of((1, 4), (-1, 6)), runs_of((-1, 10)), runs_of((1, 5), (0, 5))], dtype=np.int64),
+        "in_cone": np.array([runs_of((True, 10)), runs_of((False, 3), (True, 7)), runs_of((True, 10))], dtype=bool),
+    }, True),
+    "past the default chunk": (past_the_default_chunk, True),
+    "all constant": (lambda: {"a": np.full(10, 2.5), "n": np.full(10, -3, dtype=np.int64), "on": True}, True),
+    "one column": (lambda: {"x": np.arange(12) * 0.75}, True),
+    "k = 0": (lambda: {
+        "x": np.arange(6) * 0.5,
+        "t": np.zeros((0, 1)),
+        "parity": np.zeros((0, 6), dtype=np.int64),
+    }, True),
+    "mean run at the threshold": (lambda: threshold_table(0), True),
+    "mean run under the threshold": (lambda: threshold_table(-1), False),
+}
+
+
 class TestWriter:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("name", list(RUN_TABLES))
+    @pytest.mark.parametrize("chunk_rows", [1, 3, rundir.CHUNK_ROWS])
+    def test_run_path_matches_oracle(self, tmp_path, monkeypatch, fmt, name, chunk_rows):
+        # With 3 rows per chunk, every run of 4 or more rows crosses a chunk boundary.
+        monkeypatch.setattr(rundir, "CHUNK_ROWS", chunk_rows)
+        chosen, segments = [], rundir._segments
+        monkeypatch.setattr(rundir, "_segments", lambda cols: chosen.append(segments(cols)) or chosen[-1])
+        make_columns, run_path = RUN_TABLES[name]
+        columns = make_columns()
+        header, cols = rundir.table(**columns)
+        expected = oracle_table_bytes(columns, fmt)
+        path = tmp_path / f"t.{fmt}"
+        assert rundir._write_table(path, header, cols, fmt) == hashlib.sha256(expected).hexdigest()
+        assert path.read_bytes() == expected
+        assert (chosen[0] is not None) == run_path
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("n_rows", [14, 7, 0])
     @pytest.mark.parametrize("chunk_rows", [1, 3, rundir.CHUNK_ROWS])

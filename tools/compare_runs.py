@@ -31,6 +31,11 @@ narrower than the kernel window), and three configs whose proper times
 the parity cannot use: two that overflow (double-slit at
 source_to_slit_time = 1e300, propagator-compare at t = 1e300) and one past
 the parity's bound on half periods (propagator-compare at t = 1e17).
+Three clock-pattern configs close the list: x_step = 0.005 in CSV and in
+JSON, whose 10 001-row slice is written run by run across a CHUNK_ROWS
+boundary, and a slice whose sample at x = 1e-9 lies within rounding of a
+half-period boundary (t = compton_period = 0.7), which crossings_bracketed
+counts as undetermined.
 """
 
 from __future__ import annotations
@@ -87,6 +92,13 @@ INVOCATIONS: list[tuple[str, Op]] = [
     ("double-slit proper time overflow", Op("double-slit", (("source_to_slit_time", "1e300"),))),
     ("propagator-compare proper time overflow", Op("propagator-compare", (("t", "1e300"),))),
     ("propagator-compare past the parity bound", Op("propagator-compare", (("t", "1e17"),))),
+    *(
+        (f"clock-pattern 10 001-row slice {fmt}", Op("clock-pattern", (("x_step", "0.005"),), fmt))
+        for fmt in ("csv", "json")
+    ),
+    ("clock-pattern sample at rounding distance of a crossing", Op("clock-pattern", (
+        ("t", "0.7"), ("compton_period", "0.7"), ("x_min", "1e-9"), ("raster_t_step", "7.35"),
+    ))),
 ]
 
 
