@@ -4,7 +4,8 @@ A clock ticks through half-periods of proper time; its parity is +1 on
 even half-periods and -1 on odd ones.  Patterns over a fixed-time slice,
 the two-path Lorentz-equivalence filter, and an idealized double-slit
 arrangement are all built from that rule, evaluated on arrays of screen
-positions.
+positions; a slice's sampled sign changes are checked, cell by cell,
+against the rule's analytic crossings.
 
 The two patterns draw their cone differently, and each keeps the
 convention its committed data were made with: the plane pattern's cone is
@@ -122,6 +123,49 @@ def parity_crossings(t: float, units: UnitsConfig) -> np.ndarray:
     xk = proper_time(t, taus[taus <= t, None])
     xk = xk[xk < t]
     return np.sort(np.concatenate([-xk, xk]))
+
+
+# An in-cone end whose tau lies within this many ulps of a half-period
+# boundary, and not exactly on it, may be sampled with either side's parity.
+BOUNDARY_ULPS = 4
+
+
+def _exactly_on_boundary(t: float, x: float, boundary: tuple[int, int]) -> bool:
+    """Whether t^2 - x^2 == (c / r)^2 exactly, for boundary = (c, r), in integer arithmetic."""
+    (a, p), (b, q), (c, r) = t.as_integer_ratio(), x.as_integer_ratio(), boundary
+    return (a * q * r) ** 2 - (b * p * r) ** 2 == (c * p * q) ** 2
+
+
+def _crossing_cells(t: float, units: UnitsConfig, pattern: Pattern) -> tuple[int, int]:
+    """(mismatched, undetermined) cells of a plane_pattern(t, ., units) slice against parity_crossings.
+
+    Each grid cell [a, b] with both ends in the cone must change sign
+    exactly when it holds an odd number of parity_crossings.  Parity is
+    right-continuous in x for x < 0, so the list's first half counts in
+    (a, b], and its second half in [a, b).  Mismatched counts the cells that
+    disagree, leaving out the undetermined cells: those with an end whose
+    tau lies within BOUNDARY_ULPS ulps of a half-period boundary, unless
+    both the computed tau / (T/2) and the exact one are that whole number,
+    as at x = 0 when t is a whole number of half periods.
+    """
+    left, right = np.split(parity_crossings(t, units), 2)
+    a, b = pattern.x[:-1], pattern.x[1:]
+    inside = np.searchsorted(left, b, "right") - np.searchsorted(left, a, "right")
+    inside += np.searchsorted(right, b) - np.searchsorted(right, a)
+    xs = pattern.x[pattern.in_cone]
+    turns = proper_time(t, xs[:, None]) / units.half_period
+    k = np.round(turns)
+    near = (k >= 1) & (np.abs(turns - k) <= BOUNDARY_ULPS * np.spacing(turns))
+    num, den = units.half_period.as_integer_ratio()
+    for i in np.flatnonzero(near & (turns == k)):
+        near[i] = not _exactly_on_boundary(float(t), xs[i].item(), (int(k[i]) * num, den))
+    undetermined = np.zeros(pattern.x.shape, dtype=bool)
+    undetermined[pattern.in_cone] = near
+    cells = pattern.in_cone[:-1] & pattern.in_cone[1:]
+    unsure = cells & (undetermined[:-1] | undetermined[1:])
+    flipped = pattern.value[:-1] != pattern.value[1:]
+    mismatched = cells & ~unsure & (flipped != (inside % 2 == 1))
+    return int(np.count_nonzero(mismatched)), int(np.count_nonzero(unsure))
 
 
 def lorentz_filter(pa, pb) -> np.ndarray:

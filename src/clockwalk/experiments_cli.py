@@ -165,55 +165,6 @@ def _grid(x_min: float, x_max: float, step: float) -> np.ndarray:
 # so that an invocation loads (and compiles) only its scenario's modules.
 
 
-# An in-cone end whose tau lies within this many ulps of a half-period
-# boundary, and not exactly on it, may be sampled with either side's parity.
-BOUNDARY_ULPS = 4
-
-
-def _exactly_on_boundary(t: float, x: float, boundary: tuple[int, int]) -> bool:
-    """Whether t^2 - x^2 == (c / r)^2 exactly, for boundary = (c, r), in integer arithmetic."""
-    (a, p), (b, q), (c, r) = t.as_integer_ratio(), x.as_integer_ratio(), boundary
-    return (a * q * r) ** 2 - (b * p * r) ** 2 == (c * p * q) ** 2
-
-
-def _pattern_crossing_check(t: float, units: UnitsConfig, pattern: Pattern) -> tuple[dict, dict]:
-    """Per-cell parity count of the analytic crossings against the sampled sign changes.
-
-    Each grid cell [a, b] with both ends in the cone must change sign
-    exactly when it holds an odd number of parity_crossings.  Parity is
-    right-continuous in x for x < 0, so the list's first half counts in
-    (a, b], and its second half in [a, b).  The value counts the cells that
-    disagree, leaving out the undetermined cells: those with an end whose
-    tau lies within BOUNDARY_ULPS ulps of a half-period boundary, unless
-    both the computed tau / (T/2) and the exact one are that whole number,
-    as at x = 0 when t is a whole number of half periods.  Their count is
-    reported beside the value.
-    """
-    from .clock_signal import parity_crossings
-    from .kinematics import proper_time
-
-    predicted = parity_crossings(t, units)
-    left, right = np.split(predicted, 2)
-    a, b = pattern.x[:-1], pattern.x[1:]
-    inside = np.searchsorted(left, b, "right") - np.searchsorted(left, a, "right")
-    inside += np.searchsorted(right, b) - np.searchsorted(right, a)
-    xs = pattern.x[pattern.in_cone]
-    turns = proper_time(t, xs[:, None]) / units.half_period
-    k = np.round(turns)
-    near = (k >= 1) & (np.abs(turns - k) <= BOUNDARY_ULPS * np.spacing(turns))
-    num, den = units.half_period.as_integer_ratio()
-    for i in np.flatnonzero(near & (turns == k)):
-        near[i] = not _exactly_on_boundary(float(t), xs[i].item(), (int(k[i]) * num, den))
-    undetermined = np.zeros(pattern.x.shape, dtype=bool)
-    undetermined[pattern.in_cone] = near
-    cells = pattern.in_cone[:-1] & pattern.in_cone[1:]
-    unsure = cells & (undetermined[:-1] | undetermined[1:])
-    flipped = pattern.value[:-1] != pattern.value[1:]
-    mismatched = np.count_nonzero(cells & ~unsure & (flipped != (inside % 2 == 1)))
-    info = {"predicted_crossings": predicted.tolist(), "undetermined_crossing_cells": int(np.count_nonzero(unsure))}
-    return check(mismatched, "<=", 0), info
-
-
 @scenario(
     "clock-pattern",
     t=(_positive, "20.0"),
@@ -226,7 +177,7 @@ def _pattern_crossing_check(t: float, units: UnitsConfig, pattern: Pattern) -> t
     raster_t_step=(_positive, "0.5"),
 )
 def run_clock_pattern(cfg: dict, seed: int) -> ScenarioResult:
-    from .clock_signal import plane_pattern
+    from .clock_signal import _crossing_cells, parity_crossings, plane_pattern
     from .kinematics import UnitsConfig
 
     units = UnitsConfig(cfg["compton_period"])
@@ -237,14 +188,17 @@ def run_clock_pattern(cfg: dict, seed: int) -> ScenarioResult:
     raster = plane_pattern(ts[:, None], xs, units)
     out_of_cone = sum(np.count_nonzero(pat.value[~pat.in_cone]) for pat in (slice_pattern, raster))
 
-    bracketed, info = _pattern_crossing_check(cfg["t"], units, slice_pattern)
+    mismatched, undetermined = _crossing_cells(cfg["t"], units, slice_pattern)
     return ScenarioResult(
         tables={
             "slice": table(x=xs, t=cfg["t"], parity=slice_pattern.value, in_cone=slice_pattern.in_cone),
             "raster": table(x=xs, t=ts[:, None], parity=raster.value, in_cone=raster.in_cone),
         },
-        metrics=info,
-        checks={"out_of_cone_zero": check(out_of_cone, "<=", 0), "crossings_bracketed": bracketed},
+        metrics={
+            "predicted_crossings": parity_crossings(cfg["t"], units).tolist(),
+            "undetermined_crossing_cells": undetermined,
+        },
+        checks={"out_of_cone_zero": check(out_of_cone, "<=", 0), "crossings_bracketed": check(mismatched, "<=", 0)},
     )
 
 

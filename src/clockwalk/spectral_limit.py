@@ -95,23 +95,36 @@ def from_spectral(values: np.ndarray, n: int) -> np.ndarray:
     return field
 
 
-def transfer_matrices(p, delta: float, alpha: float) -> np.ndarray:
-    """One-step matrices (alpha/2) [[e^{-iu}, -e^{iu}], [e^{-iu}, e^{iu}]], u = p delta.
+def _step(f, u, block: str, alpha: float, scale=1.0) -> tuple[np.ndarray, np.ndarray]:
+    """Both rows of scale times one step of the block's matrix on the spectral pair f at momenta u (an array).
 
-    Elementwise over p; the result has shape p.shape + (2, 2).  Advancing
-    the spectral pair with this matrix matches one position-space phi step
-    exactly.
+    The one home of the step matrices.  A step reads row 0 from the left
+    neighbour and row 1 from the right, g1 = e^{-iu} f[0], g2 = e^{iu} f[1].
+    phi: T = (alpha/2) [[e^{-iu}, -e^{iu}], [e^{-iu}, e^{iu}]] gives
+    (alpha/2) (g1 - g2, g1 + g2).  z: (1/2) [[e^{-iu}, e^{iu}], [e^{-iu}, e^{iu}]]
+    gives (g1 + g2) / 2 in both rows, added before it is scaled.
     """
-    a = 0.5 * alpha
+    shift = np.exp(-1j * u)
+    g1 = f[0] * shift
+    g2 = f[1] * np.conjugate(shift, out=shift)
+    del shift
+    if block == "z":
+        g1 += g2
+        g1 *= 0.5 * scale
+        return g1, g1
+    scale = scale * (0.5 * alpha)
+    g1 *= scale
+    g2 *= scale
+    row1 = g1 + g2
+    g1 -= g2
+    return g1, row1
+
+
+def transfer_matrices(p, delta: float, alpha: float) -> np.ndarray:
+    """One-step phi matrices at u = p delta, shape p.shape + (2, 2): column j is _step of basis pair e_j."""
     u = np.asarray(p, dtype=float) * delta
-    er = np.exp(-1j * u)
-    el = np.exp(1j * u)
-    m = np.empty(u.shape + (2, 2), dtype=complex)
-    m[..., 0, 0] = a * er
-    m[..., 0, 1] = -a * el
-    m[..., 1, 0] = a * er
-    m[..., 1, 1] = a * el
-    return m
+    basis = np.eye(2).reshape((2,) + (1,) * u.ndim + (2,))
+    return np.stack(_step(basis, u[..., None], "phi", alpha), axis=-2)
 
 
 def eigenvalue_plus(u, alpha: float) -> np.ndarray:
@@ -224,9 +237,9 @@ def evolve_spectral(field: np.ndarray, block: str, s: int, alpha: float) -> np.n
     conjugate of T(u), so the real transform loses nothing.  s = 1 is one
     step of the spectral pair.
 
-    phi: T^s = c1 T - c0 I (phi_power).  z: the z matrix
-    (1/2) [[e^{-iu}, e^{iu}], [e^{-iu}, e^{iu}]] has rank one and trace
-    cos u, so T^s = cos(u)^(s-1) T for s >= 1.
+    Both blocks take T^s f = c1 (T f) - c0 f, with T f from _step: phi's
+    (c1, c0) from phi_power, and z's (cos(u)^(s-1), 0), as its rank-one
+    matrix has trace cos u.
     """
     if block not in ("z", "phi"):
         raise ValueError(f"block must be 'z' or 'phi', got {block!r}")
@@ -238,25 +251,11 @@ def evolve_spectral(field: np.ndarray, block: str, s: int, alpha: float) -> np.n
     f = to_spectral(field)
     n = field.shape[1]
     u = (2.0 * math.pi / n) * np.arange(f.shape[1])
-    # One step reads row 0 from the left neighbour and row 1 from the right.
-    shift = np.exp(-1j * u)
-    g1 = f[0] * shift
-    g2 = f[1] * np.conjugate(shift, out=shift)
-    del shift
-    if block == "z":
-        g1 += g2
-        g1 *= 0.5 * np.cos(u) ** (s - 1)
-        f[0] = g1
-        f[1] = g1
-        return from_spectral(f, n)
-    # T f = a (g1 - g2, g1 + g2) with a = alpha / 2, and T^s f = c1 T f - c0 f.
-    c1, c0 = phi_power(u, alpha, s)
-    c1 *= 0.5 * alpha
-    g1 *= c1
-    g2 *= c1
+    c1, c0 = phi_power(u, alpha, s) if block == "phi" else (np.cos(u) ** (s - 1), 0.0)
+    rows = _step(f, u, block, alpha, c1)
     f *= c0
-    f[0] = g1 - g2 - f[0]
-    f[1] = g1 + g2 - f[1]
+    for k in range(2):
+        np.subtract(rows[k], f[k], out=f[k])
     return from_spectral(f, n)
 
 

@@ -512,8 +512,8 @@ class TestExactChecks:
         configs = np.round(np.random.default_rng(0).uniform([0.3, 1.0], [5.0, 24.0], size=(300, 2)), 3)
         for period, t in configs.tolist():
             units = UnitsConfig(period)
-            record, _ = experiments_cli._pattern_crossing_check(t, units, plane_pattern(t, xs, units))
-            assert record["value"] == 0, (period, t)
+            mismatched, _ = clock_signal._crossing_cells(t, units, plane_pattern(t, xs, units))
+            assert mismatched == 0, (period, t)
 
     def test_sample_at_rounding_distance_is_undetermined(self, tmp_path):
         # At x = 1e-9, sqrt(t^2 - x^2) rounds to t = 0.7, two half periods, so
@@ -592,6 +592,23 @@ class TestExactChecks:
         assert ("variance_law" in checks) == (init != "phi_point")
 
 
+# The spectral engine's one-step function, kept before a test replaces it.
+STEP = spectral_limit._step
+
+
+def transposed_phi_step(f, u, block, alpha, scale=1.0):
+    """_step with the phi matrix transposed: (alpha/2) (e^{-iu} (f0 + f1), e^{iu} (f1 - f0))."""
+    if block == "z":
+        return STEP(f, u, block, alpha, scale)
+    a = scale * (0.5 * alpha)
+    return a * np.exp(-1j * u) * (f[0] + f[1]), a * np.exp(1j * u) * (f[1] - f[0])
+
+
+def z_step_minus_g2(f, u, block, alpha, scale=1.0):
+    """_step with the z block's g2 = e^{iu} f1 negated, by negating f1."""
+    return STEP(np.stack((f[0], -f[1])) if block == "z" else f, u, block, alpha, scale)
+
+
 class TestCheckFailure:
     def test_impossible_tolerance_exits_three(self, tmp_path, monkeypatch):
         # A transfer matrix ten times further from unitary than the fixed 1e-14.
@@ -637,6 +654,11 @@ class TestCheckFailure:
             ("phi_step", lambda phi, alpha: lattice_walk.phi_step(phi, alpha * (1 + 1e-9))),
             # z_step that loses 1e-6 of the field per step.
             ("z_step", lambda z: lattice_walk.z_step(z) * (1 - 1e-6)),
+            # The engine's step with the phi matrix transposed: the eigenvalues,
+            # determinant and unitarity that spectral-check reads all stay.
+            pytest.param("_step", transposed_phi_step, id="transposed-phi-step"),
+            # The engine's z step with g2's sign flipped: g1 - g2 in both rows.
+            pytest.param("_step", z_step_minus_g2, id="z-step-minus-g2"),
         ],
     )
     def test_wrong_step_map_fails_engine_check(self, tmp_path, monkeypatch, name, mutant):

@@ -45,6 +45,24 @@ def half_grid(n):
     return 2.0 * math.pi * np.arange(n // 2 + 1) / n
 
 
+def four_entry_matrices(p, delta, alpha):
+    """(alpha/2) [[e^{-iu}, -e^{iu}], [e^{-iu}, e^{iu}]] at u = p delta, written entry by entry.
+
+    The oracle of transfer_matrices, which takes T from the spectral
+    engine's step instead.
+    """
+    a = 0.5 * alpha
+    u = np.asarray(p, dtype=float) * delta
+    er = np.exp(-1j * u)
+    el = np.exp(1j * u)
+    m = np.empty(u.shape + (2, 2), dtype=complex)
+    m[..., 0, 0] = a * er
+    m[..., 0, 1] = -a * el
+    m[..., 1, 0] = a * er
+    m[..., 1, 1] = a * el
+    return m
+
+
 class TestMomentumGrid:
     def test_structure(self):
         p = momentum_grid(8, 0.1)
@@ -112,6 +130,13 @@ class TestTransforms:
 
 
 class TestTransferMatrix:
+    @pytest.mark.parametrize("alpha", [1.0, SQRT2, 0.7])
+    @pytest.mark.parametrize("p", [momentum_grid(16384, 0.1), 0.0, 0.7, -3.1], ids=["grid", "0", "0.7", "-3.1"])
+    def test_equals_four_entry_formula(self, p, alpha):
+        got, want = transfer_matrices(p, 0.1, alpha), four_entry_matrices(p, 0.1, alpha)
+        assert got.shape == want.shape == np.shape(p) + (2, 2)
+        assert got.tobytes() == want.tobytes()
+
     def test_step_commutes_with_transform(self):
         """One position step then transform equals transform then matrix step."""
         for alpha in (1.0, SQRT2):

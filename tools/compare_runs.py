@@ -31,11 +31,15 @@ narrower than the kernel window), and three configs whose proper times
 the parity cannot use: two that overflow (double-slit at
 source_to_slit_time = 1e300, propagator-compare at t = 1e300) and one past
 the parity's bound on half periods (propagator-compare at t = 1e17).
-Three clock-pattern configs close the list: x_step = 0.005 in CSV and in
+Three clock-pattern configs follow: x_step = 0.005 in CSV and in
 JSON, whose 10 001-row slice is written run by run across a CHUNK_ROWS
 boundary, and a slice whose sample at x = 1e-9 lies within rounding of a
 half-period boundary (t = compton_period = 0.7), which crossings_bracketed
-counts as undetermined.
+counts as undetermined.  Two configs that exercise the spectral engine's
+one step function close the list: continuum-check at diffusion_deltas =
+0.025, 0.0125, 0.00625, whose finest diffusion level runs the z block for
+s = 25 600 steps, and spectral-check at alpha = 0.7, a third alpha for the
+transfer matrices that step builds.
 """
 
 from __future__ import annotations
@@ -99,6 +103,8 @@ INVOCATIONS: list[tuple[str, Op]] = [
     ("clock-pattern sample at rounding distance of a crossing", Op("clock-pattern", (
         ("t", "0.7"), ("compton_period", "0.7"), ("x_min", "1e-9"), ("raster_t_step", "7.35"),
     ))),
+    ("continuum-check z at s = 25 600", Op("continuum-check", (("diffusion_deltas", "0.025,0.0125,0.00625"),))),
+    ("spectral-check alpha=0.7", Op("spectral-check", (("alpha", "0.7"),))),
 ]
 
 
