@@ -152,12 +152,42 @@ def resolve_config(scenario: str, file_entries: dict[str, str], set_entries: lis
     return cfg
 
 
+def _decimal(x: float) -> tuple[int, int]:
+    """(c, e) with c * 10**e the shortest decimal of x, the one its repr writes."""
+    mantissa, _, exponent = repr(x).partition("e")
+    whole, _, fraction = mantissa.partition(".")
+    return int(whole + fraction), int(exponent or 0) - len(fraction)
+
+
+def _decimal_grid(start: float, step: float, n: int) -> np.ndarray:
+    """The n samples start + k * step, each the double nearest its decimal value.
+
+    start and step are read as their shortest decimals, so sample k is the
+    rational (a + k h) / d with integers a, h and d = 10**j.  Numerators under
+    2**53 and a d of at most 10**22 are exact doubles, and one IEEE division
+    rounds their quotient correctly; past that, Python's int true division
+    does, with the same bits.
+    """
+    (a, ea), (h, eh) = _decimal(start), _decimal(step)
+    e = min(ea, eh, 0)
+    a, h, d = a * 10 ** (ea - e), h * 10 ** (eh - e), 10**-e
+    if max(abs(a), h, abs(a + (n - 1) * h)) < 2**53 and d <= 10**22:
+        return (a + h * np.arange(n, dtype=np.int64)).astype(float) / float(d)
+    out = np.empty(n)
+    try:
+        for k in range(n):
+            out[k] = (a + k * h) / d
+    except OverflowError as exc:
+        raise ConfigError(f"grid sample {k} of start {start} and step {step} is not a finite float") from exc
+    return out
+
+
 def _grid(x_min: float, x_max: float, step: float) -> np.ndarray:
     """x_min, x_min + step, ... to x_max rounded to whole steps (the schema makes step > 0)."""
     span = (x_max - x_min) / step
     if not (x_max > x_min and 0.5 < span < math.inf):
         raise ConfigError(f"grid [{x_min}, {x_max}] in steps of {step} needs x_max > x_min and finitely many points")
-    return x_min + step * np.arange(int(round(span)) + 1)
+    return _decimal_grid(x_min, step, int(round(span)) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +393,7 @@ def run_lattice_evolve(cfg: dict, seed: int) -> ScenarioResult:
 
     # One row per (snapshot, site), snapshots in step order.
     sites = np.arange(n)
-    xs = sites * delta
+    xs = _decimal_grid(0.0, delta, n)
     key = {"step": np.array(snap_steps)[:, None], "m": sites, "x": xs}
     p1, p2, p3, p4, z1, z2, phi1, phi2 = snaps.transpose(1, 0, 2)
     tables = {

@@ -5,11 +5,12 @@ import os
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from clockwalk import clock_signal, experiments_cli, lattice_walk, rundir, spectral_limit
 from clockwalk.clock_signal import Pattern, plane_pattern
@@ -1000,33 +1001,33 @@ class TestDeterminism:
     @pytest.mark.parametrize(
         "scenario,args,digest",
         [
-            ("clock-pattern", [], "2ceb34ae98d52ba45918eb2bb6d86bfd84724a651fdfca89838b752b6fcada71"),
+            ("clock-pattern", [], "8e9c0a9ca449ef58492a52bea7b41d047528f5285b48f561d623071fd1c295a7"),
             (
                 "clock-pattern",
                 ["--format", "json"],
-                "b2a564ac23890af1cfe961b7257ac4a19d8ad1ea8eb742391dd255552da609a7",
+                "fc399280a0f7f51dd8d687672ffd76a5c7346e8407d46e37907eb584a9017607",
             ),
             (
                 "lattice-evolve",
                 ["--set", "n_steps=16", "--set", "mc_paths=2000", "--seed", "11"],
-                "4f87ac35388fc41be6206b3bdf53b287d8bb54e33c037a2ffe2ada262deec0b2",
+                "22abb3d53fb7161860fb9d7d1e9593759da7e076095f8da6f5b6f568932edaf2",
             ),
             (
                 "lattice-evolve",
                 ["--set", "n_steps=16", "--set", "mc_paths=2000", "--seed", "11", "--format", "json"],
-                "849590bd197ff669cc28f15820dac535c54b4949cbaa43618b70b1c4e6771262",
+                "c22753f13eee2530d1e0e364806abbdf03a5c9e66f80832c261d824be5f44b3e",
             ),
             # A point source at alpha = sqrt2: p is the bare walk, phi is
             # scaled by alpha**s.
             (
                 "lattice-evolve",
                 ["--set", "init=phi_point", "--set", "alpha=sqrt2"],
-                "da25f0cbe90c60d7cba95b3651f6cce586170ad0d6ec97689ff767e2932e16b3",
+                "38340413b26941cf431747ecd281a4e5f818b2817bdcf359b186e04e5362de7d",
             ),
             (
                 "lattice-evolve",
                 ["--set", "init=z_point"],
-                "aa2b4be3eead01f5db40eea3401b598e31f5ea81dbbafe2aa447a0a743901ce3",
+                "d19180fa8159e09de10834c7e42a1adf9df8e2f0af98781b47ba0b26d41257c5",
             ),
         ],
     )
@@ -1135,6 +1136,27 @@ def assert_same_columns(table, old):
         assert column.tobytes() == old[name].tobytes(), name
 
 
+def decimal_grid_oracle(start, step, n):
+    """Sample k of the grid: the double nearest repr(start) + k * repr(step), in exact rationals."""
+    a, h = Fraction(repr(start)), Fraction(repr(step))
+    return [float(a + k * h) for k in range(n)]
+
+
+def configured_grid(lo, hi, step):
+    """The grid _grid(lo, hi, step) must return: int(round((hi - lo) / step)) + 1 samples of the oracle."""
+    return decimal_grid_oracle(lo, step, int(round((hi - lo) / step)) + 1)
+
+
+def set_args(sets):
+    return [arg for s in sets for arg in ("--set", s)]
+
+
+def csv_column(path, name):
+    lines = Path(path).read_text().splitlines()
+    j = lines[0].split(",").index(name)
+    return np.array([float(line.split(",")[j]) for line in lines[1:]])
+
+
 class TestBroadcastTables:
     """The raster and the snapshots are written from their grids; the
     per-row constructions they replaced are kept here as their oracles."""
@@ -1183,11 +1205,104 @@ class TestBroadcastTables:
         key = {
             "step": np.repeat(snap_steps, n),
             "m": np.tile(np.arange(n), len(snap_steps)),
-            "x": np.tile(np.arange(n) * delta, len(snap_steps)),
+            "x": np.tile(decimal_grid_oracle(0.0, delta, n), len(snap_steps)),
         }
         p1, p2, p3, p4, z1, z2, phi1, phi2 = snaps.transpose(1, 0, 2).reshape(8, -1)
         assert_same_columns(broadcast_table(tables["snapshots_p"]), dict(key, p1=p1, p2=p2, p3=p3, p4=p4))
         assert_same_columns(broadcast_table(tables["snapshots_zphi"]), dict(key, z1=z1, z2=z2, phi1=phi1, phi2=phi2))
+
+
+# Short decimals (exponent forms such as 1e-09 among them) and arbitrary
+# doubles, whose reprs run to 16 or 17 digits.
+SHORT_STARTS = st.builds(lambda c, e: float(f"{c}e{e}"), st.integers(-(10**4), 10**4), st.integers(-12, 1))
+SHORT_STEPS = st.builds(lambda c, e: float(f"{c}e{e}"), st.integers(1, 10**4), st.integers(-9, 1))
+STARTS = st.one_of(SHORT_STARTS, st.just(-0.0), st.floats(-1e3, 1e3))
+STEPS = st.one_of(SHORT_STEPS, st.floats(1e-6, 1e3, exclude_min=True))
+
+
+class TestDecimalGrid:
+    """Every sampled position is the double nearest its decimal value."""
+
+    @given(start=STARTS, step=STEPS, n=st.integers(1, 300))
+    @example(start=-25.0, step=0.3333333333333333, n=151)  # numerators past 2**53
+    @example(start=0.0, step=1e150, n=1088)
+    @example(start=-0.0, step=0.1, n=11)
+    @example(start=1e-09, step=0.05, n=1001)
+    @example(start=-25.025, step=0.05, n=1002)
+    def test_samples_are_nearest_doubles(self, start, step, n):
+        xs = experiments_cli._decimal_grid(start, step, n)
+        assert xs.dtype == np.float64 and xs.size == n
+        assert xs[0] == start
+        assert xs.tolist() == decimal_grid_oracle(start, step, n)
+
+    @given(start=STARTS, step=STEPS, n=st.integers(1, 300))
+    @example(start=-25.0, step=0.3333333333333333, n=150)
+    def test_grid_keeps_its_count(self, start, step, n):
+        x_max = start + n * step
+        assume(0.5 < (x_max - start) / step)
+        assert experiments_cli._grid(start, x_max, step).tolist() == configured_grid(start, x_max, step)
+
+    @pytest.mark.parametrize(
+        "sets",
+        [
+            pytest.param([], id="desk"),
+            pytest.param(["x_min=-25.025", "x_max=25.025", "raster_t_min=0.25", "raster_t_step=0.125"], id="mixed"),
+        ],
+    )
+    def test_clock_pattern_writes_the_grid(self, tmp_path, sets):
+        cfg = experiments_cli.resolve_config("clock-pattern", {}, sets)
+        xs = configured_grid(cfg["x_min"], cfg["x_max"], cfg["x_step"])
+        ts = configured_grid(cfg["raster_t_min"], cfg["raster_t_max"], cfg["raster_t_step"])
+        out = tmp_path / "run"
+        assert run("clock-pattern", out, *set_args(sets)) == EXIT_OK
+        assert csv_column(out / "slice.csv", "x").tolist() == xs
+        assert csv_column(out / "raster.csv", "x").reshape(len(ts), len(xs)).tolist() == [xs] * len(ts)
+        assert csv_column(out / "raster.csv", "t").reshape(len(ts), len(xs)).T.tolist() == [ts] * len(xs)
+
+    @pytest.mark.parametrize(
+        "scenario,sets,table",
+        [
+            ("propagator-compare", [], "compare"),
+            ("propagator-compare", ["x_window=3.7", "x_step=0.003"], "compare"),
+            ("double-slit", [], "slit"),
+            ("double-slit", ["x_min=-29.99", "x_step=0.07"], "slit"),
+        ],
+    )
+    def test_pattern_tables_write_the_grid(self, tmp_path, scenario, sets, table):
+        cfg = experiments_cli.resolve_config(scenario, {}, sets)
+        lo, hi = (-cfg["x_window"], cfg["x_window"]) if "x_window" in cfg else (cfg["x_min"], cfg["x_max"])
+        out = tmp_path / "run"
+        assert run(scenario, out, *set_args(sets)) == EXIT_OK
+        assert csv_column(out / f"{table}.csv", "x").tolist() == configured_grid(lo, hi, cfg["x_step"])
+
+    @pytest.mark.parametrize("delta", ["0.1", "0.3333333333333333", "1e150", "2.5e-07"])
+    def test_lattice_evolve_writes_the_grid(self, tmp_path, delta):
+        out = tmp_path / "run"
+        assert run("lattice-evolve", out, *set_args(["n_steps=16", "mc_paths=200", f"delta={delta}"])) == EXIT_OK
+        n = report(out)["site_count"]
+        xs = decimal_grid_oracle(0.0, float(delta), n)
+        for name in ("snapshots_p", "snapshots_zphi"):
+            assert csv_column(out / f"{name}.csv", "x").reshape(-1, n).tolist() == [xs] * 3  # steps 0, 8, 16
+        assert csv_column(out / "mc_overlay.csv", "x").tolist() == xs
+
+    def test_sample_past_the_float_range_is_a_config_error(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        sets = ["x_min=0", "x_max=1.7e308", "x_step=1.1e308"]  # the third sample is 2.2e308
+        assert run("clock-pattern", out, *set_args(sets)) == EXIT_CONFIG
+        assert "grid sample 2 of start 0.0 and step 1.1e+308 is not a finite float" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_double_slit_report_positions_are_table_samples(self, tmp_path):
+        """gap_intervals endpoints and node_positions are samples of the written x column."""
+        for k, sets in enumerate(([], ["x_min=-29.99", "x_step=0.07"], ["x_step=0.002"])):
+            out = tmp_path / str(k)
+            assert run("double-slit", out, *set_args(sets)) == EXIT_OK
+            rep = report(out)
+            xs = set(csv_column(out / "slit.csv", "x").tolist())
+            gaps = rep["gap_intervals"]
+            assert gaps and rep["node_positions"]
+            assert {x for gap in gaps for x in gap} <= xs
+            assert set(rep["node_positions"]) <= xs
 
 
 def runs_of(*pairs, dtype=float):

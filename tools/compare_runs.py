@@ -5,7 +5,10 @@
 DIR is the root of a checkout; each invocation runs `python -m clockwalk`
 with DIR/src on PYTHONPATH, into a fresh run directory per side.  For each
 invocation the script prints both exit codes and every data file whose
-SHA-256 differs between the sides or that only one side wrote.  report.json
+SHA-256 differs between the sides or that only one side wrote.  Under each
+data file that both sides wrote it prints the columns whose cells differ,
+each with the count of changed cells and the largest distance in ulps
+between a changed cell's two values (see column_changes).  report.json
 is compared too, without its wall-clock fields (`timings`, and the
 `manifest.duration_seconds` that older checkouts write), and each key that
 differs is printed as a dotted path such as `checks.unitarity`.  The exit
@@ -39,7 +42,12 @@ counts as undetermined.  Two configs that exercise the spectral engine's
 one step function close the list: continuum-check at diffusion_deltas =
 0.025, 0.0125, 0.00625, whose finest diffusion level runs the z block for
 s = 25 600 steps, and spectral-check at alpha = 0.7, a third alpha for the
-transfer matrices that step builds.
+transfer matrices that step builds.  Two grids of the decimal grid rule
+close it.  lattice-evolve at delta = 0.3333333333333333 has x numerators
+k * 3333333333333333 (in units of 1e-16) past 2**53, so its positions take
+the rule's Python-int division path.  propagator-compare at x_window = 3.7
+and x_step = 0.003 starts its grid at a one-decimal -3.7 and steps it by a
+three-decimal 0.003.
 """
 
 from __future__ import annotations
@@ -52,6 +60,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from run import WORKLOADS, Op  # noqa: E402
@@ -105,6 +115,9 @@ INVOCATIONS: list[tuple[str, Op]] = [
     ))),
     ("continuum-check z at s = 25 600", Op("continuum-check", (("diffusion_deltas", "0.025,0.0125,0.00625"),))),
     ("spectral-check alpha=0.7", Op("spectral-check", (("alpha", "0.7"),))),
+    ("lattice-evolve delta=0.3333333333333333", lattice("delta=0.3333333333333333")),
+    ("propagator-compare x_window=3.7 x_step=0.003",
+     Op("propagator-compare", (("x_window", "3.7"), ("x_step", "0.003")))),
 ]
 
 
@@ -126,6 +139,37 @@ def run(root: Path, op: Op, out: Path) -> tuple[int, dict[str, str], dict | None
                 del report["timings"]
                 report["manifest"].pop("duration_seconds", None)
     return proc.returncode, files, report
+
+
+def columns(path: Path) -> tuple[list[str], list[list]]:
+    """Header and rows of a CSV or JSON data file, each cell as written (CSV text, JSON value)."""
+    if path.suffix == ".json":
+        data = json.loads(path.read_text(encoding="utf-8"))
+        return data["header"], data["rows"]
+    header, *lines = path.read_text(encoding="utf-8").splitlines()
+    return header.split(","), [line.split(",") for line in lines]
+
+
+def ordered_bits(values: np.ndarray) -> np.ndarray:
+    """uint64 keys that order doubles as the reals do, one ulp apart per adjacent double (-0.0 and 0.0 apart by one)."""
+    bits = values.view(np.uint64)
+    return np.where(bits >> np.uint64(63), ~bits, bits | np.uint64(1 << 63))
+
+
+def column_changes(path_a: Path, path_b: Path) -> list[str]:
+    """One line per column whose cells differ: the count of changed cells and the largest ulp distance between them."""
+    (header_a, rows_a), (header_b, rows_b) = columns(path_a), columns(path_b)
+    if header_a != header_b or len(rows_a) != len(rows_b):
+        return [f"header {header_a} -> {header_b}, {len(rows_a)} -> {len(rows_b)} rows"]
+    lines = []
+    for j, name in enumerate(header_a):
+        cells_a, cells_b = [row[j] for row in rows_a], [row[j] for row in rows_b]
+        changed = [k for k, (a, b) in enumerate(zip(cells_a, cells_b)) if a != b]
+        if changed:
+            a, b = (ordered_bits(np.array([cells[k] for k in changed], dtype=float)) for cells in (cells_a, cells_b))
+            ulps = int(np.where(a > b, a - b, b - a).max())
+            lines.append(f"{name}: {len(changed)} of {len(cells_a)} cells changed, largest {ulps} ulps")
+    return lines
 
 
 MISSING = object()
@@ -160,6 +204,9 @@ def main(argv=None) -> int:
             print(f"{'same' if same else 'DIFF'}  exit {code_a}/{code_b}  {name}")
             for f in changed:
                 print(f"        {f}: {files_a.get(f, 'missing')[:12]} -> {files_b.get(f, 'missing')[:12]}")
+                if f in files_a and f in files_b:
+                    for line in column_changes(Path(tmp) / f"{k}.parent" / f, Path(tmp) / f"{k}.change" / f):
+                        print(f"            {line}")
             if report_a != report_b:
                 keys = differing_keys(report_a, report_b) if report_a and report_b else ["missing on one side"]
                 print("        report.json differs: " + ", ".join(keys))
