@@ -4,8 +4,9 @@ A clock ticks through half-periods of proper time; its parity is +1 on
 even half-periods and -1 on odd ones.  Patterns over a fixed-time slice,
 the two-path Lorentz-equivalence filter, and an idealized double-slit
 arrangement are all built from that rule, evaluated on arrays of screen
-positions; a slice's sampled sign changes are checked, cell by cell,
-against the rule's analytic crossings.
+positions.  The plane pattern's parity is exact: within rounding distance
+of a half-period boundary it comes from the integer rule _exact_cell, which
+also checks a slice sample by sample; the slit screen keeps the float rule.
 
 The two patterns draw their cone differently, and each keeps the
 convention its committed data were made with: the plane pattern's cone is
@@ -101,14 +102,33 @@ def plane_pattern(t, x, units: UnitsConfig) -> Pattern:
     (|x| < t) the parity is that of the straight-line proper time
     sqrt(t^2 - x^2); level sets are hyperbolae.  On and outside the cone
     the signal is reported as 0 with in_cone false.
+
+    Each parity is (-1)**_exact_cell of the sampled doubles: the float rule
+    gives it, except within rounding distance of a half-period boundary.
     """
     t = np.asarray(t, dtype=float)
     if not np.all(t > 0.0):
         raise ValueError(f"t must be positive, got {t.min()}")
     t, x = np.broadcast_arrays(t, np.asarray(x, dtype=float))
     in_cone = np.abs(x) < t
+    ts, xs, h = t[in_cone], x[in_cone], units.half_period
+    tau = proper_time(ts[:, None], xs[:, None])
+    parity = parity_of_proper_time(tau, units)
+    # turns = sqrt(t*t - x*x) / h takes five roundings, each a relative error
+    # of at most u = 2**-53.  To first order the products and the difference
+    # put u t^2 + u x^2 + u t^2 <= 3u t^2 into t^2 - x^2, and the square root
+    # and the division 2u each into its square, so turns^2 lies within
+    # 7u (t/h)^2 of the exact value.  An integer between the two, where the
+    # floors can differ, lies that close to turns in squares, and so does the
+    # integer next to turns on its side.  16u leaves room for the higher orders
+    # and the test's own roundings, which are relative to its small result.
+    turns, bound = tau / h, 16 * 2.0**-53 * (ts / h) ** 2
+    below = np.floor(turns)
+    near = ((turns - below) * (turns + below) <= bound) | ((below + 1 - turns) * (below + 1 + turns) <= bound)
+    for i in np.flatnonzero(near).tolist():
+        parity[i] = 1 - 2 * (_exact_cell(ts[i].item(), xs[i].item(), h) % 2)
     value = np.zeros(x.shape, dtype=int)
-    value[in_cone] = parity_of_proper_time(proper_time(t[in_cone, None], x[in_cone, None]), units)
+    value[in_cone] = parity
     return Pattern(x, value, in_cone)
 
 
@@ -125,47 +145,19 @@ def parity_crossings(t: float, units: UnitsConfig) -> np.ndarray:
     return np.sort(np.concatenate([-xk, xk]))
 
 
-# An in-cone end whose tau lies within this many ulps of a half-period
-# boundary, and not exactly on it, may be sampled with either side's parity.
-BOUNDARY_ULPS = 4
+def _exact_cell(t: float, x: float, h: float) -> int:
+    """floor(sqrt(t^2 - x^2) / h) of the doubles t, x and h > 0 (|x| <= t), in integer arithmetic."""
+    (a, p), (b, q), (c, r) = t.as_integer_ratio(), x.as_integer_ratio(), h.as_integer_ratio()
+    # sqrt(t^2 - x^2) / h = sqrt(n) / (p q c) with n = ((a q)^2 - (b p)^2) r^2,
+    # and floor(sqrt(n) / d) = isqrt(n) // d for a whole d > 0.
+    return math.isqrt(((a * q) ** 2 - (b * p) ** 2) * r * r) // (p * q * c)
 
 
-def _exactly_on_boundary(t: float, x: float, boundary: tuple[int, int]) -> bool:
-    """Whether t^2 - x^2 == (c / r)^2 exactly, for boundary = (c, r), in integer arithmetic."""
-    (a, p), (b, q), (c, r) = t.as_integer_ratio(), x.as_integer_ratio(), boundary
-    return (a * q * r) ** 2 - (b * p * r) ** 2 == (c * p * q) ** 2
-
-
-def _crossing_cells(t: float, units: UnitsConfig, pattern: Pattern) -> tuple[int, int]:
-    """(mismatched, undetermined) cells of a plane_pattern(t, ., units) slice against parity_crossings.
-
-    Each grid cell [a, b] with both ends in the cone must change sign
-    exactly when it holds an odd number of parity_crossings.  Parity is
-    right-continuous in x for x < 0, so the list's first half counts in
-    (a, b], and its second half in [a, b).  Mismatched counts the cells that
-    disagree, leaving out the undetermined cells: those with an end whose
-    tau lies within BOUNDARY_ULPS ulps of a half-period boundary, unless
-    both the computed tau / (T/2) and the exact one are that whole number,
-    as at x = 0 when t is a whole number of half periods.
-    """
-    left, right = np.split(parity_crossings(t, units), 2)
-    a, b = pattern.x[:-1], pattern.x[1:]
-    inside = np.searchsorted(left, b, "right") - np.searchsorted(left, a, "right")
-    inside += np.searchsorted(right, b) - np.searchsorted(right, a)
-    xs = pattern.x[pattern.in_cone]
-    turns = proper_time(t, xs[:, None]) / units.half_period
-    k = np.round(turns)
-    near = (k >= 1) & (np.abs(turns - k) <= BOUNDARY_ULPS * np.spacing(turns))
-    num, den = units.half_period.as_integer_ratio()
-    for i in np.flatnonzero(near & (turns == k)):
-        near[i] = not _exactly_on_boundary(float(t), xs[i].item(), (int(k[i]) * num, den))
-    undetermined = np.zeros(pattern.x.shape, dtype=bool)
-    undetermined[pattern.in_cone] = near
-    cells = pattern.in_cone[:-1] & pattern.in_cone[1:]
-    unsure = cells & (undetermined[:-1] | undetermined[1:])
-    flipped = pattern.value[:-1] != pattern.value[1:]
-    mismatched = cells & ~unsure & (flipped != (inside % 2 == 1))
-    return int(np.count_nonzero(mismatched)), int(np.count_nonzero(unsure))
+def _parity_mismatches(t: float, units: UnitsConfig, pattern: Pattern) -> int:
+    """In-cone samples of a plane_pattern(t, ., units) slice whose parity is not (-1)**_exact_cell."""
+    h = units.half_period
+    exact = [1 - 2 * (_exact_cell(t, x, h) % 2) for x in pattern.x[pattern.in_cone].tolist()]
+    return int(np.count_nonzero(pattern.value[pattern.in_cone] != exact))
 
 
 def lorentz_filter(pa, pb) -> np.ndarray:

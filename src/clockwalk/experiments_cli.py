@@ -207,7 +207,7 @@ def _grid(x_min: float, x_max: float, step: float) -> np.ndarray:
     raster_t_step=(_positive, "0.5"),
 )
 def run_clock_pattern(cfg: dict, seed: int) -> ScenarioResult:
-    from .clock_signal import _crossing_cells, parity_crossings, plane_pattern
+    from .clock_signal import _parity_mismatches, parity_crossings, plane_pattern
     from .kinematics import UnitsConfig
 
     units = UnitsConfig(cfg["compton_period"])
@@ -218,17 +218,16 @@ def run_clock_pattern(cfg: dict, seed: int) -> ScenarioResult:
     raster = plane_pattern(ts[:, None], xs, units)
     out_of_cone = sum(np.count_nonzero(pat.value[~pat.in_cone]) for pat in (slice_pattern, raster))
 
-    mismatched, undetermined = _crossing_cells(cfg["t"], units, slice_pattern)
     return ScenarioResult(
         tables={
             "slice": table(x=xs, t=cfg["t"], parity=slice_pattern.value, in_cone=slice_pattern.in_cone),
             "raster": table(x=xs, t=ts[:, None], parity=raster.value, in_cone=raster.in_cone),
         },
-        metrics={
-            "predicted_crossings": parity_crossings(cfg["t"], units).tolist(),
-            "undetermined_crossing_cells": undetermined,
+        metrics={"predicted_crossings": parity_crossings(cfg["t"], units).tolist()},
+        checks={
+            "out_of_cone_zero": check(out_of_cone, "<=", 0),
+            "crossings_bracketed": check(_parity_mismatches(cfg["t"], units, slice_pattern), "<=", 0),
         },
-        checks={"out_of_cone_zero": check(out_of_cone, "<=", 0), "crossings_bracketed": check(mismatched, "<=", 0)},
     )
 
 

@@ -1,5 +1,6 @@
 import csv
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import assume, given, strategies as st
 from clockwalk.clock_signal import (
     Pattern,
     SlitGeometry,
+    _exact_cell,
     double_slit_phi,
     gap_intervals,
     lorentz_filter,
@@ -186,8 +188,9 @@ class TestPlanePattern:
 def scalar_plane_sample(t, x, half_period):
     """Standard-library oracle for one plane-pattern sample: (value, in_cone).
 
-    Open cone; half-open parity cells; the same float operations as the
-    array code, so agreement is exact.
+    Open cone; half-open parity cells; the float operations of the array
+    code's float rule, which the exact rule agrees with on the default
+    grids, so agreement is exact.
     """
     if not abs(x) < t:
         return 0, False
@@ -210,6 +213,42 @@ class TestPlanePatternOracle:
             expect = [scalar_plane_sample(t, x, UNITS.half_period) for x in xs.tolist()]
             assert pattern.value.tolist() == [v for v, _ in expect]
             assert pattern.in_cone.tolist() == [c for _, c in expect]
+
+
+def fraction_cell(t, x, h):
+    """floor(sqrt(t^2 - x^2) / h) of the doubles, by Fraction comparisons of squares."""
+    square, h = Fraction(t) ** 2 - Fraction(x) ** 2, Fraction(h)
+    n = int(math.sqrt(max(t * t - x * x, 0.0)) / h)
+    while n > 0 and (n * h) ** 2 > square:
+        n -= 1
+    while ((n + 1) * h) ** 2 <= square:
+        n += 1
+    return n
+
+
+class TestExactCell:
+    @given(
+        period=st.integers(1, 5000).map(lambda k: k / 1000),
+        t=st.integers(1, 30000).map(lambda k: k / 1000),
+        boundary=st.floats(0.0, 1.0),
+        sign=st.sampled_from([-1.0, 1.0]),
+    )
+    def test_matches_fraction_oracle_near_boundaries(self, period, t, boundary, sign):
+        """Decimal t and T, and the x within 8 ulps of a half-period boundary k T/2 <= t."""
+        units = UnitsConfig(period)
+        h = units.half_period
+        k = math.floor(boundary * t / h)
+        x0 = math.sqrt(max(t * t - (k * h) ** 2, 0.0))
+        xs = [x0]
+        for direction in (math.inf, 0.0):
+            x = x0
+            for _ in range(8):
+                x = math.nextafter(x, direction)
+                xs.append(x)
+        xs = [sign * x for x in xs if x < t]
+        cells = [_exact_cell(t, x, h) for x in xs]
+        assert cells == [fraction_cell(t, x, h) for x in xs]
+        assert plane_pattern(t, xs, units).value.tolist() == [(-1) ** cell for cell in cells]
 
 
 class TestGalileanPattern:

@@ -482,6 +482,28 @@ class TestConfigErrors:
             assert not out.exists()
 
 
+# clock-pattern at the desk defaults, at the benchmark's size, and with
+# crossings crowded two to a grid cell near the cone.
+PATTERN_SIZES = [
+    pytest.param([], id="desk"),
+    pytest.param(["x_step=0.01", "raster_t_step=0.25"], id="benchmark"),
+    pytest.param(["compton_period=0.7", "t=7.35"], id="crowded"),
+]
+
+
+def flip_in_cone_sample(end):
+    """A plane_pattern whose first or last in-cone sample has its parity flipped."""
+    def flipped(t, x, units):
+        pattern = plane_pattern(t, x, units)
+        inside = np.nonzero(pattern.in_cone)[0]
+        value = pattern.value.copy()
+        k = inside[0] if end == "first" else inside[-1]
+        value[k] = -value[k]
+        return Pattern(pattern.x, value, pattern.in_cone)
+
+    return flipped
+
+
 class TestExactChecks:
     """crossings_bracketed and variance_law compare runs with exact lattice laws."""
 
@@ -513,18 +535,27 @@ class TestExactChecks:
         configs = np.round(np.random.default_rng(0).uniform([0.3, 1.0], [5.0, 24.0], size=(300, 2)), 3)
         for period, t in configs.tolist():
             units = UnitsConfig(period)
-            mismatched, _ = clock_signal._crossing_cells(t, units, plane_pattern(t, xs, units))
-            assert mismatched == 0, (period, t)
+            assert clock_signal._parity_mismatches(t, units, plane_pattern(t, xs, units)) == 0, (period, t)
 
-    def test_sample_at_rounding_distance_is_undetermined(self, tmp_path):
-        # At x = 1e-9, sqrt(t^2 - x^2) rounds to t = 0.7, two half periods, so
-        # the sample reads +1; the true tau lies 7e-19 below, where it is -1.
+    @pytest.mark.parametrize(
+        "sets,row",
+        [
+            # sqrt(t^2 - x^2) rounds to t = 0.7, two half periods, where the
+            # float rule reads +1; the exact tau lies 7e-19 below, in the odd cell.
+            pytest.param(
+                ["t=0.7", "compton_period=0.7", "x_min=1e-9", "raster_t_step=7.35"], "1e-09,0.7,-1,1", id="x=1e-9"
+            ),
+            # the float turns lie 5 ulps from a whole number, on its wrong side
+            pytest.param(
+                ["compton_period=0.3", "t=15.46", "x_min=-15.46", "x_max=15.46"], "-14.96,15.46,1,1", id="5-ulps"
+            ),
+        ],
+    )
+    def test_sample_at_rounding_distance_reads_exact_parity(self, tmp_path, sets, row):
         out = tmp_path / "run"
-        args = ["t=0.7", "compton_period=0.7", "x_min=1e-9", "raster_t_step=7.35"]
-        assert run("clock-pattern", out, *(a for arg in args for a in ("--set", arg))) == EXIT_OK
-        rep = report(out)
-        assert rep["checks"]["crossings_bracketed"] == {"passed": True, "value": 0, "threshold": 0, "rule": "<="}
-        assert rep["undetermined_crossing_cells"] == 1
+        assert run("clock-pattern", out, *(a for arg in sets for a in ("--set", arg))) == EXIT_OK
+        assert report(out)["checks"]["crossings_bracketed"] == {"passed": True, "value": 0, "threshold": 0, "rule": "<="}
+        assert row in (out / "slice.csv").read_text().splitlines()
 
     @pytest.mark.parametrize(
         "sets",
@@ -532,11 +563,15 @@ class TestExactChecks:
     )
     def test_exact_boundary_samples_are_determined(self, sets):
         # Both grids hold x = 0, +-12 and +-16, where tau is exactly 10, 8 and
-        # 6 half periods; their cells stay in the value.
+        # 6 half periods: each reads its own cell's parity, +1.
         cfg = experiments_cli.resolve_config("clock-pattern", {}, sets)
-        metrics = experiments_cli.RUNNERS["clock-pattern"](cfg, 0).metrics
-        assert metrics["undetermined_crossing_cells"] == 0
+        result = experiments_cli.RUNNERS["clock-pattern"](cfg, 0)
+        slice_table = broadcast_table(result.tables["slice"])
+        x, parity = slice_table["x"], slice_table["parity"]
+        assert parity[np.isin(x, [0.0, 12.0, -12.0, 16.0, -16.0])].tolist() == [1] * 5
+        assert result.checks["crossings_bracketed"]["value"] == 0
 
+    @pytest.mark.parametrize("sets", PATTERN_SIZES)
     @pytest.mark.parametrize(
         "mutant",
         [
@@ -544,30 +579,23 @@ class TestExactChecks:
             pytest.param(
                 lambda tau, units: np.where(np.floor(tau / units.half_period + 0.5) % 2, -1, 1), id="T/4-shift"
             ),
-            # differs from floor only where tau is a whole number of half periods
+            # the parity of every cell's upper neighbour, except exactly on a boundary
             pytest.param(lambda tau, units: np.where(np.ceil(tau / units.half_period) % 2, -1, 1), id="ceil"),
         ],
     )
-    def test_parity_mutants_fail(self, monkeypatch, mutant):
+    def test_parity_mutants_fail(self, monkeypatch, mutant, sets):
         monkeypatch.setattr(clock_signal, "parity_of_proper_time", mutant)
-        cfg = experiments_cli.resolve_config("clock-pattern", {}, [])
+        cfg = experiments_cli.resolve_config("clock-pattern", {}, sets)
         record = experiments_cli.RUNNERS["clock-pattern"](cfg, 0).checks["crossings_bracketed"]
         assert record["passed"] is False and record["value"] > 0
 
+    @pytest.mark.parametrize("sets", PATTERN_SIZES)
     @pytest.mark.parametrize("end", ["first", "last"])
-    def test_flipped_in_cone_sample_fails(self, tmp_path, monkeypatch, end):
-        def flipped(t, x, units):
-            pattern = plane_pattern(t, x, units)
-            inside = np.nonzero(pattern.in_cone)[0]
-            value = pattern.value.copy()
-            k = inside[0] if end == "first" else inside[-1]
-            value[k] = -value[k]
-            return Pattern(pattern.x, value, pattern.in_cone)
-
-        monkeypatch.setattr(clock_signal, "plane_pattern", flipped)
+    def test_flipped_in_cone_sample_fails(self, tmp_path, monkeypatch, end, sets):
+        monkeypatch.setattr(clock_signal, "plane_pattern", flip_in_cone_sample(end))
         out = tmp_path / "run"
-        assert run("clock-pattern", out) == EXIT_CHECK
-        # the sample's one cell with both ends in the cone disagrees
+        assert run("clock-pattern", out, *(a for arg in sets for a in ("--set", arg))) == EXIT_CHECK
+        # the one flipped sample disagrees with the exact rule
         assert report(out)["checks"]["crossings_bracketed"] == {"passed": False, "value": 1, "threshold": 0, "rule": "<="}
 
     @pytest.mark.parametrize("q", [0.4999, 0.5001])
@@ -887,7 +915,7 @@ class TestConfigResolution:
             assert run(name, tmp_path / name, *extra.get(name, [])) == EXIT_OK
             keys[name] = sorted(report(tmp_path / name))
         assert keys == {
-            "clock-pattern": ["checks", "manifest", "predicted_crossings", "timings", "undetermined_crossing_cells"],
+            "clock-pattern": ["checks", "manifest", "predicted_crossings", "timings"],
             "propagator-compare": [
                 "checks", "manifest", "n_crossings_pattern", "n_crossings_re_feynman", "n_spacing_pairs", "timings",
             ],
@@ -1001,33 +1029,41 @@ class TestDeterminism:
     @pytest.mark.parametrize(
         "scenario,args,digest",
         [
-            ("clock-pattern", [], "8e9c0a9ca449ef58492a52bea7b41d047528f5285b48f561d623071fd1c295a7"),
-            (
+            pytest.param(
+                "clock-pattern", [], "8e9c0a9ca449ef58492a52bea7b41d047528f5285b48f561d623071fd1c295a7",
+                id="clock-pattern-csv",
+            ),
+            pytest.param(
                 "clock-pattern",
                 ["--format", "json"],
                 "fc399280a0f7f51dd8d687672ffd76a5c7346e8407d46e37907eb584a9017607",
+                id="clock-pattern-json",
             ),
-            (
+            pytest.param(
                 "lattice-evolve",
                 ["--set", "n_steps=16", "--set", "mc_paths=2000", "--seed", "11"],
                 "22abb3d53fb7161860fb9d7d1e9593759da7e076095f8da6f5b6f568932edaf2",
+                id="lattice-evolve-csv",
             ),
-            (
+            pytest.param(
                 "lattice-evolve",
                 ["--set", "n_steps=16", "--set", "mc_paths=2000", "--seed", "11", "--format", "json"],
                 "c22753f13eee2530d1e0e364806abbdf03a5c9e66f80832c261d824be5f44b3e",
+                id="lattice-evolve-json",
             ),
             # A point source at alpha = sqrt2: p is the bare walk, phi is
             # scaled by alpha**s.
-            (
+            pytest.param(
                 "lattice-evolve",
                 ["--set", "init=phi_point", "--set", "alpha=sqrt2"],
                 "38340413b26941cf431747ecd281a4e5f818b2817bdcf359b186e04e5362de7d",
+                id="lattice-evolve-phi_point-sqrt2",
             ),
-            (
+            pytest.param(
                 "lattice-evolve",
                 ["--set", "init=z_point"],
                 "d19180fa8159e09de10834c7e42a1adf9df8e2f0af98781b47ba0b26d41257c5",
+                id="lattice-evolve-z_point",
             ),
         ],
     )

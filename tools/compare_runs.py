@@ -37,17 +37,21 @@ the parity's bound on half periods (propagator-compare at t = 1e17).
 Three clock-pattern configs follow: x_step = 0.005 in CSV and in
 JSON, whose 10 001-row slice is written run by run across a CHUNK_ROWS
 boundary, and a slice whose sample at x = 1e-9 lies within rounding of a
-half-period boundary (t = compton_period = 0.7), which crossings_bracketed
-counts as undetermined.  Two configs that exercise the spectral engine's
-one step function close the list: continuum-check at diffusion_deltas =
-0.025, 0.0125, 0.00625, whose finest diffusion level runs the z block for
-s = 25 600 steps, and spectral-check at alpha = 0.7, a third alpha for the
-transfer matrices that step builds.  Two grids of the decimal grid rule
-close it.  lattice-evolve at delta = 0.3333333333333333 has x numerators
-k * 3333333333333333 (in units of 1e-16) past 2**53, so its positions take
-the rule's Python-int division path.  propagator-compare at x_window = 3.7
+half-period boundary (t = compton_period = 0.7), where the float rule
+reads the wrong side and plane_pattern takes the exact cell.  Two configs
+that exercise the spectral engine's one step function follow:
+continuum-check at diffusion_deltas = 0.025, 0.0125, 0.00625, whose finest
+diffusion level runs the z block for s = 25 600 steps, and spectral-check
+at alpha = 0.7, a third alpha for the transfer matrices that step
+builds.  Two grids of the decimal grid rule follow.  lattice-evolve at
+delta = 0.3333333333333333 has x numerators k * 3333333333333333 (in units
+of 1e-16) past 2**53, so its positions take the rule's Python-int division
+path.  propagator-compare at x_window = 3.7
 and x_step = 0.003 starts its grid at a one-decimal -3.7 and steps it by a
-three-decimal 0.003.
+three-decimal 0.003.  Two clock-pattern configs with samples within
+rounding of a half-period boundary end the list: the desk grid at
+compton_period = 0.7, and a slice at t = 15.46, compton_period = 0.3 whose
+sample at x = -14.96 lies 5 ulps from one.
 """
 
 from __future__ import annotations
@@ -118,6 +122,10 @@ INVOCATIONS: list[tuple[str, Op]] = [
     ("lattice-evolve delta=0.3333333333333333", lattice("delta=0.3333333333333333")),
     ("propagator-compare x_window=3.7 x_step=0.003",
      Op("propagator-compare", (("x_window", "3.7"), ("x_step", "0.003")))),
+    ("clock-pattern compton_period=0.7", Op("clock-pattern", (("compton_period", "0.7"),))),
+    ("clock-pattern sample 5 ulps from a boundary", Op("clock-pattern", (
+        ("compton_period", "0.3"), ("t", "15.46"), ("x_min", "-15.46"), ("x_max", "15.46"),
+    ))),
 ]
 
 
