@@ -19,7 +19,6 @@ __all__ = [
     "__version__",
     "clock_signal",
     "experiments_cli",
-    "kinematics",
     "lattice_walk",
     "reference_solutions",
     "rundir",

@@ -1,12 +1,15 @@
-"""Binary clock signals, spacetime parity patterns, and the two-path filter.
+"""Units, proper time, binary clock signals, spacetime parity patterns, and the two-path filter.
 
-A clock ticks through half-periods of proper time; its parity is +1 on
-even half-periods and -1 on odd ones.  Patterns over a fixed-time slice,
-the two-path Lorentz-equivalence filter, and an idealized double-slit
-arrangement are all built from that rule, evaluated on arrays of screen
-positions.  The plane pattern's parity is exact: within rounding distance
-of a half-period boundary it comes from the integer rule _exact_cell, which
-also checks a slice sample by sample; the slit screen keeps the float rule.
+Natural units throughout: c = 1 and action scale = 1, so lengths and times
+share one unit and the particle mass is an inverse time.  A clock ticks
+through half-periods of the proper time summed over the straight legs of
+its path; its parity is +1 on even half-periods and -1 on odd ones.
+Patterns over a fixed-time slice, the two-path Lorentz-equivalence filter,
+and an idealized double-slit arrangement are all built from that rule,
+evaluated on arrays of screen positions.  The plane pattern's parity is
+exact: within rounding distance of a half-period boundary it comes from
+the integer rule _exact_parity, which also checks a slice sample by
+sample; the slit screen keeps the float rule.
 
 The two patterns draw their cone differently, and each keeps the
 convention its committed data were made with: the plane pattern's cone is
@@ -23,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kinematics import UnitsConfig, proper_time
-
 __all__ = [
+    "UnitsConfig",
+    "proper_time",
     "Pattern",
     "SlitGeometry",
     "parity_of_proper_time",
@@ -35,6 +38,53 @@ __all__ = [
     "double_slit_phi",
     "gap_intervals",
 ]
+
+
+@dataclass(frozen=True)
+class UnitsConfig:
+    """Unit system pinned to the intrinsic clock period.
+
+    The clock toggles twice per period, so its angular frequency is
+    2*pi/T; that frequency is the particle mass in natural units.  The
+    default period of 4 gives m = pi/2 and diffusion constant
+    D = 1/(2m) = 1/pi.
+    """
+
+    compton_period: float = 4.0
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.compton_period) and self.compton_period > 0):
+            raise ValueError(f"compton_period must be positive, got {self.compton_period}")
+
+    @property
+    def mass(self) -> float:
+        return 2.0 * math.pi / self.compton_period
+
+    @property
+    def half_period(self) -> float:
+        """Duration of one parity cell (half a clock period)."""
+        return 0.5 * self.compton_period
+
+
+def proper_time(dt, dx) -> np.ndarray:
+    """Proper time along piecewise-straight paths: sum of sqrt(dt^2 - dx^2) over legs.
+
+    dt and dx hold each leg's coordinate duration and displacement, with
+    the legs of one path on the last axis; the two broadcast against each
+    other and the result drops the leg axis.  Velocity changes only at the
+    hinges between legs, so the sum is the whole proper time: at most the
+    coordinate time, with equality exactly for a path at rest.
+
+    Every leg must take a positive finite time and end in the closed
+    forward light cone of its start (|dx| <= dt); a lightlike leg adds no
+    proper time.  Raises ValueError otherwise, or for a path with no legs.
+    """
+    dt, dx = np.broadcast_arrays(np.asarray(dt, dtype=float), np.asarray(dx, dtype=float))
+    if dt.ndim == 0 or dt.shape[-1] == 0:
+        raise ValueError("a path needs at least one leg")
+    if not np.all(np.isfinite(dt) & (dt > 0.0) & (np.abs(dx) <= dt)):
+        raise ValueError("every leg needs a finite dt > 0 and |dx| <= dt")
+    return np.sqrt(dt * dt - dx * dx).sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -103,7 +153,7 @@ def plane_pattern(t, x, units: UnitsConfig) -> Pattern:
     sqrt(t^2 - x^2); level sets are hyperbolae.  On and outside the cone
     the signal is reported as 0 with in_cone false.
 
-    Each parity is (-1)**_exact_cell of the sampled doubles: the float rule
+    Each parity is _exact_parity of the sampled doubles: the float rule
     gives it, except within rounding distance of a half-period boundary.
     """
     t = np.asarray(t, dtype=float)
@@ -122,11 +172,14 @@ def plane_pattern(t, x, units: UnitsConfig) -> Pattern:
     # floors can differ, lies that close to turns in squares, and so does the
     # integer next to turns on its side.  16u leaves room for the higher orders
     # and the test's own roundings, which are relative to its small result.
+    # The bound assumes that t*t is a normal double.  Below t = 2**-511 it is
+    # subnormal, its rounding error is no longer within u t^2, and so those
+    # samples all take the exact cell.
     turns, bound = tau / h, 16 * 2.0**-53 * (ts / h) ** 2
     below = np.floor(turns)
     near = ((turns - below) * (turns + below) <= bound) | ((below + 1 - turns) * (below + 1 + turns) <= bound)
-    for i in np.flatnonzero(near).tolist():
-        parity[i] = 1 - 2 * (_exact_cell(ts[i].item(), xs[i].item(), h) % 2)
+    for i in np.flatnonzero(near | (ts < 2.0**-511)).tolist():
+        parity[i] = _exact_parity(ts[i].item(), xs[i].item(), h)
     value = np.zeros(x.shape, dtype=int)
     value[in_cone] = parity
     return Pattern(x, value, in_cone)
@@ -153,10 +206,14 @@ def _exact_cell(t: float, x: float, h: float) -> int:
     return math.isqrt(((a * q) ** 2 - (b * p) ** 2) * r * r) // (p * q * c)
 
 
+def _exact_parity(t: float, x: float, h: float) -> int:
+    """(-1)**_exact_cell(t, x, h): the exact parity of the doubles t, x and h."""
+    return 1 - 2 * (_exact_cell(t, x, h) % 2)
+
+
 def _parity_mismatches(t: float, units: UnitsConfig, pattern: Pattern) -> int:
-    """In-cone samples of a plane_pattern(t, ., units) slice whose parity is not (-1)**_exact_cell."""
-    h = units.half_period
-    exact = [1 - 2 * (_exact_cell(t, x, h) % 2) for x in pattern.x[pattern.in_cone].tolist()]
+    """In-cone samples of a plane_pattern(t, ., units) slice whose parity is not _exact_parity."""
+    exact = [_exact_parity(t, x, units.half_period) for x in pattern.x[pattern.in_cone].tolist()]
     return int(np.count_nonzero(pattern.value[pattern.in_cone] != exact))
 
 

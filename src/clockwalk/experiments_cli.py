@@ -207,8 +207,7 @@ def _grid(x_min: float, x_max: float, step: float) -> np.ndarray:
     raster_t_step=(_positive, "0.5"),
 )
 def run_clock_pattern(cfg: dict, seed: int) -> ScenarioResult:
-    from .clock_signal import _parity_mismatches, parity_crossings, plane_pattern
-    from .kinematics import UnitsConfig
+    from .clock_signal import UnitsConfig, _parity_mismatches, parity_crossings, plane_pattern
 
     units = UnitsConfig(cfg["compton_period"])
     xs = _grid(cfg["x_min"], cfg["x_max"], cfg["x_step"])
@@ -239,8 +238,7 @@ def run_clock_pattern(cfg: dict, seed: int) -> ScenarioResult:
     x_step=(_positive, "0.01"),
 )
 def run_propagator_compare(cfg: dict, seed: int) -> ScenarioResult:
-    from .clock_signal import plane_pattern
-    from .kinematics import UnitsConfig
+    from .clock_signal import UnitsConfig, plane_pattern
     from .reference_solutions import SampledSignal, compare, feynman_free
 
     units = UnitsConfig(cfg["compton_period"])
@@ -276,8 +274,7 @@ def run_propagator_compare(cfg: dict, seed: int) -> ScenarioResult:
     node_tolerance=(_non_negative, "0.01"),  # a key because perfbench/checks.py reads it from the manifest
 )
 def run_double_slit(cfg: dict, seed: int) -> ScenarioResult:
-    from .clock_signal import SlitGeometry, double_slit_phi, gap_intervals
-    from .kinematics import UnitsConfig
+    from .clock_signal import SlitGeometry, UnitsConfig, double_slit_phi, gap_intervals
     from .reference_solutions import node_spacing_deviation, two_source_superposition
 
     units = UnitsConfig(cfg["compton_period"])
@@ -289,7 +286,7 @@ def run_double_slit(cfg: dict, seed: int) -> ScenarioResult:
     # the averaged signal; each squared parity is 1, so the control is 1
     # on the doubly-reachable mask and produces no gaps.
     control = phi.in_cone.astype(int)
-    _, fey = two_source_superposition(xs, t2, a, units)
+    _, fey = two_source_superposition(xs, t2, a, units.mass)
     gaps = gap_intervals(phi)
     expected_spacing = math.pi * t2 / (units.mass * a)
     nodes, node_dev = node_spacing_deviation(xs, fey, expected_spacing)

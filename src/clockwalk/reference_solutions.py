@@ -2,7 +2,8 @@
 
 Free-particle propagator, diffusion Green's function, two-source
 superposition, sampled-signal comparison (sign agreement, zero-crossing
-spacings), and convergence-order fitting.
+spacings), and convergence-order fitting.  The propagators take the mass m
+itself, so this layer depends on no other module of the package.
 """
 
 from __future__ import annotations
@@ -11,8 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .kinematics import UnitsConfig
 
 __all__ = [
     "SampledSignal",
@@ -90,15 +89,15 @@ def diffusion_green(x, t: float, D: float):
     return np.exp(-x * x / (4.0 * D * t)) / math.sqrt(4.0 * math.pi * D * t)
 
 
-def two_source_superposition(x, t: float, a: float, units: UnitsConfig):
-    """Coherent sum of propagators from sources at +/- a, and its intensity.
+def two_source_superposition(x, t: float, a: float, m: float):
+    """Coherent sum of propagators of mass m from sources at +/- a, and its intensity.
 
     Returns (amplitude, intensity).  The intensity is
     4 |K|^2 cos^2(m a x / t): nodes where m a x / t = pi/2 + k pi, hence
     equally spaced with spacing pi t / (m a).
     """
     x = np.asarray(x, dtype=float)
-    amp = feynman_free(x - a, t, units.mass) + feynman_free(x + a, t, units.mass)
+    amp = feynman_free(x - a, t, m) + feynman_free(x + a, t, m)
     return amp, np.abs(amp) ** 2
 
 

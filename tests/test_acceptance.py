@@ -14,7 +14,6 @@ import numpy as np
 from conftest import record_acceptance, stroboscopic_power
 
 from clockwalk.experiments_cli import EXIT_OK, main
-from clockwalk.kinematics import UnitsConfig
 from clockwalk.lattice_walk import (
     SQRT2,
     decompose,
@@ -36,7 +35,7 @@ from clockwalk.reference_solutions import (
     local_minima,
     two_source_superposition,
 )
-from clockwalk.clock_signal import SlitGeometry, double_slit_phi, plane_pattern
+from clockwalk.clock_signal import SlitGeometry, UnitsConfig, double_slit_phi, plane_pattern
 from clockwalk.spectral_limit import (
     diffusion_levels,
     eigenvalue_leading_order,
@@ -325,7 +324,7 @@ def test_09_double_slit_gaps_and_nodes():
     control_ok = not gap_intervals(coarse.x, coarse.in_cone & (control == 0))
 
     xs = np.array(coarse_x)
-    _, inten = two_source_superposition(xs, t2, a, UNITS)
+    _, inten = two_source_superposition(xs, t2, a, UNITS.mass)
     nodes = local_minima(xs, inten)
     expected = math.pi * t2 / (UNITS.mass * a)
     node_dev = float(np.max(np.abs(np.diff(nodes) - expected)) / expected) if nodes.size >= 2 else math.inf

@@ -13,9 +13,8 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from clockwalk import clock_signal, experiments_cli, lattice_walk, rundir, spectral_limit
-from clockwalk.clock_signal import Pattern, plane_pattern
+from clockwalk.clock_signal import Pattern, UnitsConfig, plane_pattern
 from clockwalk.experiments_cli import EXIT_CHECK, EXIT_CONFIG, EXIT_IO, EXIT_OK, main
-from clockwalk.kinematics import UnitsConfig
 from clockwalk.rundir import verify_manifest
 
 # Trimmed level sequences keep the full pipeline honest but quick: the
@@ -233,12 +232,12 @@ class TestImportScope:
     # Each invocation compiles every module it imports when bytecode is not
     # cached, so the command line loads only the physics its scenario runs.
     SHELL = {"clockwalk", "clockwalk.experiments_cli", "clockwalk.rundir"}
-    SPECTRAL = {"spectral_limit", "lattice_walk", "reference_solutions", "kinematics"}
+    SPECTRAL = {"spectral_limit", "lattice_walk", "reference_solutions"}
     # Each scenario at a tiny size, and the physics modules it loads.
     TINY = {
-        "clock-pattern": (["--set", "x_step=0.5", "--set", "raster_t_step=5"], {"clock_signal", "kinematics"}),
-        "propagator-compare": (["--set", "x_step=0.1"], {"clock_signal", "kinematics", "reference_solutions"}),
-        "double-slit": (["--set", "x_step=0.5"], {"clock_signal", "kinematics", "reference_solutions"}),
+        "clock-pattern": (["--set", "x_step=0.5", "--set", "raster_t_step=5"], {"clock_signal"}),
+        "propagator-compare": (["--set", "x_step=0.1"], {"clock_signal", "reference_solutions"}),
+        "double-slit": (["--set", "x_step=0.5"], {"clock_signal", "reference_solutions"}),
         "lattice-evolve": (["--set", "n_steps=8"], {"lattice_walk"}),
         "continuum-check": (FAST_CONTINUUM, SPECTRAL),
         "spectral-check": (["--set", "site_count=64"], SPECTRAL),
@@ -548,6 +547,16 @@ class TestExactChecks:
             # the float turns lie 5 ulps from a whole number, on its wrong side
             pytest.param(
                 ["compton_period=0.3", "t=15.46", "x_min=-15.46", "x_max=15.46"], "-14.96,15.46,1,1", id="5-ulps"
+            ),
+            # t*t is subnormal: the float turns read 4.001, past the rounding
+            # bound, while the exact tau lies just below 4 half periods.
+            pytest.param(
+                [
+                    "t=1e-160", "compton_period=3e-161", "x_min=-1e-160", "x_max=1e-160", "x_step=1e-163",
+                    "raster_t_min=1e-160", "raster_t_max=2e-160", "raster_t_step=1e-160",
+                ],
+                "-8e-161,1e-160,-1,1",
+                id="t=1e-160",
             ),
         ],
     )

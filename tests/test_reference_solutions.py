@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from clockwalk.kinematics import UnitsConfig
 from clockwalk.reference_solutions import (
     SampledSignal,
     compare,
@@ -16,7 +15,7 @@ from clockwalk.reference_solutions import (
     zero_crossings,
 )
 
-UNITS = UnitsConfig(4.0)
+M = math.pi / 2  # the mass at compton_period 4
 
 trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -43,8 +42,8 @@ class TestSampledSignal:
 class TestFeynmanFree:
     def test_constant_modulus(self):
         x = np.linspace(-20, 20, 401)
-        k = feynman_free(x, 20.0, UNITS.mass)
-        expect = 1.0 / math.sqrt(2.0 * math.pi * 20.0 / UNITS.mass)
+        k = feynman_free(x, 20.0, M)
+        expect = 1.0 / math.sqrt(2.0 * math.pi * 20.0 / M)
         np.testing.assert_allclose(np.abs(k), expect, rtol=1e-14)
 
     @pytest.mark.parametrize("D", [0.5, 0.25, 0.3])
@@ -72,7 +71,7 @@ class TestFeynmanFree:
         """
         t = 20.0
         x = np.arange(5.0, 15.0 + 1e-9, 0.01)
-        re_k = np.real(feynman_free(x, t, UNITS.mass))
+        re_k = np.real(feynman_free(x, t, M))
         found = zero_crossings(SampledSignal(x, re_k))
         expected = [math.sqrt(60.0 + 80.0 * k) for k in range(3)]
         assert found.size == len(expected)
@@ -120,24 +119,24 @@ class TestDiffusionGreen:
 
 class TestTwoSourceSuperposition:
     def test_center_is_constructive(self):
-        amp, inten = two_source_superposition(np.array([0.0]), 40.0, 4.0, UNITS)
-        k = feynman_free(np.array([4.0]), 40.0, UNITS.mass)
+        amp, inten = two_source_superposition(np.array([0.0]), 40.0, 4.0, M)
+        k = feynman_free(np.array([4.0]), 40.0, M)
         assert abs(amp[0] - 2.0 * k[0]) < 1e-14
         assert abs(inten[0] - 4.0 * abs(k[0]) ** 2) < 1e-15
 
     def test_first_node_position(self):
         a, t = 4.0, 40.0
-        node = math.pi * t / (2.0 * UNITS.mass * a)
-        _, inten = two_source_superposition(np.array([0.0, node]), t, a, UNITS)
+        node = math.pi * t / (2.0 * M * a)
+        _, inten = two_source_superposition(np.array([0.0, node]), t, a, M)
         assert inten[1] / inten[0] < 1e-20
 
     def test_node_spacing(self):
         a, t = 4.0, 40.0
         x = np.linspace(-30, 30, 1201)
-        _, inten = two_source_superposition(x, t, a, UNITS)
+        _, inten = two_source_superposition(x, t, a, M)
         nodes = local_minima(x, inten)
         assert nodes.size >= 2
-        spacing = math.pi * t / (UNITS.mass * a)
+        spacing = math.pi * t / (M * a)
         np.testing.assert_allclose(np.diff(nodes), spacing, rtol=1e-9)
         found, dev = node_spacing_deviation(x, inten, spacing)
         assert np.array_equal(found, nodes) and dev <= 1e-9
@@ -150,12 +149,12 @@ class TestTwoSourceSuperposition:
 
     def test_even_in_x(self):
         x = np.linspace(-25, 25, 501)
-        _, inten = two_source_superposition(x, 40.0, 4.0, UNITS)
+        _, inten = two_source_superposition(x, 40.0, 4.0, M)
         np.testing.assert_allclose(inten, inten[::-1], rtol=0, atol=1e-15)
 
     def test_intensity_is_squared_modulus(self):
         x = np.linspace(-10, 10, 101)
-        amp, inten = two_source_superposition(x, 40.0, 4.0, UNITS)
+        amp, inten = two_source_superposition(x, 40.0, 4.0, M)
         np.testing.assert_allclose(inten, np.abs(amp) ** 2, rtol=0, atol=0)
 
 
@@ -206,7 +205,7 @@ class TestZeroCrossings:
 
     def test_smooth_on_propagator_matches_scan_oracle(self):
         x = np.linspace(-30.0, 30.0, 16001)
-        sig = SampledSignal(x, np.real(feynman_free(x, 20.0, UNITS.mass)))
+        sig = SampledSignal(x, np.real(feynman_free(x, 20.0, M)))
         assert zero_crossings(sig).tobytes() == scan_crossings(sig.x, sig.values).tobytes()
 
 

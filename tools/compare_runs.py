@@ -7,8 +7,10 @@ with DIR/src on PYTHONPATH, into a fresh run directory per side.  For each
 invocation the script prints both exit codes and every data file whose
 SHA-256 differs between the sides or that only one side wrote.  Under each
 data file that both sides wrote it prints the columns whose cells differ,
-each with the count of changed cells and the largest distance in ulps
-between a changed cell's two values (see column_changes).  report.json
+each with the count of changed cells and the largest distance between a
+changed cell's two values: their absolute difference in a column whose
+changed cells are all integers as written, their distance in ulps
+otherwise (see column_changes).  report.json
 is compared too, without its wall-clock fields (`timings`, and the
 `manifest.duration_seconds` that older checkouts write), and each key that
 differs is printed as a dotted path such as `checks.unitarity`.  The exit
@@ -49,9 +51,11 @@ of 1e-16) past 2**53, so its positions take the rule's Python-int division
 path.  propagator-compare at x_window = 3.7
 and x_step = 0.003 starts its grid at a one-decimal -3.7 and steps it by a
 three-decimal 0.003.  Two clock-pattern configs with samples within
-rounding of a half-period boundary end the list: the desk grid at
+rounding of a half-period boundary follow: the desk grid at
 compton_period = 0.7, and a slice at t = 15.46, compton_period = 0.3 whose
-sample at x = -14.96 lies 5 ulps from one.
+sample at x = -14.96 lies 5 ulps from one.  A clock-pattern slice at
+t = 1e-160 ends the list: there t*t is subnormal, and the float rule reads
+the samples at x = +-8e-161 in the wrong cell.
 """
 
 from __future__ import annotations
@@ -60,6 +64,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -126,6 +131,10 @@ INVOCATIONS: list[tuple[str, Op]] = [
     ("clock-pattern sample 5 ulps from a boundary", Op("clock-pattern", (
         ("compton_period", "0.3"), ("t", "15.46"), ("x_min", "-15.46"), ("x_max", "15.46"),
     ))),
+    ("clock-pattern at t = 1e-160, where t*t is subnormal", Op("clock-pattern", (
+        ("t", "1e-160"), ("compton_period", "3e-161"), ("x_min", "-1e-160"), ("x_max", "1e-160"),
+        ("x_step", "1e-163"), ("raster_t_min", "1e-160"), ("raster_t_max", "2e-160"), ("raster_t_step", "1e-160"),
+    ))),
 ]
 
 
@@ -164,19 +173,33 @@ def ordered_bits(values: np.ndarray) -> np.ndarray:
     return np.where(bits >> np.uint64(63), ~bits, bits | np.uint64(1 << 63))
 
 
+def is_integer(cell) -> bool:
+    """Whether a cell is an integer as written: CSV integer text, or a JSON int or bool."""
+    return isinstance(cell, int) or (isinstance(cell, str) and re.fullmatch(r"[-+]?[0-9]+", cell) is not None)
+
+
 def column_changes(path_a: Path, path_b: Path) -> list[str]:
-    """One line per column whose cells differ: the count of changed cells and the largest ulp distance between them."""
+    """One line per column whose cells differ: the count of changed cells and the largest distance between them.
+
+    The distance is the absolute difference when every changed cell on both
+    sides is an integer as written (a parity moving from -1 to 1 is 2 apart),
+    and the distance in ulps between the cells read as doubles otherwise.
+    """
     (header_a, rows_a), (header_b, rows_b) = columns(path_a), columns(path_b)
     if header_a != header_b or len(rows_a) != len(rows_b):
         return [f"header {header_a} -> {header_b}, {len(rows_a)} -> {len(rows_b)} rows"]
     lines = []
     for j, name in enumerate(header_a):
         cells_a, cells_b = [row[j] for row in rows_a], [row[j] for row in rows_b]
-        changed = [k for k, (a, b) in enumerate(zip(cells_a, cells_b)) if a != b]
-        if changed:
-            a, b = (ordered_bits(np.array([cells[k] for k in changed], dtype=float)) for cells in (cells_a, cells_b))
-            ulps = int(np.where(a > b, a - b, b - a).max())
-            lines.append(f"{name}: {len(changed)} of {len(cells_a)} cells changed, largest {ulps} ulps")
+        pairs = [(a, b) for a, b in zip(cells_a, cells_b) if a != b]
+        if not pairs:
+            continue
+        if all(is_integer(a) and is_integer(b) for a, b in pairs):
+            distance = f"largest absolute difference {max(abs(int(a) - int(b)) for a, b in pairs)}"
+        else:
+            a, b = (ordered_bits(np.array(side, dtype=float)) for side in zip(*pairs))
+            distance = f"largest {int(np.where(a > b, a - b, b - a).max())} ulps"
+        lines.append(f"{name}: {len(pairs)} of {len(cells_a)} cells changed, {distance}")
     return lines
 
 
