@@ -80,9 +80,12 @@ def _column_text(arrays, fmt: str) -> list[np.ndarray]:
     only.  The arrays of one dtype are deduped together, so a value in
     several of them is formatted once.  Values are keyed on their bit
     pattern, not compared as numbers: -0.0 equals 0.0 but is written
-    differently.  Bools are 1/0 in CSV and true/false in JSON; numbers are
-    their repr, which round-trips a float.  JSON has no literal for a
-    non-finite float, so there it is its repr in quotes.
+    differently.  One rule serves both formats: a bool is 1 or 0, and a
+    number is its repr, which round-trips a float, less the ".0" of a
+    whole float (12.0 is 12; whole floats of 1e16 and over are already
+    1e+16).  -0.0 keeps its ".0": a JSON reader takes -0 for the int 0.
+    JSON has no literal for a non-finite float, so there it is its repr in
+    quotes.
     """
     cells = {}
     for dtype in dict.fromkeys(a.dtype for a in arrays):
@@ -91,11 +94,11 @@ def _column_text(arrays, fmt: str) -> list[np.ndarray]:
         distinct = np.sort(np.concatenate([key.ravel() for key in keys.values()]))
         distinct = np.concatenate((distinct[:1], distinct[1:][distinct[1:] != distinct[:-1]]))
         values = distinct.view(dtype)
-        if dtype.kind == "b":
-            true, false = ("1", "0") if fmt == "csv" else ("true", "false")
-            text = [true if v else false for v in values.tolist()]
-        else:
-            text = list(map(repr, values.tolist()))
+        text = list(map(repr, (distinct if dtype.kind == "b" else values).tolist()))  # a bool's key is 0 or 1
+        if dtype.kind == "f":
+            whole = (values == np.trunc(values)) & (np.abs(values) < 1e16) & ((values != 0) | ~np.signbit(values))
+            for i in np.flatnonzero(whole).tolist():
+                text[i] = text[i][:-2]
             if fmt == "json" and not np.isfinite(values).all():
                 text = [f'"{s}"' if s in ("nan", "inf", "-inf") else s for s in text]
         text = np.array(text, dtype=object)
@@ -177,8 +180,11 @@ def _write_table(path: Path, header: list[str], columns: Columns, fmt: str) -> s
 
     CSV is a header line and one line per row.  JSON is the object
     {"header": [...], "rows": [[...], ...]} with sorted keys and no spaces.
-    A chunk never spans two indices of the leading axes.  A table whose
-    mean run (see _segments) is at least RUN_ROWS rows takes the run path:
+    A cell's text is the same in both (see _column_text), save that JSON
+    quotes a non-finite float; so a JSON reader gets a whole float back as
+    an int and a bool as 0 or 1.  A chunk never spans two indices of the
+    leading axes.  A table whose mean run (see _segments) is at least
+    RUN_ROWS rows takes the run path:
     each run is one join over the text of the one column that changes in
     it, and the other columns are formatted at run starts only.  The
     clock raster at the benchmark size is 495 099 rows in 1 473 runs.  Any

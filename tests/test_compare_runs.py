@@ -2,6 +2,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 SPEC = importlib.util.spec_from_file_location(
     "compare_runs", Path(__file__).resolve().parents[1] / "tools" / "compare_runs.py"
 )
@@ -44,3 +46,45 @@ class TestColumnChanges:
         a = write_json(tmp_path / "a.json", [[0.25, 1, True]])
         b = write_json(tmp_path / "b.json", [[0.25, 1.0000000000000002, True]])
         assert compare_runs.column_changes(a, b) == ["parity: 1 of 1 cells changed, largest 1 ulps"]
+
+
+# The same two rows in the writer's earlier text and in its one-rule text:
+# whole floats lose their ".0" and JSON flags turn from true/false to 1/0.
+# -0.0 keeps its text, and the parity is written alike.
+TEXT_BEFORE = {
+    "csv": "x,parity,in_cone\n12.0,1,1\n-0.0,-1,0\n",
+    "json": '{"header":["x","parity","in_cone"],"rows":[[12.0,1,true],[-0.0,-1,false]]}\n',
+}
+TEXT_AFTER = {
+    "csv": "x,parity,in_cone\n12,1,1\n-0.0,-1,0\n",
+    "json": '{"header":["x","parity","in_cone"],"rows":[[12,1,1],[-0.0,-1,0]]}\n',
+}
+
+
+class TestTextOnlyChanges:
+    @pytest.mark.parametrize(
+        "fmt,expected",
+        [
+            ("csv", ["x: 1 of 2 cells changed as text, values equal"]),
+            (
+                "json",
+                [
+                    "x: 1 of 2 cells changed as text, values equal",
+                    "in_cone: 2 of 2 cells changed as text, values equal",
+                ],
+            ),
+        ],
+    )
+    def test_equal_values_read_text_only(self, tmp_path, fmt, expected):
+        a, b = tmp_path / f"a.{fmt}", tmp_path / f"b.{fmt}"
+        a.write_text(TEXT_BEFORE[fmt], encoding="utf-8")
+        b.write_text(TEXT_AFTER[fmt], encoding="utf-8")
+        assert compare_runs.column_changes(a, b) == expected
+
+    def test_moved_and_text_only_cells_are_counted_apart(self, tmp_path):
+        # JSON reads -0.0 and 0.0 as equal floats; as written they are one ulp apart.
+        a = write_json(tmp_path / "a.json", [[12.0, 1, True], [-0.0, 1, True], [0.25, 1, True]])
+        b = write_json(tmp_path / "b.json", [[12, 1, True], [0.0, 1, True], [0.25, 1, True]])
+        assert compare_runs.column_changes(a, b) == [
+            "x: 1 of 3 cells changed, largest 1 ulps; 1 more cells changed as text, values equal",
+        ]

@@ -1039,25 +1039,25 @@ class TestDeterminism:
         "scenario,args,digest",
         [
             pytest.param(
-                "clock-pattern", [], "8e9c0a9ca449ef58492a52bea7b41d047528f5285b48f561d623071fd1c295a7",
+                "clock-pattern", [], "d0b7d8aef8d0bd719191d47c130768bfb761e4a33a3c6115f16d21a004aabc09",
                 id="clock-pattern-csv",
             ),
             pytest.param(
                 "clock-pattern",
                 ["--format", "json"],
-                "fc399280a0f7f51dd8d687672ffd76a5c7346e8407d46e37907eb584a9017607",
+                "656cef510f359715e3d833bae80d6f5bbacf09d46f29ec8205d69ea95bc994c9",
                 id="clock-pattern-json",
             ),
             pytest.param(
                 "lattice-evolve",
                 ["--set", "n_steps=16", "--set", "mc_paths=2000", "--seed", "11"],
-                "22abb3d53fb7161860fb9d7d1e9593759da7e076095f8da6f5b6f568932edaf2",
+                "a35c1ebf2c85406669127e4aaad4c5b40d1e8be4b37c24f04a59d026b7b85b2c",
                 id="lattice-evolve-csv",
             ),
             pytest.param(
                 "lattice-evolve",
                 ["--set", "n_steps=16", "--set", "mc_paths=2000", "--seed", "11", "--format", "json"],
-                "c22753f13eee2530d1e0e364806abbdf03a5c9e66f80832c261d824be5f44b3e",
+                "f3c24efce0bc8f9885149e09ed1ec8d050e2128be6895507800a8f6e221edeed",
                 id="lattice-evolve-json",
             ),
             # A point source at alpha = sqrt2: p is the bare walk, phi is
@@ -1065,13 +1065,13 @@ class TestDeterminism:
             pytest.param(
                 "lattice-evolve",
                 ["--set", "init=phi_point", "--set", "alpha=sqrt2"],
-                "38340413b26941cf431747ecd281a4e5f818b2817bdcf359b186e04e5362de7d",
+                "f1d5cb98de708a6ad1f0bee0445db28ed91bf45b3184e9eb6e532330054f9c8e",
                 id="lattice-evolve-phi_point-sqrt2",
             ),
             pytest.param(
                 "lattice-evolve",
                 ["--set", "init=z_point"],
-                "d19180fa8159e09de10834c7e42a1adf9df8e2f0af98781b47ba0b26d41257c5",
+                "1638c2e17daae53bbd18c50834105626ecb943c74b64a92f4068ee0383f2631b",
                 id="lattice-evolve-z_point",
             ),
         ],
@@ -1082,26 +1082,21 @@ class TestDeterminism:
         assert report(out)["manifest"]["digest"] == digest
 
 
-# The per-cell writer the columnar one replaced, kept as its oracle.
-def _format_cell(v) -> str:
+# The per-cell writer the columnar one replaced, kept as its oracle.  One
+# text rule serves both formats: a flag is 1 or 0, a whole float under 1e16
+# is written as an integer (all but -0.0, which a JSON reader would take for
+# the int 0), and any other number is its repr; JSON quotes a non-finite float.
+def _cell_text(v, fmt) -> str:
     if isinstance(v, (bool, np.bool_)):
         return "1" if v else "0"
     if isinstance(v, (int, np.integer)):
         return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
-
-
-def _json_cell(v):
-    if isinstance(v, (bool, np.bool_)):
-        return bool(v)
-    if isinstance(v, (int, np.integer)):
-        return int(v)
-    if isinstance(v, (float, np.floating)):
-        f = float(v)
-        return f if math.isfinite(f) else repr(f)
-    return str(v)
+    f = float(v)
+    if not math.isfinite(f):
+        return f'"{f!r}"' if fmt == "json" else repr(f)
+    if f.is_integer() and abs(f) < 1e16 and (f != 0 or math.copysign(1.0, f) > 0):
+        return str(int(f))
+    return repr(f)
 
 
 def oracle_table_bytes(columns, fmt):
@@ -1109,13 +1104,11 @@ def oracle_table_bytes(columns, fmt):
     the columns broadcast to one shape, in C order."""
     header = list(columns)
     flat = [a.ravel() for a in np.broadcast_arrays(*map(np.asarray, columns.values()))]
-    rows = [[a[i] for a in flat] for i in range(flat[0].size)]
+    rows = [",".join(_cell_text(a[i], fmt) for a in flat) for i in range(flat[0].size)]
     if fmt == "csv":
-        lines = [",".join(header)]
-        lines.extend(",".join(_format_cell(v) for v in row) for row in rows)
-        return ("\n".join(lines) + "\n").encode("utf-8")
-    payload = {"header": header, "rows": [[_json_cell(v) for v in row] for row in rows]}
-    return (json.dumps(payload, sort_keys=True, indent=None, separators=(",", ":")) + "\n").encode("utf-8")
+        return ("\n".join([",".join(header), *rows]) + "\n").encode("utf-8")
+    body = ",".join(f"[{row}]" for row in rows)
+    return ('{"header":' + json.dumps(header, separators=(",", ":")) + ',"rows":[' + body + "]}\n").encode("utf-8")
 
 
 # Every column repeats values, so a table deduplicates, and 0.0 sits beside
@@ -1425,6 +1418,39 @@ RUN_TABLES = {
 }
 
 
+# Doubles at the edges of the text rule: the signed zeros, the least
+# subnormal, the ends of the run of integers a double holds exactly, whole
+# values on both sides of 1e16 (under it a whole float is written as an
+# integer) and a huge one; NaN, the infinities and plain values beside them.
+ROUND_TRIP_FLOATS = [
+    -0.0, 0.0, 5e-324, 2.0**53, -(2.0**53), 9007199254740994.0, 1e16 - 2, 1e16, 1e300,
+    math.nan, math.inf, -math.inf, 0.1, -25.0, 12.0, -2.5e-308, 1.5,
+]
+
+
+def round_trip_columns(values, run_path):
+    """A (m * m)-row table of m floats and flags.  v changes on every row;
+    on the run path y and flag hold each value for m rows, on the row path
+    they change on every row too."""
+    m = values.size
+    flags = np.arange(m) % 3 == 0
+    if run_path:
+        return {"v": np.tile(values, m), "y": np.repeat(values, m), "flag": np.repeat(flags, m)}
+    return {"v": np.tile(values, m), "y": np.tile(np.roll(values, 1), m), "flag": np.tile(flags, m)}
+
+
+def read_back(path, fmt):
+    """(header, each row's cells as text, each row's cells as read): a CSV
+    cell reads as its text, a JSON cell as json.loads returns it."""
+    blob = path.read_text(encoding="utf-8")
+    if fmt == "csv":
+        header, *lines = blob.splitlines()
+        texts = [line.split(",") for line in lines]
+        return header.split(","), texts, texts
+    data = json.loads(blob)
+    return data["header"], json.loads(blob, parse_float=str, parse_int=str)["rows"], data["rows"]
+
+
 class TestWriter:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("name", list(RUN_TABLES))
@@ -1504,6 +1530,34 @@ class TestWriter:
             path = tmp_path / f"t.{fmt}"
             assert rundir._write_table(path, header, cols, fmt) == hashlib.sha256(expected).hexdigest()
             assert path.read_bytes() == expected
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("run_path", [True, False], ids=["run-path", "row-path"])
+    @pytest.mark.parametrize("chunk_rows", [1, 3, rundir.CHUNK_ROWS])
+    @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(extra=st.lists(st.floats(), max_size=6))
+    def test_cells_read_back_as_the_same_value(self, tmp_path, monkeypatch, fmt, run_path, chunk_rows, extra):
+        # Every float reads back with its bit pattern (NaN as NaN), every
+        # flag as 0 or 1, and no float is written with a ".0" but -0.0.
+        monkeypatch.setattr(rundir, "CHUNK_ROWS", chunk_rows)
+        chosen, segments = [], rundir._segments
+        monkeypatch.setattr(rundir, "_segments", lambda cols: chosen.append(segments(cols)) or chosen[-1])
+        columns = round_trip_columns(np.array(ROUND_TRIP_FLOATS + extra), run_path)
+        path = tmp_path / f"t.{fmt}"
+        rundir._write_table(path, *rundir.table(**columns), fmt)
+        assert (chosen[-1] is not None) == run_path
+        header, texts, cells = read_back(path, fmt)
+        assert header == list(columns) and len(cells) == columns["v"].size
+        for j, (name, column) in enumerate(columns.items()):
+            text, read = [row[j] for row in texts], np.array([float(row[j]) for row in cells])
+            if column.dtype == bool:
+                assert text == ["1" if b else "0" for b in column.tolist()], name
+                assert read.tolist() == column.astype(float).tolist(), name
+                continue
+            nan = np.isnan(column)
+            assert np.isnan(read[nan]).all(), name
+            assert read[~nan].view(np.uint64).tolist() == column[~nan].view(np.uint64).tolist(), name
+            assert [t for t in text if t.endswith(".0") and t != "-0.0"] == [], name
 
     @pytest.mark.parametrize(
         "scenario,args",

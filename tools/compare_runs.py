@@ -6,16 +6,18 @@ DIR is the root of a checkout; each invocation runs `python -m clockwalk`
 with DIR/src on PYTHONPATH, into a fresh run directory per side.  For each
 invocation the script prints both exit codes and every data file whose
 SHA-256 differs between the sides or that only one side wrote.  Under each
-data file that both sides wrote it prints the columns whose cells differ,
-each with the count of changed cells and the largest distance between a
+data file that both sides wrote it prints the columns whose cells differ
+as written (CSV text, or a JSON value's type and text).  Each gets the
+count of cells whose values changed, with the largest distance between a
 changed cell's two values: their absolute difference in a column whose
 changed cells are all integers as written, their distance in ulps
-otherwise (see column_changes).  report.json
-is compared too, without its wall-clock fields (`timings`, and the
-`manifest.duration_seconds` that older checkouts write), and each key that
-differs is printed as a dotted path such as `checks.unitarity`.  The exit
-code is 1 if any invocation differs in exit code, data or report, 0
-otherwise.
+otherwise.  A cell that reads back as the same value on both sides (12.0
+and 12, true and 1) is counted apart, as changed as text only (see
+column_changes).  report.json is compared too, without its wall-clock
+fields (`timings`, and the `manifest.duration_seconds` that older
+checkouts write), and each key that differs is printed as a dotted path
+such as `checks.unitarity`.  The exit code is 1 if any invocation differs
+in exit code, data or report, 0 otherwise.
 
 The list covers the six scenarios at their desk defaults in CSV and JSON,
 every invocation of the benchmark's workloads, taken from
@@ -178,12 +180,28 @@ def is_integer(cell) -> bool:
     return isinstance(cell, int) or (isinstance(cell, str) and re.fullmatch(r"[-+]?[0-9]+", cell) is not None)
 
 
-def column_changes(path_a: Path, path_b: Path) -> list[str]:
-    """One line per column whose cells differ: the count of changed cells and the largest distance between them.
+def as_written(cell) -> tuple[type, str]:
+    """A cell's type and text, so that 1.0, 1 and true differ, and -0.0 and 0.0 too."""
+    return type(cell), repr(cell)
 
-    The distance is the absolute difference when every changed cell on both
-    sides is an integer as written (a parity moving from -1 to 1 is 2 apart),
-    and the distance in ulps between the cells read as doubles otherwise.
+
+def same_value(a, b) -> bool:
+    """Whether two cells read as the same value: equal integers, or doubles with one bit pattern (a bool as 0/1)."""
+    if is_integer(a) and is_integer(b):
+        return int(a) == int(b)
+    bits_a, bits_b = np.array([float(a), float(b)]).view(np.uint64)
+    return bits_a == bits_b
+
+
+def column_changes(path_a: Path, path_b: Path) -> list[str]:
+    """One line per column whose cells differ as written: how many changed, and how far.
+
+    Cells are compared as written: CSV text, or a JSON value's type and
+    text.  A changed cell that reads as the same value on both sides (see
+    same_value) changed as text only.  The distance between the cells whose
+    values changed is their largest absolute difference when every one of
+    them is an integer as written (a parity moving from -1 to 1 is 2
+    apart), and their largest distance in ulps, read as doubles, otherwise.
     """
     (header_a, rows_a), (header_b, rows_b) = columns(path_a), columns(path_b)
     if header_a != header_b or len(rows_a) != len(rows_b):
@@ -191,15 +209,21 @@ def column_changes(path_a: Path, path_b: Path) -> list[str]:
     lines = []
     for j, name in enumerate(header_a):
         cells_a, cells_b = [row[j] for row in rows_a], [row[j] for row in rows_b]
-        pairs = [(a, b) for a, b in zip(cells_a, cells_b) if a != b]
-        if not pairs:
-            continue
-        if all(is_integer(a) and is_integer(b) for a, b in pairs):
-            distance = f"largest absolute difference {max(abs(int(a) - int(b)) for a, b in pairs)}"
-        else:
-            a, b = (ordered_bits(np.array(side, dtype=float)) for side in zip(*pairs))
-            distance = f"largest {int(np.where(a > b, a - b, b - a).max())} ulps"
-        lines.append(f"{name}: {len(pairs)} of {len(cells_a)} cells changed, {distance}")
+        changed = [(a, b) for a, b in zip(cells_a, cells_b) if as_written(a) != as_written(b)]
+        pairs = [(a, b) for a, b in changed if not same_value(a, b)]
+        parts = []
+        if pairs:
+            if all(is_integer(a) and is_integer(b) for a, b in pairs):
+                distance = f"largest absolute difference {max(abs(int(a) - int(b)) for a, b in pairs)}"
+            else:
+                a, b = (ordered_bits(np.array(side, dtype=float)) for side in zip(*pairs))
+                distance = f"largest {int(np.where(a > b, a - b, b - a).max())} ulps"
+            parts.append(f"{len(pairs)} of {len(cells_a)} cells changed, {distance}")
+        if len(changed) > len(pairs):
+            count = f"{len(changed) - len(pairs)} more" if pairs else f"{len(changed)} of {len(cells_a)}"
+            parts.append(f"{count} cells changed as text, values equal")
+        if parts:
+            lines.append(f"{name}: " + "; ".join(parts))
     return lines
 
 
