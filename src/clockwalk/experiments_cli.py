@@ -12,6 +12,8 @@ it matches, 3 when it does not, 2 when RUN_DIR is not a run.
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import math
 import os
 import sys
@@ -22,6 +24,14 @@ import numpy as np
 
 from . import __version__
 from .rundir import ConfigError, ScenarioResult, check, check_replaceable, table, verify_manifest, write_run
+
+# At interpreter exit, move every tracked object to the permanent
+# generation, so the final collections skip the import heap of numpy and
+# the package (about 22 000 objects) and the OS reclaims it instead.  atexit
+# handlers run before those collections; in-process callers keep normal GC
+# until then.  Shutdown of the six benchmark invocations went 11.3-13.1 ms
+# -> 3.9-4.9 ms (median of 11, 2-CPU AMD EPYC, Python 3.11.7).
+atexit.register(gc.freeze)
 
 __all__ = [
     "main",

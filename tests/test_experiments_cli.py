@@ -254,6 +254,44 @@ class TestImportScope:
         assert loaded_modules(code) == self.SHELL | {f"clockwalk.{name}" for name in physics}
 
 
+def cli_process(*argv):
+    """``python -m clockwalk ARGV`` in a fresh interpreter on the checkout's sources."""
+    return subprocess.run([sys.executable, "-m", "clockwalk", *map(str, argv)],
+                          capture_output=True, text=True, env=source_env())
+
+
+class TestInterpreterExit:
+    # The CLI freezes the heap at interpreter exit, so the final collections
+    # skip it; what a process prints and writes must not change.
+    def test_heap_is_frozen_only_at_exit(self):
+        # atexit runs handlers last in, first out: one registered before the
+        # import runs after the CLI's freeze.
+        code = (
+            "import atexit, gc\n"
+            "atexit.register(lambda: print('at exit', gc.get_freeze_count() > 0))\n"
+            "import clockwalk.experiments_cli\n"
+            "print('after import', gc.get_freeze_count())\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=source_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["after import 0", "at exit True"]
+
+    def test_verify_prints_and_exits(self, tmp_path):
+        out = tmp_path / "d"
+        assert run("spectral-check", out, "--set", "site_count=64") == EXIT_OK
+        proc = cli_process("verify", out)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_OK, f"{out} matches its manifest\n", "")
+        (out / "expansion.csv").write_bytes((out / "expansion.csv").read_bytes() + b"\n")
+        proc = cli_process("verify", out)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_CHECK, "", f"{out} does not match its manifest\n")
+
+    def test_failed_check_prints_and_exits(self, tmp_path):
+        out = tmp_path / "slit"
+        proc = cli_process("double-slit", "--out", out, "--set", "x_step=0.7")
+        assert (proc.returncode, proc.stderr) == (EXIT_CHECK, "numerical checks failed: node_spacing\n")
+        assert cli_process("verify", out).returncode == EXIT_OK
+
+
 class TestConfigErrors:
     def test_unknown_key(self, tmp_path):
         out = tmp_path / "x"

@@ -11,6 +11,10 @@ per-layer metrics.  Every run's JSON result goes into the file as soon as it end
 with a summary per workload and end-to-end metric: each side's median and
 quartiles, and how many pairs the change won.  Under "trees" it names
 the code each side ran: a SHA-256 over its `src/` files (see tree_digest).
+
+It refuses to start (exit 2) while either checkout's `src/` holds a
+`__pycache__`: a side that imports cached bytecode skips compiling the
+package on every invocation and reads faster on unchanged code.
 """
 
 from __future__ import annotations
@@ -93,6 +97,12 @@ def main(argv=None) -> int:
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
+    caches = sorted(path for root in (args.parent, args.change)
+                    for path in (root / "src").rglob("__pycache__") if path.is_dir())
+    if caches:
+        for path in caches:
+            print(f"bench_pairs: {path} holds cached bytecode; remove it", file=sys.stderr)
+        return 2
     bench = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     workloads = [w["name"] for w in bench["workloads"]]
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
