@@ -249,25 +249,22 @@ def run_clock_pattern(cfg: dict, seed: int) -> ScenarioResult:
 )
 def run_propagator_compare(cfg: dict, seed: int) -> ScenarioResult:
     from .clock_signal import UnitsConfig, plane_pattern
-    from .reference_solutions import SampledSignal, compare, feynman_free
+    from .reference_solutions import crossing_spacing_error, feynman_free, sign_agreement, zero_crossings
 
     units = UnitsConfig(cfg["compton_period"])
     xs = _grid(-cfg["x_window"], cfg["x_window"], cfg["x_step"])
 
     pattern = plane_pattern(cfg["t"], xs, units).value.astype(float)
     re_k = np.real(feynman_free(xs, cfg["t"], units.mass))
-    rep = compare(SampledSignal(xs, pattern), SampledSignal(xs, re_k))
+    ca, cb = zero_crossings(xs, pattern), zero_crossings(xs, re_k)
+    spacing_err, n_pairs = crossing_spacing_error(ca, cb)
     return ScenarioResult(
         tables={"compare": table(x=xs, clock_parity=pattern, re_feynman=re_k, sign_re_feynman=np.sign(re_k))},
-        metrics={
-            "n_spacing_pairs": rep.n_spacing_pairs,
-            "n_crossings_pattern": int(rep.zero_crossings_a.size),
-            "n_crossings_re_feynman": int(rep.zero_crossings_b.size),
-        },
+        metrics={"n_spacing_pairs": n_pairs, "n_crossings_pattern": ca.size, "n_crossings_re_feynman": cb.size},
         checks={
-            "sign_agreement": check(rep.sign_agreement_fraction, ">=", 0.95),
+            "sign_agreement": check(sign_agreement(pattern, re_k), ">=", 0.95),
             # None, and so passed, with fewer than two crossings on either side
-            "crossing_spacing": check(rep.crossing_spacing_error, "<=", 0.10),
+            "crossing_spacing": check(spacing_err, "<=", 0.10),
         },
     )
 

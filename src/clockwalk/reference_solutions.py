@@ -1,66 +1,29 @@
 """Analytic reference signals and the comparison metrics used by acceptance tests.
 
 Free-particle propagator, diffusion Green's function, two-source
-superposition, sampled-signal comparison (sign agreement, zero-crossing
-spacings), and convergence-order fitting.  The propagators take the mass m
-itself, so this layer depends on no other module of the package.
+superposition, the comparison of two signals sampled on one grid (sign
+agreement, zero crossings and their spacings), and convergence-order
+fitting.  The propagators take the mass m itself, so this layer depends
+on no other module of the package.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "SampledSignal",
-    "ComparisonReport",
     "feynman_free",
     "diffusion_green",
     "two_source_superposition",
     "zero_crossings",
-    "compare",
+    "crossing_spacing_error",
+    "sign_agreement",
     "fit_convergence_order",
     "local_minima",
     "node_spacing_deviation",
 ]
-
-
-@dataclass(frozen=True)
-class SampledSignal:
-    """A real-valued signal sampled on a strictly increasing grid."""
-
-    x: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        x = np.asarray(self.x, dtype=float)
-        v = np.asarray(self.values)
-        if x.ndim != 1 or v.shape != x.shape:
-            raise ValueError("grid and values must be 1-d arrays of equal length")
-        if np.iscomplexobj(v):
-            raise ValueError("sampled signals are real; pass .real or a sign explicitly")
-        if x.size >= 2 and not np.all(np.diff(x) > 0):
-            raise ValueError("grid must be strictly increasing")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "values", np.asarray(v, dtype=float))
-
-
-@dataclass
-class ComparisonReport:
-    """Sign and zero-crossing agreement between two sampled signals on a shared grid.
-
-    crossing_spacing_error is the max relative difference of matched
-    zero-crossing spacings, or None when either signal offers fewer than
-    two crossings (no spacing to match).
-    """
-
-    sign_agreement_fraction: float
-    zero_crossings_a: np.ndarray
-    zero_crossings_b: np.ndarray
-    crossing_spacing_error: float | None
-    n_spacing_pairs: int
 
 
 def feynman_free(x, t: float, m: float):
@@ -101,12 +64,8 @@ def two_source_superposition(x, t: float, a: float, m: float):
     return amp, np.abs(amp) ** 2
 
 
-def _is_binary(values: np.ndarray) -> bool:
-    return bool(np.all(np.isin(values, (-1.0, 0.0, 1.0))))
-
-
-def zero_crossings(sig: SampledSignal) -> np.ndarray:
-    """Zero-crossing positions of a sampled signal.
+def zero_crossings(x, v) -> np.ndarray:
+    """Zero-crossing positions of a real signal v sampled on the strictly increasing grid x.
 
     Binary signals (values in {-1, 0, +1}): the crossing is the midpoint of
     the sign-change cell, the best available locator for a discontinuous
@@ -114,8 +73,9 @@ def zero_crossings(sig: SampledSignal) -> np.ndarray:
     sign-change cell (the closed form that cell bisection converges to);
     exact zero samples count as crossings at their own grid point.
     """
-    x, v = sig.x, sig.values
-    if _is_binary(v):
+    x = np.asarray(x, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if np.all(np.isin(v, (-1.0, 0.0, 1.0))):
         idx = np.nonzero(v[:-1] * v[1:] < 0)[0]
         return 0.5 * (x[idx] + x[idx + 1])
     cross = np.zeros(v.shape, dtype=bool)
@@ -126,15 +86,17 @@ def zero_crossings(sig: SampledSignal) -> np.ndarray:
     return out[cross | (v == 0.0)]
 
 
-def _matched_spacing_error(ca: np.ndarray, cb: np.ndarray):
-    """Max relative difference of crossing spacings, matched by location.
+def crossing_spacing_error(ca: np.ndarray, cb: np.ndarray) -> tuple[float | None, int]:
+    """Max relative difference of the crossing spacings of ca and cb,
+    matched by location, and the number of spacings matched.
 
     Spacings are functions of position (midpoint of each crossing pair);
     signal b's spacing profile is linearly interpolated at signal a's
     spacing midpoints.  Matching by location rather than by index is what
     a local-frequency comparison requires: a constant phase offset between
     two signals of equal local frequency shifts crossing indices but not
-    the spacing profile.
+    the spacing profile.  (None, 0) when either side has fewer than two
+    crossings or no spacing of a lies within b's.
     """
     if ca.size < 2 or cb.size < 2:
         return None, 0
@@ -148,30 +110,11 @@ def _matched_spacing_error(ca: np.ndarray, cb: np.ndarray):
     return float(rel.max()), int(sel.sum())
 
 
-def compare(a: SampledSignal, b: SampledSignal) -> ComparisonReport:
-    """Compare two signals sampled on the identical grid.
-
-    Sign agreement is scored after an optional global sign flip of b, the
-    flip maximizing agreement.  Resampling onto a shared grid is the
-    caller's job.
-    """
-    if a.x.shape != b.x.shape or not np.array_equal(a.x, b.x):
-        raise ValueError("signals must share an identical grid")
-
-    sa, sb = np.sign(a.values), np.sign(b.values)
-    agree = max(float(np.mean(sa == sb)), float(np.mean(sa == -sb))) if sa.size else 1.0
-
-    ca = zero_crossings(a)
-    cb = zero_crossings(b)
-    spacing_err, n_pairs = _matched_spacing_error(ca, cb)
-
-    return ComparisonReport(
-        sign_agreement_fraction=agree,
-        zero_crossings_a=ca,
-        zero_crossings_b=cb,
-        crossing_spacing_error=spacing_err,
-        n_spacing_pairs=n_pairs,
-    )
+def sign_agreement(a, b) -> float:
+    """Fraction of samples where sign(a) equals sign(b), after the global
+    sign flip of b that maximizes it; 1.0 for empty signals."""
+    sa, sb = np.sign(a), np.sign(b)
+    return max(float(np.mean(sa == sb)), float(np.mean(sa == -sb))) if sa.size else 1.0
 
 
 def fit_convergence_order(deltas, errors) -> float:

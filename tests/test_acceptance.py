@@ -28,12 +28,13 @@ from clockwalk.lattice_walk import (
     z_step,
 )
 from clockwalk.reference_solutions import (
-    SampledSignal,
-    compare,
+    crossing_spacing_error,
     feynman_free,
     fit_convergence_order,
     local_minima,
+    sign_agreement,
     two_source_superposition,
+    zero_crossings,
 )
 from clockwalk.clock_signal import SlitGeometry, UnitsConfig, double_slit_phi, plane_pattern
 from clockwalk.spectral_limit import (
@@ -253,29 +254,25 @@ def test_08_pattern_vs_propagator():
     xs = np.arange(-4.0, 4.0 + 1e-9, 0.01)
     pattern = plane_pattern(t, xs, UNITS).value.astype(float)
     re_k = np.real(feynman_free(xs, t, UNITS.mass))
-    rep = compare(SampledSignal(xs, pattern), SampledSignal(xs, re_k))
-    primary_spacing_ok = rep.crossing_spacing_error is None or rep.crossing_spacing_error <= 0.10
+    agree = sign_agreement(pattern, re_k)
+    smooth_crossings = zero_crossings(xs, re_k)
+    spacing_err, _ = crossing_spacing_error(zero_crossings(xs, pattern), smooth_crossings)
+    primary_spacing_ok = spacing_err is None or spacing_err <= 0.10
 
     t2 = 2001.0
     xs2 = np.arange(50.0, 400.0 + 1e-9, 0.25)
     pattern2 = plane_pattern(t2, xs2, UNITS).value.astype(float)
     re_k2 = np.real(feynman_free(xs2, t2, UNITS.mass))
-    rep2 = compare(SampledSignal(xs2, pattern2), SampledSignal(xs2, re_k2))
+    far_err, far_pairs = crossing_spacing_error(zero_crossings(xs2, pattern2), zero_crossings(xs2, re_k2))
 
-    ok = (
-        rep.sign_agreement_fraction >= 0.95
-        and primary_spacing_ok
-        and rep2.crossing_spacing_error is not None
-        and rep2.crossing_spacing_error <= 0.10
-    )
+    ok = agree >= 0.95 and primary_spacing_ok and far_err is not None and far_err <= 0.10
     assert announce(
         8,
         "pattern against propagator",
         ok,
-        f"sign agreement {rep.sign_agreement_fraction:.4f} >= 0.95, "
-        f"near window spacing vacuous (smooth-side crossings {rep.zero_crossings_b.size}, flagged), "
-        f"far window {rep2.n_spacing_pairs} pairs max spacing dev "
-        f"{rep2.crossing_spacing_error:.4f} <= 0.10",
+        f"sign agreement {agree:.4f} >= 0.95, "
+        f"near window spacing vacuous (smooth-side crossings {smooth_crossings.size}, flagged), "
+        f"far window {far_pairs} pairs max spacing dev {far_err:.4f} <= 0.10",
     )
 
 

@@ -3,14 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from clockwalk.clock_signal import UnitsConfig, plane_pattern
+from clockwalk.experiments_cli import _grid
 from clockwalk.reference_solutions import (
-    SampledSignal,
-    compare,
+    crossing_spacing_error,
     diffusion_green,
     feynman_free,
     fit_convergence_order,
     local_minima,
     node_spacing_deviation,
+    sign_agreement,
     two_source_superposition,
     zero_crossings,
 )
@@ -18,25 +20,6 @@ from clockwalk.reference_solutions import (
 M = math.pi / 2  # the mass at compton_period 4
 
 trapezoid = getattr(np, "trapezoid", None) or np.trapz
-
-
-class TestSampledSignal:
-    def test_holds_arrays(self):
-        s = SampledSignal(np.array([0.0, 1.0]), np.array([2, 3]))
-        assert s.x.dtype == s.values.dtype == np.float64
-        assert s.values.tolist() == [2.0, 3.0]
-
-    def test_rejects_length_mismatch(self):
-        with pytest.raises(ValueError):
-            SampledSignal(np.array([0.0, 1.0]), np.array([1.0]))
-
-    def test_rejects_unsorted_grid(self):
-        with pytest.raises(ValueError):
-            SampledSignal(np.array([1.0, 0.0]), np.array([1.0, 2.0]))
-
-    def test_rejects_duplicate_grid_points(self):
-        with pytest.raises(ValueError):
-            SampledSignal(np.array([0.0, 0.0]), np.array([1.0, 2.0]))
 
 
 class TestFeynmanFree:
@@ -72,7 +55,7 @@ class TestFeynmanFree:
         t = 20.0
         x = np.arange(5.0, 15.0 + 1e-9, 0.01)
         re_k = np.real(feynman_free(x, t, M))
-        found = zero_crossings(SampledSignal(x, re_k))
+        found = zero_crossings(x, re_k)
         expected = [math.sqrt(60.0 + 80.0 * k) for k in range(3)]
         assert found.size == len(expected)
         for f, e in zip(found, expected):
@@ -160,26 +143,23 @@ class TestTwoSourceSuperposition:
 
 class TestZeroCrossings:
     def test_binary_uses_cell_midpoints(self):
-        sig = SampledSignal(np.array([0.0, 1.0, 2.0]), np.array([1.0, 1.0, -1.0]))
-        np.testing.assert_allclose(zero_crossings(sig), [1.5], rtol=0, atol=0)
+        got = zero_crossings(np.array([0.0, 1.0, 2.0]), np.array([1.0, 1.0, -1.0]))
+        np.testing.assert_allclose(got, [1.5], rtol=0, atol=0)
 
     def test_smooth_uses_linear_interpolant(self):
-        sig = SampledSignal(np.array([0.0, 1.0]), np.array([-1.0, 3.0]))
-        np.testing.assert_allclose(zero_crossings(sig), [0.25], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(zero_crossings(np.array([0.0, 1.0]), np.array([-1.0, 3.0])), [0.25], rtol=0, atol=1e-15)
 
     def test_exact_zero_sample_counted_once(self):
-        sig = SampledSignal(np.array([0.0, 1.0, 2.0]), np.array([-1.0, 0.0, 2.0]))
-        np.testing.assert_allclose(zero_crossings(sig), [1.0], rtol=0, atol=0)
+        got = zero_crossings(np.array([0.0, 1.0, 2.0]), np.array([-1.0, 0.0, 2.0]))
+        np.testing.assert_allclose(got, [1.0], rtol=0, atol=0)
 
     def test_trailing_zero_counted(self):
-        sig = SampledSignal(np.array([0.0, 1.0]), np.array([3.0, 0.0]))
-        np.testing.assert_allclose(zero_crossings(sig), [1.0], rtol=0, atol=0)
+        np.testing.assert_allclose(zero_crossings(np.array([0.0, 1.0]), np.array([3.0, 0.0])), [1.0], rtol=0, atol=0)
 
     def test_binary_with_gap_zeros_not_crossings(self):
         # 0-valued stretches in a binary signal separate signs without
         # contributing crossings of their own
-        sig = SampledSignal(np.arange(5.0), np.array([1.0, 0.0, 0.0, -1.0, -1.0]))
-        assert zero_crossings(sig).size == 0
+        assert zero_crossings(np.arange(5.0), np.array([1.0, 0.0, 0.0, -1.0, -1.0])).size == 0
 
     @pytest.mark.parametrize(
         "values",
@@ -197,16 +177,15 @@ class TestZeroCrossings:
         x = np.cumsum(np.random.default_rng(len(values)).random(len(values)) + 0.1)
         x = np.concatenate([[-0.0], x[1:] - x[0]]) if x.size else x
         v = np.array(values)
-        sig = SampledSignal(x, v)
-        got = zero_crossings(sig)
-        expected = scan_crossings(sig.x, sig.values)
+        got = zero_crossings(x, v)
+        expected = scan_crossings(x, v)
         assert got.dtype == expected.dtype == np.float64
         assert got.tobytes() == expected.tobytes()
 
     def test_smooth_on_propagator_matches_scan_oracle(self):
         x = np.linspace(-30.0, 30.0, 16001)
-        sig = SampledSignal(x, np.real(feynman_free(x, 20.0, M)))
-        assert zero_crossings(sig).tobytes() == scan_crossings(sig.x, sig.values).tobytes()
+        v = np.real(feynman_free(x, 20.0, M))
+        assert zero_crossings(x, v).tobytes() == scan_crossings(x, v).tobytes()
 
 
 def scan_crossings(x, v):
@@ -221,65 +200,134 @@ def scan_crossings(x, v):
     return np.array(out, dtype=float)
 
 
-class TestCompare:
-    def grid(self):
-        return np.linspace(0.0, 10.0, 1001)
+def binary(v):
+    """sign(v), with the zero samples set to +1."""
+    s = np.sign(v)
+    s[s == 0] = 1.0
+    return s
 
+
+X_COARSE = np.linspace(0.0, 10.0, 1001)
+X_WAVE = np.arange(0.0, 10.0, 0.01)
+X_FINE = np.arange(0.0, 11.0, 0.005)
+
+# (x, a, b): pairs of signals on one grid, each named for what it probes
+PAIRS = {
+    "identical": (X_COARSE, np.sin(X_COARSE), np.sin(X_COARSE)),
+    "global flip": (X_COARSE, np.sin(X_COARSE), -np.sin(X_COARSE)),
+    # equal local frequency at a 50% phase shift
+    "phase offset": (X_WAVE, binary(np.sin(2 * np.pi * (X_WAVE - 0.25))), binary(np.sin(2 * np.pi * X_WAVE))),
+    # spacings 0.5 against 0.55
+    "frequency mismatch": (X_FINE, binary(np.sin(2 * np.pi * X_FINE)), binary(np.sin(2 * np.pi * X_FINE / 1.1))),
+    "too few crossings": (X_COARSE, np.ones_like(X_COARSE), np.sin(X_COARSE)),
+    # a parity signal against a smooth wave with the same zeros
+    "binary against smooth": (X_WAVE, binary(np.sin(2 * np.pi * X_WAVE)), np.sin(2 * np.pi * X_WAVE)),
+}
+
+
+def measure(x, a, b):
+    """What propagator-compare measures: sign agreement, both crossing lists, spacing error and pair count."""
+    ca, cb = zero_crossings(x, a), zero_crossings(x, b)
+    return sign_agreement(a, b), ca, cb, *crossing_spacing_error(ca, cb)
+
+
+class TestCompare:
     def test_identical_signals(self):
-        x = self.grid()
-        v = np.sin(x)
-        rep = compare(SampledSignal(x, v), SampledSignal(x, v.copy()))
-        assert rep.sign_agreement_fraction == 1.0
-        assert rep.crossing_spacing_error == 0.0
+        agree, _, _, spacing_err, _ = measure(*PAIRS["identical"])
+        assert agree == 1.0
+        assert spacing_err == 0.0
 
     def test_sign_agreement_after_global_flip(self):
-        x = self.grid()
-        v = np.sin(x)
-        assert compare(SampledSignal(x, v), SampledSignal(x, -v)).sign_agreement_fraction == 1.0
+        _, a, b = PAIRS["global flip"]
+        assert sign_agreement(a, b) == 1.0
 
-    def test_rejects_different_grids(self):
-        x = self.grid()
-        with pytest.raises(ValueError):
-            compare(SampledSignal(x, x), SampledSignal(x + 1.0, x))
+    def test_empty_signals_agree(self):
+        assert sign_agreement(np.array([]), np.array([])) == 1.0
 
     def test_spacing_ignores_constant_phase_offset(self):
         """Equal local frequency at 50% phase shift: spacing error ~ 0."""
-        x = np.arange(0.0, 10.0, 0.01)
-        a = np.sign(np.sin(2 * np.pi * (x - 0.25)))
-        b = np.sign(np.sin(2 * np.pi * x))
-        a[a == 0] = 1.0
-        b[b == 0] = 1.0
-        rep = compare(SampledSignal(x, a), SampledSignal(x, b))
-        assert rep.crossing_spacing_error is not None
-        assert rep.crossing_spacing_error < 0.03
+        agree, _, _, spacing_err, _ = measure(*PAIRS["phase offset"])
+        assert spacing_err is not None
+        assert spacing_err < 0.03
         # raw sign agreement is destroyed by the offset, spacing is not
-        assert rep.sign_agreement_fraction < 0.6
+        assert agree < 0.6
 
     def test_spacing_detects_frequency_mismatch(self):
-        x = np.arange(0.0, 11.0, 0.005)
-        a = np.sign(np.sin(2 * np.pi * x))
-        b = np.sign(np.sin(2 * np.pi * x / 1.1))
-        a[a == 0] = 1.0
-        b[b == 0] = 1.0
-        rep = compare(SampledSignal(x, a), SampledSignal(x, b))
+        _, _, _, spacing_err, _ = measure(*PAIRS["frequency mismatch"])
         # spacings 0.5 vs 0.55: relative gap 1/11, plus midpoint quantization
-        assert abs(rep.crossing_spacing_error - 1.0 / 11.0) < 0.03
+        assert abs(spacing_err - 1.0 / 11.0) < 0.03
 
     def test_insufficient_crossings_flagged(self):
-        x = self.grid()
-        rep = compare(SampledSignal(x, np.ones_like(x)), SampledSignal(x, np.sin(x)))
-        assert rep.crossing_spacing_error is None
-        assert rep.n_spacing_pairs == 0
+        _, _, _, spacing_err, n_pairs = measure(*PAIRS["too few crossings"])
+        assert spacing_err is None
+        assert n_pairs == 0
 
     def test_mixed_binary_and_smooth(self):
         """A parity signal against a smooth wave with the same zeros."""
-        x = np.arange(0.0, 10.0, 0.01)
-        smooth = np.sin(2 * np.pi * x)
-        binary = np.sign(smooth)
-        binary[binary == 0] = 1.0
-        rep = compare(SampledSignal(x, binary), SampledSignal(x, smooth))
-        assert rep.crossing_spacing_error < 0.03
-        assert rep.sign_agreement_fraction > 0.99
+        agree, _, _, spacing_err, _ = measure(*PAIRS["binary against smooth"])
+        assert spacing_err < 0.03
+        assert agree > 0.99
+
+
+def parity_against_re_k(t, xs):
+    """(x, clock parity, Re K) at time t at compton_period 4, as propagator-compare builds them."""
+    units = UnitsConfig(4.0)
+    return xs, plane_pattern(t, xs, units).value.astype(float), np.real(feynman_free(xs, t, units.mass))
+
+
+@pytest.mark.parametrize(
+    "x,a,b",
+    [
+        pytest.param(*parity_against_re_k(20.0, _grid(-4.0, 4.0, 0.0005)), id="benchmark-grid"),
+        pytest.param(*parity_against_re_k(2001.0, np.arange(50.0, 400.0 + 1e-9, 0.25)), id="acceptance-far-window"),
+        pytest.param(*parity_against_re_k(21.5, _grid(-12.0, 12.0, 0.01)), id="t21.5-window12"),
+        *(pytest.param(*pair, id=name) for name, pair in PAIRS.items()),
+    ],
+)
+def test_matches_compare_oracle(x, a, b):
+    """The three functions reproduce the comparison they replaced, bit for bit."""
+    agree, ca, cb, spacing_err, n_pairs = measure(x, a, b)
+    o_agree, o_ca, o_cb, o_err, o_pairs = compare_oracle(x, a, b)
+    assert agree == o_agree
+    assert ca.tobytes() == o_ca.tobytes()
+    assert cb.tobytes() == o_cb.tobytes()
+    assert spacing_err == o_err
+    assert n_pairs == o_pairs
+
+
+def compare_oracle(x, a, b):
+    """The comparison as one function over both signals, before it was split:
+    (sign agreement, crossings of a, crossings of b, spacing error, pairs)."""
+    x = np.asarray(x, dtype=float)
+
+    def crossings(v):
+        v = np.asarray(v, dtype=float)
+        if np.all(np.isin(v, (-1.0, 0.0, 1.0))):
+            idx = np.nonzero(v[:-1] * v[1:] < 0)[0]
+            return 0.5 * (x[idx] + x[idx + 1])
+        cross = np.zeros(v.shape, dtype=bool)
+        cross[:-1] = v[:-1] * v[1:] < 0.0
+        i = np.nonzero(cross)[0]
+        out = x.copy()
+        out[i] = x[i] - v[i] * (x[i + 1] - x[i]) / (v[i + 1] - v[i])
+        return out[cross | (v == 0.0)]
+
+    def matched_spacing_error(ca, cb):
+        if ca.size < 2 or cb.size < 2:
+            return None, 0
+        spa, mida = np.diff(ca), 0.5 * (ca[:-1] + ca[1:])
+        spb, midb = np.diff(cb), 0.5 * (cb[:-1] + cb[1:])
+        sel = (mida >= midb[0]) & (mida <= midb[-1])
+        if not np.any(sel):
+            return None, 0
+        interp = np.interp(mida[sel], midb, spb)
+        rel = np.abs(spa[sel] - interp) / interp
+        return float(rel.max()), int(sel.sum())
+
+    sa, sb = np.sign(np.asarray(a, dtype=float)), np.sign(np.asarray(b, dtype=float))
+    agree = max(float(np.mean(sa == sb)), float(np.mean(sa == -sb))) if sa.size else 1.0
+    ca, cb = crossings(a), crossings(b)
+    return (agree, ca, cb, *matched_spacing_error(ca, cb))
 
 
 class TestFitConvergenceOrder:

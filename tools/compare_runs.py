@@ -56,8 +56,12 @@ three-decimal 0.003.  Two clock-pattern configs with samples within
 rounding of a half-period boundary follow: the desk grid at
 compton_period = 0.7, and a slice at t = 15.46, compton_period = 0.3 whose
 sample at x = -14.96 lies 5 ulps from one.  A clock-pattern slice at
-t = 1e-160 ends the list: there t*t is subnormal, and the float rule reads
-the samples at x = +-8e-161 in the wrong cell.
+t = 1e-160 follows: there t*t is subnormal, and the float rule reads the
+samples at x = +-8e-161 in the wrong cell.  Two propagator-compare windows
+of |x| <= 12 end the list.  In both, the parity and Re K each cross zero
+at least twice, so crossing_spacing is measured, which no other
+invocation reaches: at t = 21.5 over one matched spacing pair, with every
+check passed, and at t = 20 over three, where both checks fail (exit 3).
 """
 
 from __future__ import annotations
@@ -137,6 +141,8 @@ INVOCATIONS: list[tuple[str, Op]] = [
         ("t", "1e-160"), ("compton_period", "3e-161"), ("x_min", "-1e-160"), ("x_max", "1e-160"),
         ("x_step", "1e-163"), ("raster_t_min", "1e-160"), ("raster_t_max", "2e-160"), ("raster_t_step", "1e-160"),
     ))),
+    ("propagator-compare t=21.5 x_window=12", Op("propagator-compare", (("t", "21.5"), ("x_window", "12")))),
+    ("propagator-compare t=20 x_window=12", Op("propagator-compare", (("t", "20"), ("x_window", "12")))),
 ]
 
 
